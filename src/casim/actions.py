@@ -78,8 +78,8 @@ ABORTED = "aborted"
 
 
 class CAActionInstance:
-    """One live run of a definition: registered participants, recovery
-    line, bound transaction, and its operation DAG."""
+    """One live run of a definition: registered participants, bound
+    transaction (its undo log is the recovery line) and operation DAG."""
 
     def __init__(self, defn: CAActionDef, key: str, parent=None):
         self.defn = defn
@@ -88,7 +88,6 @@ class CAActionInstance:
         self.depth = 0 if parent is None else parent.depth + 1
         self.status = GATHERING
         self.registered: dict[str, int] = {}    # role -> thread id
-        self.snapshot = None
         self.txn_id: int | None = None
         self.savepoint = None           # flatten-strategy region marker
         self.arrived: set[int] = set()
@@ -98,14 +97,10 @@ class CAActionInstance:
         self.boundary_nid: int | None = None    # node in parent's DAG
         self.outcome: str | None = None
         self.twopc = None
-        self.deadline_event = False
 
     @property
     def terminal(self) -> bool:
         return self.status in (COMMITTED, ABORTED)
-
-    def threads(self):
-        return list(self.registered.values())
 
     def root(self):
         inst = self

@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 
-from . import __version__, audit, sweep
+from . import __version__, audit, sweep, trace
 from .engine import Simulator
 from .errors import MalformedTrace, SimError, ValidationError
 from .scenario import load_scenario
@@ -74,7 +74,7 @@ def _cmd_run(args) -> int:
     if args.dump:
         dumps = res.dumps()
         with open(args.dump, "w") as f:
-            for section in ("initial", "stable", "volatile"):
+            for section in trace.DUMP_SECTIONS:
                 f.write("[%s]\n" % section)
                 for ln in dumps[section]:
                     f.write(ln + "\n")

@@ -4,12 +4,13 @@ transactions.
 The DAG captures the partial order over operation invocations of one
 action instance: per-thread program order, cross-thread synchronization
 edges from completed emit/await pairs, and declared ordering constraints
-between nested-action boundary nodes.  `flatten` linearizes the DAG into
-one sequence bound to a single transaction; `to_nested` binds each
-nested-action region to a child transaction instead.
+between nested-action boundary nodes.  Under flatten the whole tree runs
+in one transaction and executes one linearization of the DAG; under
+nested each nested action gets a child transaction and every linear
+extension stays admissible.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CyclicConstraint
 
@@ -62,14 +63,13 @@ class OperationDAG:
         if not self.is_acyclic():
             raise CyclicConstraint("operation DAG has a cycle")
 
-    def topological_order(self, tie_break=None) -> list[int]:
-        """Kahn's algorithm; tie_break keys the ready set (default: lowest
-        (thread ordinal, step index) first)."""
-        if tie_break is None:
-            tie_break = lambda n: (n.thread, n.step)
+    def topological_order(self) -> list[int]:
+        """Kahn's algorithm; the ready set is keyed lowest (thread ordinal,
+        step index) first."""
+        key = lambda nid: (self.nodes[nid].thread, self.nodes[nid].step)
         indeg = self.predecessors_count()
         ready = sorted((n.nid for n in self.nodes if indeg[n.nid] == 0),
-                       key=lambda nid: tie_break(self.nodes[nid]))
+                       key=key)
         order = []
         while ready:
             nid = ready.pop(0)
@@ -78,38 +78,8 @@ class OperationDAG:
                 indeg[succ] -= 1
                 if indeg[succ] == 0:
                     ready.append(succ)
-            ready.sort(key=lambda i: tie_break(self.nodes[i]))
+            ready.sort(key=key)
         return order
-
-    def all_topological_orders(self, limit=100000):
-        """Exhaustive enumeration; only sensible for small DAGs."""
-        indeg = self.predecessors_count()
-        out = []
-        order = []
-
-        def rec():
-            if len(out) >= limit:
-                return
-            ready = [nid for nid in indeg if indeg[nid] == 0
-                     and nid not in placed]
-            if not ready:
-                if len(order) == len(self.nodes):
-                    out.append(list(order))
-                return
-            for nid in ready:
-                placed.add(nid)
-                order.append(nid)
-                for s in self.successors(nid):
-                    indeg[s] -= 1
-                rec()
-                for s in self.successors(nid):
-                    indeg[s] += 1
-                order.pop()
-                placed.discard(nid)
-
-        placed = set()
-        rec()
-        return out
 
     def count_linear_extensions(self) -> int:
         indeg = self.predecessors_count()
@@ -133,47 +103,13 @@ class OperationDAG:
 
         return rec()
 
-    def dump_lines(self) -> list[str]:
-        out = []
-        for n in self.nodes:
-            out.append("%d\t%d\t%d\t%s\t%s" %
-                       (n.nid, n.thread, n.step, n.kind, n.obj or "-"))
-        for s, d, t in self.edges:
-            out.append("edge\t%d\t%d\t%s" % (s, d, t))
-        return out
 
-
-@dataclass
-class MappingPlan:
-    strategy: str                       # FLATTEN or NESTED
-    binding: dict = field(default_factory=dict)  # region key -> txn id
-
-
-def strategy_select(has_nested: bool, configured: str | None) -> MappingPlan:
+def strategy_select(has_nested: bool, configured: str | None) -> str:
     """Configured strategy wins; otherwise nested for defs with nested
     actions, flatten for leaf defs."""
     if configured in (FLATTEN, NESTED):
-        return MappingPlan(configured)
-    return MappingPlan(NESTED if has_nested else FLATTEN)
-
-
-def flatten(dag: OperationDAG) -> list[int]:
-    """Deterministic topological linearization of the finalized DAG."""
-    dag.check_acyclic()
-    return dag.topological_order()
-
-
-def to_nested(instance_tree, dag: OperationDAG) -> MappingPlan:
-    """Bind each nested-action region to its instance's child transaction.
-
-    instance_tree is an iterable of (region_key, txn_id, parent_txn_id);
-    the root region binds the parent's own non-nested operations.
-    """
-    dag.check_acyclic()
-    plan = MappingPlan(NESTED)
-    for region, txn_id, _parent in instance_tree:
-        plan.binding[region] = txn_id
-    return plan
+        return configured
+    return NESTED if has_nested else FLATTEN
 
 
 def count_admissible_orders(dag: OperationDAG, strategy: str) -> int:

@@ -84,8 +84,6 @@ class RunResult:
     rejections: list
     crash_checks: list              # (node, time, stable_unchanged, volatile_cleared)
     initial_dump: list
-    seed: int
-    strategy: str | None
 
     def dumps(self) -> dict:
         return {"initial": self.initial_dump,
@@ -188,8 +186,7 @@ class Simulator:
         self._finish()
         return RunResult(self.trace, self.store, dict(self.instances),
                          dict(self.outcomes), list(self.rejections),
-                         list(self.crash_checks), self.initial_dump,
-                         self.seed, self.strategy_cfg)
+                         list(self.crash_checks), self.initial_dump)
 
     def _quiesce(self) -> bool:
         """Resolve stuck coordination at an empty queue; True if progress
@@ -289,16 +286,15 @@ class Simulator:
     def _start_instance(self, inst):
         inst.status = act.RUNNING
         if inst.parent is None:
-            plan = dagmod.strategy_select(bool(inst.defn.nested),
-                                          self.strategy_cfg)
-            self._inst_strategy[inst.key] = plan.strategy
-        label = "%s@%d" % (inst.key, self.now)
-        try:
-            inst.snapshot = self.store.take_snapshot(inst.defn.footprint, label)
-        except NodeDown:
-            self.coordinated_abort(inst, "node_down")
-            return
-        self.trace.emit(self.now, "line_recovery", inst=inst.key, label=label)
+            self._inst_strategy[inst.key] = dagmod.strategy_select(
+                bool(inst.defn.nested), self.strategy_cfg)
+        # the recovery line (the txn's undo log) needs every footprint home up
+        for name in inst.defn.footprint:
+            if not self.store.node_up(self.store.home(name)):
+                self.coordinated_abort(inst, "node_down")
+                return
+        self.trace.emit(self.now, "line_recovery", inst=inst.key,
+                        label="%s@%d" % (inst.key, self.now))
         if inst.parent is None:
             txn = self.txns.begin(None, coordinator=inst.origin_node)
             inst.txn_id = txn.id
@@ -592,8 +588,6 @@ class Simulator:
             elif inst.savepoint is not None:
                 self.txns.rollback_to(inst.savepoint)
                 inst.savepoint = None
-        # recovery-line state is reestablished by undo replay above; the
-        # snapshot itself is only the captured record of that line
         inst.status = act.ABORTED
         inst.outcome = "aborted"
         inst.abort_cause = cause
@@ -651,10 +645,7 @@ class Simulator:
         self._deliver_outcome(st.inst)
         for p in st.parts:
             self._send(st.coordinator, p, "apply",
-                       lambda p=p: self._on_apply(st, p))
-
-    def _on_apply(self, st, p):
-        self._apply_at(st, p)
+                       lambda p=p: self._apply_at(st, p))
 
     def _apply_at(self, st, p):
         if p in st.applied:
@@ -759,11 +750,10 @@ class Simulator:
                 if st is not None and node not in st.applied:
                     self._apply_at(st, node)
             elif self.store.find_log(coord, "abort", rec.txn) is None:
-                # no decision survives: presumed abort
+                # no decision survives: presumed abort (an abort decided while
+                # the coordinator was down is logged by _resolve_coordinator)
                 if st is not None and st.decided is None:
                     self.coordinated_abort(st.inst, "presumed_abort")
-                elif self.store.node_up(coord):
-                    self.store.append_log(coord, LogRecord("abort", rec.txn))
 
     def _resolve_coordinator(self, node):
         for st in self.inflight.values():
@@ -780,8 +770,3 @@ class Simulator:
                     if p not in st.applied and self.store.node_up(p):
                         self._apply_at(st, p)
 
-
-def run_scenario(scenario: Scenario, seed=None, strategy=None, horizon=None,
-                 unsafe_early_release=False) -> RunResult:
-    return Simulator(scenario, seed=seed, strategy=strategy, horizon=horizon,
-                     unsafe_early_release=unsafe_early_release).run()

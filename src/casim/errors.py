@@ -31,10 +31,6 @@ class UnknownNode(SimError):
     pass
 
 
-class StaleSnapshot(SimError):
-    pass
-
-
 # --- transaction engine ---
 
 class TxnNotActive(SimError):
@@ -58,33 +54,13 @@ class DeadlockVictim(SimError):
     pass
 
 
-class LockDenied(SimError):
-    pass
-
-
 # --- action manager ---
-
-class RoleTaken(SimError):
-    pass
-
-
-class NotParentParticipant(SimError):
-    pass
-
 
 class ModeViolation(SimError):
     pass
 
 
-class EntryTimeout(SimError):
-    pass
-
-
 class DuplicateRole(SimError):
-    pass
-
-
-class UnknownSignal(SimError):
     pass
 
 

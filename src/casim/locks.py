@@ -40,9 +40,6 @@ class LockTable:
     def held_mode(self, obj: str, txn: int) -> str | None:
         return self.holders.get(obj, {}).get(txn)
 
-    def holders_of(self, obj: str):
-        return dict(self.holders.get(obj, {}))
-
     def _conflicting(self, obj: str, txn: int, mode: str):
         return [h for h, m in self.holders.get(obj, {}).items()
                 if h != txn and conflicts(mode, m)]
@@ -146,6 +143,3 @@ class LockTable:
     def locks_of(self, txn: int):
         return [(obj, m) for obj, hs in self.holders.items()
                 for h, m in hs.items() if h == txn]
-
-    def waiting_tags(self, txn: int):
-        return [r.tag for q in self.queue.values() for r in q if r.txn == txn]

@@ -7,11 +7,11 @@ per-node log of commit-protocol records.  A crash wipes a node's volatile
 side; recovery reloads it from stable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (DuplicateObject, NodeAlreadyDown, NodeAlreadyUp,
-                     NodeDown, StaleSnapshot, UnknownNode, UnknownObject)
+                     NodeDown, UnknownNode, UnknownObject)
 
 
 class ObjectId(NamedTuple):
@@ -25,14 +25,6 @@ def encode_value(v: int) -> bytes:
 
 def decode_value(b: bytes) -> int:
     return int(b.decode("ascii"))
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """Immutable capture of volatile values; the object side of a recovery
-    point."""
-    label: str
-    entries: tuple  # of (name, value bytes, version)
 
 
 @dataclass
@@ -122,29 +114,6 @@ class ObjectStore:
             if rec.kind == kind and rec.txn == txn:
                 return rec
         return None
-
-    # --- snapshots ---
-
-    def take_snapshot(self, names, label: str) -> Snapshot:
-        entries = []
-        for name in names:
-            oid = self.oid(name)
-            ns = self._up_node(oid.home)
-            entries.append((name, ns.volatile[name], ns.stable[name][1]))
-        return Snapshot(label, tuple(entries))
-
-    def restore_snapshot(self, snap: Snapshot, skip_down=False):
-        for name, value, version in snap.entries:
-            if name not in self.objects:
-                raise StaleSnapshot(name)
-            ns = self.nodes[self.objects[name].home]
-            if not ns.up:
-                if skip_down:
-                    continue
-                raise NodeDown(ns.name)
-            if ns.stable[name][1] != version:
-                continue  # a later commit superseded this entry
-            ns.volatile[name] = value
 
     # --- crash / recovery ---
 

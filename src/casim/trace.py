@@ -71,10 +71,6 @@ class Trace:
                 out.extend(dumps.get(section, []))
         return "\n".join(out) + "\n"
 
-    def write_file(self, path, dumps=None):
-        with open(path, "w") as f:
-            f.write(self.render(dumps))
-
 
 def parse_detail(text: str) -> dict:
     if text == "-":

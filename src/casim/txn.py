@@ -65,11 +65,6 @@ class TransactionManager:
             p = self.txns[p].parent
         return False
 
-    def top_level(self, txn_id: int) -> int:
-        while self.txns[txn_id].parent is not None:
-            txn_id = self.txns[txn_id].parent
-        return txn_id
-
     def begin(self, parent: int | None = None, coordinator: str = "") -> Txn:
         if parent is not None:
             p = self.txns[parent]
@@ -155,11 +150,7 @@ class TransactionManager:
         for child in reversed(txn.children):
             if self.txns[child].status == ACTIVE:
                 granted.extend(self.abort(child, cause="parent"))
-        for name, old in reversed(txn.undo):
-            try:
-                self.store.write_volatile(name, old)
-            except NodeDown:
-                pass  # volatile already lost with the node
+        self._undo_to(txn, 0)
         txn.status = ABORTED
         self.trace.emit(self.clock(), "abort", txn=txn_id, cause=cause)
         granted.extend(self.locktable.release_all(txn_id))
@@ -181,13 +172,17 @@ class TransactionManager:
 
     def rollback_to(self, sp: Savepoint):
         txn = self.txns[sp.txn]
-        while len(txn.undo) > sp.undo_len:
+        self._undo_to(txn, sp.undo_len)
+        txn.writes = dict(sp.writes)
+
+    def _undo_to(self, txn: Txn, undo_len: int):
+        """Undo txn's writes newest-first down to undo_len entries."""
+        while len(txn.undo) > undo_len:
             name, old = txn.undo.pop()
             try:
                 self.store.write_volatile(name, old)
             except NodeDown:
-                pass
-        txn.writes = dict(sp.writes)
+                pass  # volatile already lost with the node
 
     # --- distributed-commit helpers ---
 

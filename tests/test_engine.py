@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+from casim import audit
 from casim.engine import Simulator
 from casim.scenario import Fault, parse_scenario
 from casim.store import decode_value
@@ -211,6 +212,28 @@ def test_coordinator_crash_resolves_to_presumed_abort():
     assert res.store.find_log("alpha", "abort", txn) is not None
 
 
+def test_coordinator_participant_logs_one_abort_after_recovery():
+    base = Simulator(parse_scenario(TRANSFER)).run()
+    # alpha coordinates and is a participant: crash it right after its own
+    # prepare, so the abort is decided while alpha is down
+    idx = find_seq(base, lambda ev: ev.kind == "commit1"
+                   and ev.detail["node"] == "alpha")
+    sc = replace(parse_scenario(TRANSFER),
+                 faults=[Fault("index", idx, "crash", "alpha"),
+                         Fault("time", 200, "recover", "alpha")])
+    res = Simulator(sc).run()
+    assert res.outcomes == {"transfer": "aborted"}
+    crash = find_seq(res, lambda ev: ev.kind == "crash")
+    decision = find_seq(res, lambda ev: ev.kind == "commit2"
+                        and ev.detail.get("outcome") == "abort")
+    recover = find_seq(res, lambda ev: ev.kind == "recover")
+    assert crash < decision < recover
+    txn = res.trace.events[decision].txn
+    kinds_at_alpha = [rec.kind for rec in res.store.nodes["alpha"].log
+                      if rec.txn == txn]
+    assert kinds_at_alpha == ["prepare", "abort"]
+
+
 def test_participant_crash_after_decision_applies_on_recovery():
     base = Simulator(parse_scenario(TRANSFER)).run()
     idx = find_seq(base, lambda ev: ev.kind == "commit2"
@@ -254,6 +277,35 @@ def test_prepare_timeout_aborts_when_participant_unreachable():
     assert res.outcomes == {"solo": "aborted"}
     drops = [ev for ev in res.trace.events if ev.kind == "drop"]
     assert drops and drops[0].detail["mtype"] == "prepare"
+
+
+FOOTPRINT_HOME_DOWN = """
+node n1
+node n2
+object x n1 0
+object y n2 0
+action a
+  footprint x y
+  role w
+    write x x + 1
+    exit
+end
+client c1 n1 5 a w
+fault at 1 crash n2
+seed 1
+horizon 400
+"""
+
+
+def test_entry_aborts_node_down_when_footprint_home_is_down():
+    res = run_text(FOOTPRINT_HOME_DOWN)
+    assert res.outcomes == {"a": "aborted"}
+    assert res.instances["a"].abort_cause == "node_down"
+    ks = kinds(res)
+    assert "line_recovery" not in ks and "begin" not in ks
+    report = audit.audit_trace(res.trace_text(), all_nodes=["n1", "n2"])
+    checks = [v for k, v in report.items() if k != "ok"]
+    assert len(checks) == 6 and all(ok for ok, _ in checks)
 
 
 def test_wait_die_competition_zero_retries():

@@ -79,26 +79,6 @@ def test_log_survives_crash():
     assert st.find_log("n1", "commit", 7) is None
 
 
-def test_snapshot_restore_skips_superseded_entries():
-    st = make_store()
-    snap = st.take_snapshot(["x", "y"], "line0")
-    st.apply_commit("x", b"50", 1)   # another action commits x meanwhile
-    st.write_volatile("y", b"77")
-    st.restore_snapshot(snap)
-    assert st.read_volatile("x") == b"50"  # not clobbered by stale entry
-    assert st.read_volatile("y") == b"5"
-
-
-def test_snapshot_restore_skip_down():
-    st = make_store()
-    snap = st.take_snapshot(["x", "y"], "line0")
-    st.write_volatile("y", b"0")
-    st.crash_node("n2")
-    with pytest.raises(NodeDown):
-        st.restore_snapshot(snap)
-    st.restore_snapshot(snap, skip_down=True)
-
-
 def test_dumps_sorted_and_exclude_down_volatile():
     st = make_store()
     st.crash_node("n2")

@@ -21,7 +21,6 @@ def test_begin_tree_and_ancestry():
     assert tm.is_ancestor(top.id, grand.id)
     assert tm.is_ancestor(child.id, grand.id)
     assert not tm.is_ancestor(grand.id, top.id)
-    assert tm.top_level(grand.id) == top.id
 
 
 def test_begin_under_terminal_parent_rejected():
