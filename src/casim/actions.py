@@ -81,9 +81,12 @@ class CAActionInstance:
     """One live run of a definition: registered participants, bound
     transaction (its undo log is the recovery line) and operation DAG."""
 
-    def __init__(self, defn: CAActionDef, key: str, parent=None):
+    def __init__(self, defn: CAActionDef, key: str, origin_node: str,
+                 strategy: str, parent=None):
         self.defn = defn
         self.key = key
+        self.origin_node = origin_node  # coordinator: first registrant's node
+        self.strategy = strategy        # flatten | nested, the root's choice
         self.parent = parent            # CAActionInstance | None
         self.depth = 0 if parent is None else parent.depth + 1
         self.status = GATHERING
@@ -93,20 +96,15 @@ class CAActionInstance:
         self.arrived: set[int] = set()
         self.signals: dict[str, int] = {}       # signal -> emitting DAG node
         self.sync_waiters: dict[str, list[int]] = {}
+        self.order_waiters: dict[str, list[int]] = {}  # nested name -> tids
         self.nested: dict[str, "CAActionInstance"] = {}
         self.boundary_nid: int | None = None    # node in parent's DAG
-        self.outcome: str | None = None
+        self.last_nid: dict[int, int] = {}      # thread id -> last DAG node
         self.twopc = None
 
     @property
     def terminal(self) -> bool:
         return self.status in (COMMITTED, ABORTED)
-
-    def root(self):
-        inst = self
-        while inst.parent is not None:
-            inst = inst.parent
-        return inst
 
 
 def validate_defs(defs: dict, known_objects=None):

@@ -7,6 +7,11 @@ waits, entry gathering, the exit barrier) is modeled as the thread
 becoming non-runnable until an enabling event reschedules it.  Replaying
 the same (scenario, seed) reproduces a byte-identical trace and dump.
 
+Scheduled work is data, never a closure: a queue entry is `(time, prio,
+seq, fn, args)` with `fn` a bound `Simulator` method.  So the queue can be
+inspected, and `copy.deepcopy` of a simulator binds the copy's pending
+work, clock and trace hook to the copy, not to the original.
+
 Top-level commits run two-phase commit over simulated messages with
 presumed abort: a prepared participant that finds no commit record at the
 coordinator resolves to abort.
@@ -56,7 +61,6 @@ class LThread:
         self.frames: list[Frame] = []
         self.status = GATHERING
         self.gen = 0            # invalidates stale scheduled continuations
-        self.blocked_on = None  # (parent instance, nested name) for order waits
 
     @property
     def frame(self) -> Frame | None:
@@ -75,25 +79,6 @@ class TwoPC:
     decided: str | None = None      # None | commit | abort
 
 
-@dataclass
-class RunResult:
-    trace: Trace
-    store: ObjectStore
-    instances: dict
-    outcomes: dict
-    rejections: list
-    crash_checks: list              # (node, time, stable_unchanged, volatile_cleared)
-    initial_dump: list
-
-    def dumps(self) -> dict:
-        return {"initial": self.initial_dump,
-                "stable": self.store.dump_stable(),
-                "volatile": self.store.dump_volatile()}
-
-    def trace_text(self) -> str:
-        return self.trace.render(self.dumps())
-
-
 class Simulator:
     def __init__(self, scenario: Scenario, seed=None, strategy=None,
                  horizon=None, unsafe_early_release=False,
@@ -110,7 +95,7 @@ class Simulator:
         for name, node, value in scenario.objects:
             self.store.create_object(ObjectId(name, node), encode_value(value))
         self.txns = TransactionManager(
-            self.store, self.trace, clock=lambda: self.now,
+            self.store, self.trace, clock=self._clock,
             unsafe_early_release=unsafe_early_release)
         self.now = 0
         self._q: list = []
@@ -121,45 +106,53 @@ class Simulator:
         self.instances: dict[str, act.CAActionInstance] = {}
         self.top_instances: dict[str, act.CAActionInstance] = {}
         self.inflight: dict[int, TwoPC] = {}
-        self.outcomes: dict[str, str] = {}
         self.rejections: list = []
-        self.crash_checks: list = []
+        self.crash_checks: list = []  # (node, time, stable_ok, vol_cleared)
         self.indexed_faults: dict[int, list] = {}
         self.initial_dump: list = []
         self._nested_only = {n for d in scenario.defs.values() for n in d.nested}
-        # per-instance mapping state
-        self._last_node: dict[tuple, int] = {}   # (inst key, tid) -> dag nid
-        self._inst_strategy: dict[str, str] = {}  # top key -> flatten|nested
+
+    @property
+    def outcomes(self) -> dict:
+        return {key: inst.status for key, inst in self.instances.items()
+                if inst.terminal}
+
+    def dumps(self) -> dict:
+        return {"initial": self.initial_dump,
+                "stable": self.store.dump_stable(),
+                "volatile": self.store.dump_volatile()}
+
+    def trace_text(self) -> str:
+        return self.trace.render(self.dumps())
+
+    def _clock(self):
+        return self.now
 
     # ------------------------------------------------------------------
     # scheduling
 
-    def schedule(self, time, fn, prio=None):
+    def schedule(self, time, fn, *args, prio=None):
         if prio is None:
             prio = self.rng.random()
         self._qseq += 1
-        heapq.heappush(self._q, (time, prio, self._qseq, fn))
+        heapq.heappush(self._q, (time, prio, self._qseq, fn, args))
 
     def _on_emit(self, ev):
         for op, node in self.indexed_faults.pop(ev.seq, []):
-            self.schedule(self.now, self._fault_fn(op, node), prio=-1.0)
+            self.inject_fault(self.now, op, node, prio=-1.0)
 
-    def _fault_fn(self, op, node):
-        if op == "crash":
-            return lambda: self._crash(node)
-        return lambda: self._recover(node)
-
-    def inject_fault(self, time, op, node):
+    def inject_fault(self, time, op, node, prio=None):
         if node not in self.store.nodes:
             raise UnknownNode(node)
         if op not in ("crash", "recover"):
             raise InconsistentFault(op)
-        self.schedule(time, self._fault_fn(op, node))
+        self.schedule(time, self._crash if op == "crash" else self._recover,
+                      node, prio=prio)
 
     # ------------------------------------------------------------------
     # run loop
 
-    def run(self) -> RunResult:
+    def run(self) -> "Simulator":
         self.initial_dump = self.store.dump_stable()
         groups: dict[str, list] = {}
         for c in self.sc.clients:
@@ -178,35 +171,31 @@ class Simulator:
                 if self._q[0][0] > self.horizon:
                     horizon_hit = True
                     break
-                t, _p, _s, fn = heapq.heappop(self._q)
+                t, _p, _s, fn, args = heapq.heappop(self._q)
                 self.now = max(self.now, t)
-                fn()
+                fn(*args)
             if horizon_hit or not self._quiesce():
                 break
         self._finish()
-        return RunResult(self.trace, self.store, dict(self.instances),
-                         dict(self.outcomes), list(self.rejections),
-                         list(self.crash_checks), self.initial_dump)
+        return self
 
     def _quiesce(self) -> bool:
         """Resolve stuck coordination at an empty queue; True if progress
         was made (events were scheduled or instances terminated)."""
         progress = False
         for inst in self._open_instances():
-            blocked = [tid for tid in inst.registered.values()
-                       if self.threads[tid].status == BLOCKED_SYNC
-                       and self.threads[tid].frame
-                       and self.threads[tid].frame.instance is inst]
-            if blocked:
+            if self._waiting(inst.sync_waiters, BLOCKED_SYNC):
                 self.coordinated_abort(inst, "unmatched_await")
                 progress = True
         for inst in self._open_instances():
-            stuck = [tid for tid in inst.registered.values()
-                     if self.threads[tid].status == BLOCKED_ORDER]
-            if stuck:
+            if self._waiting(inst.order_waiters, BLOCKED_ORDER):
                 self.coordinated_abort(inst, "constraint_wait")
                 progress = True
         return progress or bool(self._q)
+
+    def _waiting(self, waiters, status) -> bool:
+        return any(self.threads[tid].status == status
+                   for tids in waiters.values() for tid in tids)
 
     def _finish(self):
         for inst in self._open_instances():
@@ -227,7 +216,7 @@ class Simulator:
             if c.node not in self.store.nodes:
                 raise UnknownNode(c.node)
         for c in contributions:
-            self.schedule(c.time, lambda c=c: self._do_submit(c))
+            self.schedule(c.time, self._do_submit, c)
 
     def _do_submit(self, c):
         self.trace.emit(self.now, "submit", client=c.client, node=c.node,
@@ -243,26 +232,37 @@ class Simulator:
         self.rejections.append((err, key, role, th.tid))
         self.trace.emit(self.now, "register", inst=key, role=role, th=th.tid,
                         ok=0, err=err)
-        th.status = DONE
+
+    def _new_instance(self, defn, key, th, parent=None):
+        """Create, register and arm the entry deadline of an instance."""
+        if parent is None:
+            strategy = dagmod.strategy_select(bool(defn.nested),
+                                              self.strategy_cfg)
+        else:
+            strategy = parent.strategy
+        inst = act.CAActionInstance(defn, key, th.node, strategy, parent)
+        if parent is None:
+            self.top_instances[key] = inst
+        else:
+            parent.nested[defn.name] = inst
+        self.instances[key] = inst
+        self.schedule(self.now + defn.deadline, self._deadline, inst)
+        return inst
 
     def _register_top(self, th, key, role):
         defname = key.split("#", 1)[0]
-        defn = self.sc.defs[defname]
         if defname in self._nested_only:
-            self._reject(key, role, th, "NotParentParticipant")
-            return
-        inst = self.top_instances.get(key)
-        if inst is None:
-            inst = act.CAActionInstance(defn, key)
-            inst.origin_node = th.node
-            self.top_instances[key] = inst
-            self.instances[key] = inst
-            self.schedule(self.now + defn.deadline,
-                          lambda: self._deadline(inst))
-        if inst.status != act.GATHERING or role in inst.registered:
-            self._reject(key, role, th, "RoleTaken")
-            return
-        self._register(inst, th, role)
+            err = "NotParentParticipant"
+        else:
+            inst = self.top_instances.get(key)
+            if inst is None:
+                inst = self._new_instance(self.sc.defs[defname], key, th)
+            if inst.status == act.GATHERING and role not in inst.registered:
+                self._register(inst, th, role)
+                return
+            err = "RoleTaken"
+        self._reject(key, role, th, err)
+        th.status = DONE
 
     def _register(self, inst, th, role):
         inst.registered[role] = th.tid
@@ -280,14 +280,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # instance lifecycle
 
-    def _strategy_of(self, inst) -> str:
-        return self._inst_strategy[inst.root().key]
-
     def _start_instance(self, inst):
         inst.status = act.RUNNING
-        if inst.parent is None:
-            self._inst_strategy[inst.key] = dagmod.strategy_select(
-                bool(inst.defn.nested), self.strategy_cfg)
         # the recovery line (the txn's undo log) needs every footprint home up
         for name in inst.defn.footprint:
             if not self.store.node_up(self.store.home(name)):
@@ -296,9 +290,9 @@ class Simulator:
         self.trace.emit(self.now, "line_recovery", inst=inst.key,
                         label="%s@%d" % (inst.key, self.now))
         if inst.parent is None:
-            txn = self.txns.begin(None, coordinator=inst.origin_node)
+            txn = self.txns.begin()
             inst.txn_id = txn.id
-        elif self._strategy_of(inst) == dagmod.NESTED:
+        elif inst.strategy == dagmod.NESTED:
             txn = self.txns.begin(inst.parent.txn_id)
             inst.txn_id = txn.id
         else:
@@ -318,10 +312,10 @@ class Simulator:
         nid = parent.dag.add_node(-1, -1, "nested", inst.defn.name).nid
         inst.boundary_nid = nid
         for tid in inst.registered.values():
-            prev = self._last_node.get((parent.key, tid))
+            prev = parent.last_nid.get(tid)
             if prev is not None:
                 parent.dag.add_edge(prev, nid, dagmod.PROG)
-            self._last_node[(parent.key, tid)] = nid
+            parent.last_nid[tid] = nid
         for a, b in parent.defn.order:
             ia, ib = parent.nested.get(a), parent.nested.get(b)
             if ia is not None and ib is not None \
@@ -334,15 +328,13 @@ class Simulator:
     # ------------------------------------------------------------------
     # thread stepping
 
-    def _schedule_step(self, th, delay=1):
+    def _schedule_step(self, th):
         th.gen += 1
-        gen = th.gen
-        self.schedule(self.now + delay, lambda: self._thread_step(th, gen))
+        self.schedule(self.now + 1, self._thread_step, th, th.gen)
 
     def _wake(self, th):
         if th.status in (BLOCKED_LOCK, BLOCKED_SYNC, BLOCKED_ORDER):
             th.status = RUNNABLE
-            th.blocked_on = None
             self._schedule_step(th)
 
     def _thread_step(self, th, gen):
@@ -395,10 +387,10 @@ class Simulator:
 
     def _dag_op(self, inst, th, frame, kind, obj):
         nid = inst.dag.add_node(th.tid, frame.pc, kind, obj).nid
-        prev = self._last_node.get((inst.key, th.tid))
+        prev = inst.last_nid.get(th.tid)
         if prev is not None:
             inst.dag.add_edge(prev, nid, dagmod.PROG)
-        self._last_node[(inst.key, th.tid)] = nid
+        inst.last_nid[th.tid] = nid
         return nid
 
     def _step_read(self, th, inst, frame, step):
@@ -461,17 +453,12 @@ class Simulator:
                 pred = inst.nested.get(a)
                 if pred is None or not pred.terminal:
                     th.status = BLOCKED_ORDER
-                    th.blocked_on = (inst, a)
+                    inst.order_waiters.setdefault(a, []).append(th.tid)
                     return
         sub = inst.nested.get(step.action)
         if sub is None:
-            sub = act.CAActionInstance(defn, "%s/%s" % (inst.key, step.action),
-                                       parent=inst)
-            sub.origin_node = th.node
-            inst.nested[step.action] = sub
-            self.instances[sub.key] = sub
-            self.schedule(self.now + defn.deadline,
-                          lambda: self._deadline(sub))
+            sub = self._new_instance(
+                defn, "%s/%s" % (inst.key, step.action), th, inst)
         if sub.status != act.GATHERING or step.role in sub.registered:
             self._reject_nested(inst, step, th, "RoleTaken")
             return
@@ -480,9 +467,7 @@ class Simulator:
         self._register(sub, th, step.role)
 
     def _reject_nested(self, inst, step, th, err):
-        self.rejections.append((err, step.action, step.role, th.tid))
-        self.trace.emit(self.now, "register", inst=step.action, role=step.role,
-                        th=th.tid, ok=0, err=err)
+        self._reject(step.action, step.role, th, err)
         self.coordinated_abort(inst, err.lower())
 
     # ------------------------------------------------------------------
@@ -527,11 +512,10 @@ class Simulator:
         if inst.parent is None:
             self._start_2pc(inst)
         else:
-            if self._strategy_of(inst) == dagmod.NESTED:
+            if inst.strategy == dagmod.NESTED:
                 self._apply_grants(self.txns.commit_nested(inst.txn_id))
             inst.savepoint = None
             inst.status = act.COMMITTED
-            inst.outcome = "committed"
             self._deliver_outcome(inst)
 
     def _deliver_outcome(self, inst):
@@ -540,7 +524,7 @@ class Simulator:
             if th.status in (DEAD, DONE):
                 continue
             self.trace.emit(self.now, "outcome", inst=inst.key, th=tid,
-                            role=role, outcome=inst.outcome)
+                            role=role, outcome=inst.status)
             while th.frames and th.frames[-1].instance is not inst:
                 th.frames.pop()
             if th.frames:
@@ -552,13 +536,11 @@ class Simulator:
             else:
                 th.status = DONE
                 th.gen += 1
-        self.outcomes[inst.key] = inst.outcome
         if inst.parent is not None:
-            for th in self.threads.values():
-                if th.status == BLOCKED_ORDER and th.blocked_on is not None \
-                        and th.blocked_on[0] is inst.parent \
-                        and th.blocked_on[1] == inst.defn.name:
-                    self._wake(th)
+            waiters = inst.parent.order_waiters.pop(inst.defn.name, [])
+            for tid in sorted(waiters):
+                if self.threads[tid].status == BLOCKED_ORDER:
+                    self._wake(self.threads[tid])
 
     # ------------------------------------------------------------------
     # coordinated abort
@@ -589,7 +571,6 @@ class Simulator:
                 self.txns.rollback_to(inst.savepoint)
                 inst.savepoint = None
         inst.status = act.ABORTED
-        inst.outcome = "aborted"
         inst.abort_cause = cause
         self._deliver_outcome(inst)
         if inst.defn.escalate and inst.parent is not None:
@@ -599,18 +580,16 @@ class Simulator:
     # two-phase commit
 
     def _start_2pc(self, inst):
-        txn = self.txns.get(inst.txn_id)
         redo = self.txns.writes_by_node(inst.txn_id)
-        st = TwoPC(inst, inst.txn_id, txn.coordinator, sorted(redo), redo)
+        st = TwoPC(inst, inst.txn_id, inst.origin_node, sorted(redo), redo)
         inst.twopc = st
         self.inflight[st.txn] = st
         if not st.parts:
             self._decide_commit(st)
             return
         for p in st.parts:
-            self._send(st.coordinator, p, "prepare",
-                       lambda p=p: self._on_prepare(st, p))
-        self.schedule(self.now + TWO_PC_TIMEOUT, lambda: self._timeout(st))
+            self._send(st.coordinator, p, "prepare", self._on_prepare, st, p)
+        self.schedule(self.now + TWO_PC_TIMEOUT, self._timeout, st)
 
     def _timeout(self, st):
         if st.decided is None:
@@ -623,7 +602,7 @@ class Simulator:
                                            coordinator=st.coordinator,
                                            redo=redo))
         self.trace.emit(self.now, "commit1", txn=st.txn, node=p)
-        self._send(p, st.coordinator, "ack", lambda p=p: self._on_ack(st, p))
+        self._send(p, st.coordinator, "ack", self._on_ack, st, p)
 
     def _on_ack(self, st, p):
         st.acks.add(p)
@@ -641,11 +620,9 @@ class Simulator:
                  if o not in written]
         self._apply_grants(self.txns.locktable.release_objects(st.txn, other))
         st.inst.status = act.COMMITTED
-        st.inst.outcome = "committed"
         self._deliver_outcome(st.inst)
         for p in st.parts:
-            self._send(st.coordinator, p, "apply",
-                       lambda p=p: self._apply_at(st, p))
+            self._send(st.coordinator, p, "apply", self._apply_at, st, p)
 
     def _apply_at(self, st, p):
         if p in st.applied:
@@ -675,25 +652,24 @@ class Simulator:
     # ------------------------------------------------------------------
     # messages
 
-    def _send(self, src, dst, mkind, fn):
+    def _send(self, src, dst, mkind, fn, *args):
         if not self.store.node_up(src):
             return
         self._mid += 1
-        mid = self._mid
         self.trace.emit(self.now, "msg_send", **{"from": src},
-                        to=dst, mtype=mkind, mid=mid)
+                        to=dst, mtype=mkind, mid=self._mid)
         latency = self.rng.randint(*MSG_LATENCY)
-        self.schedule(self.now + latency,
-                      lambda: self._deliver(src, dst, mkind, mid, fn))
+        self.schedule(self.now + latency, self._deliver,
+                      src, dst, mkind, self._mid, fn, args)
 
-    def _deliver(self, src, dst, mkind, mid, fn):
+    def _deliver(self, src, dst, mkind, mid, fn, args):
         if not self.store.node_up(dst):
             self.trace.emit(self.now, "drop", **{"from": src},
                             to=dst, mtype=mkind, mid=mid)
             return
         self.trace.emit(self.now, "msg_recv", **{"from": src},
                         to=dst, mtype=mkind, mid=mid)
-        fn()
+        fn(*args)
 
     # ------------------------------------------------------------------
     # crash and recovery
@@ -709,8 +685,7 @@ class Simulator:
         self.trace.emit(self.now, "crash", node=node)
         if self.auto_recover_after is not None:
             self.schedule(self.now + self.auto_recover_after,
-                          lambda: (None if self.store.node_up(node)
-                                   else self._recover(node)))
+                          self._auto_recover, node)
         dead = [th for th in self.threads.values()
                 if th.node == node and th.status not in (DONE, DEAD)]
         for th in dead:
@@ -723,6 +698,10 @@ class Simulator:
             if any(self.threads[tid].status == DEAD
                    for tid in inst.registered.values()):
                 self.coordinated_abort(inst, "crash")
+
+    def _auto_recover(self, node):
+        if not self.store.node_up(node):
+            self._recover(node)
 
     def _recover(self, node):
         if self.store.node_up(node):
@@ -742,17 +721,17 @@ class Simulator:
         for rec in self.store.nodes[node].log:
             if rec.kind != "prepare":
                 continue
-            st = self.inflight.get(rec.txn)
+            st = self.inflight[rec.txn]
             coord = rec.coordinator
             if not self.store.node_up(coord):
                 continue  # in doubt; retried when the coordinator recovers
             if self.store.find_log(coord, "commit", rec.txn) is not None:
-                if st is not None and node not in st.applied:
+                if node not in st.applied:
                     self._apply_at(st, node)
             elif self.store.find_log(coord, "abort", rec.txn) is None:
                 # no decision survives: presumed abort (an abort decided while
                 # the coordinator was down is logged by _resolve_coordinator)
-                if st is not None and st.decided is None:
+                if st.decided is None:
                     self.coordinated_abort(st.inst, "presumed_abort")
 
     def _resolve_coordinator(self, node):
@@ -762,8 +741,7 @@ class Simulator:
             if st.decided is None:
                 self.coordinated_abort(st.inst, "coordinator_recovery")
             elif st.decided == "abort" \
-                    and self.store.find_log(node, "abort", st.txn) is None \
-                    and self.store.find_log(node, "commit", st.txn) is None:
+                    and self.store.find_log(node, "abort", st.txn) is None:
                 self.store.append_log(node, LogRecord("abort", st.txn))
             elif st.decided == "commit":
                 for p in st.parts:

@@ -30,9 +30,13 @@ configuration.  Grammar by example:
     strategy nested
     horizon 1000
 
-Client lines may suffix the action with `#key` to distinguish several
-instances of one definition.  `fault index K` fires right after the K-th
-trace event instead of at a fixed virtual time.
+The example is an excerpt: `audit` and `cleanup` are not defined in it;
+README.md has a complete scenario.  A `#` starts a comment only at the
+start of a line (after optional blanks), so a comment cannot follow
+content on the same line.  Client lines may suffix the action with `#key`
+to distinguish several instances of one definition.  `fault index K`
+fires right after the K-th trace event instead of at a fixed virtual
+time.
 """
 
 from dataclasses import dataclass, field
@@ -90,10 +94,6 @@ def parse_scenario(text: str) -> Scenario:
     cur_action = None
     cur_role = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip() if not raw.lstrip().startswith("#") \
-            else ""
-        # `#` introduces comments except inside the action#key suffix on
-        # client lines, which never start a line
         if raw.lstrip().startswith("#") or not raw.strip():
             continue
         stripped = raw.strip()

@@ -24,7 +24,6 @@ ABORTED = "aborted"
 class Txn:
     id: int
     parent: int | None
-    coordinator: str = ""
     status: str = ACTIVE
     children: list = field(default_factory=list)
     undo: list = field(default_factory=list)     # (name, old value) in write order
@@ -65,12 +64,12 @@ class TransactionManager:
             p = self.txns[p].parent
         return False
 
-    def begin(self, parent: int | None = None, coordinator: str = "") -> Txn:
+    def begin(self, parent: int | None = None) -> Txn:
         if parent is not None:
             p = self.txns[parent]
             if p.status != ACTIVE:
                 raise ParentNotActive(parent)
-        txn = Txn(self._next, parent, coordinator)
+        txn = Txn(self._next, parent)
         self._next += 1
         self.txns[txn.id] = txn
         if parent is not None:

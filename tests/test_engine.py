@@ -1,11 +1,15 @@
+import copy
 from dataclasses import replace
+from pathlib import Path
 
 from casim import audit
 from casim.engine import Simulator
-from casim.scenario import Fault, parse_scenario
+from casim.scenario import Fault, load_scenario, parse_scenario
 from casim.store import decode_value
 
 from conftest import TRANSFER, run_text
+
+SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
 
 def stable_value(res, name):
@@ -62,6 +66,49 @@ def test_unmatched_await_aborts_at_quiescence():
     res = run_text(text)
     assert res.outcomes == {"transfer": "aborted"}
     assert stable_value(res, "acct_b") == 40
+
+
+UNMET_ORDER = """
+node n1
+object x n1 0
+action a
+  footprint x
+  role r
+    write x x + 1
+    exit
+end
+action b
+  footprint x
+  role r
+    write x x + 2
+    exit
+end
+action p
+  footprint x
+  role r
+    enter b r
+    exit
+  nested a b
+  order a < b
+end
+action q
+  footprint x
+  role t
+    enter p r
+    exit
+  nested p
+end
+client c1 n1 0 q t
+seed 1
+horizon 500
+"""
+
+
+def test_unmet_order_aborts_the_waiting_instance_at_quiescence():
+    res = run_text(UNMET_ORDER)
+    assert res.outcomes == {"q": "committed", "q/p": "aborted"}
+    assert res.instances["q/p"].abort_cause == "constraint_wait"
+    assert stable_value(res, "x") == 0
 
 
 def test_outcome_unanimity_and_sync_events():
@@ -363,3 +410,25 @@ def test_strategy_equivalent_stable_state():
     f_begins = sum(1 for ev in f.trace.events if ev.kind == "begin")
     n_begins = sum(1 for ev in n.trace.events if ev.kind == "begin")
     assert f_begins == 1 and n_begins == 2
+
+
+def test_deep_copy_runs_like_the_original():
+    for path in sorted(SCENARIO_DIR.glob("*.scn")):
+        sc = load_scenario(str(path))
+        fresh = Simulator(sc).run().trace_text()
+        sim = Simulator(sc)
+        clone = copy.deepcopy(sim)
+        assert clone.run().trace_text() == fresh, path.name
+        assert sim.run().trace_text() == fresh, path.name
+
+
+def test_deep_copy_of_queued_work_is_bound_to_the_copy():
+    sc = load_scenario(str(SCENARIO_DIR / "crash_recover.scn"))
+    sim = Simulator(sc, horizon=40)
+    sim.run()
+    assert sim._q  # the recovery at time 80 is still queued
+    clone = copy.deepcopy(sim)
+    assert len(clone._q) == len(sim._q)
+    for entry in clone._q:
+        assert len(entry) == 5
+        assert entry[3].__self__ is clone

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from casim.errors import ValidationError
@@ -22,6 +24,15 @@ def test_parse_full_scenario():
 def test_comments_and_blank_lines_ignored():
     sc = parse_scenario("# a comment\n\nnode n1\nobject x n1 0\n")
     assert sc.nodes == ["n1"]
+
+
+def test_readme_scenario_example_parses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example = readme.split("## Scenario files", 1)[1].split("```")[1]
+    sc = parse_scenario(example)
+    assert set(sc.defs) == {"review", "cleanup", "transfer"}
+    assert sc.defs["transfer"].order == [("review", "cleanup")]
+    assert len(sc.clients) == 2 and len(sc.faults) == 2
 
 
 def test_action_key_suffix():
