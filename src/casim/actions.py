@@ -143,6 +143,12 @@ def validate_defs(defs: dict, known_objects=None):
                         "action %s: ordering constraint names %s, which is "
                         "not nested here" % (name, x))
         _check_order_acyclic(name, d.order)
+        for t in d.tests:
+            for o in t.expr.names:
+                if o not in d.footprint:
+                    raise ValidationError("action %s: test %s names %s, "
+                                          "outside the footprint"
+                                          % (name, t.name, o))
         for role in d.roles.values():
             for i, step in enumerate(role.steps):
                 _validate_step(name, role.name, i, step, d, defs,

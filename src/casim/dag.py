@@ -50,39 +50,11 @@ class OperationDAG:
     def successors(self, nid: int):
         return self._succ.get(nid, [])
 
-    def predecessors_count(self) -> dict[int, int]:
+    def count_linear_extensions(self) -> int:
+        """Number of topological orders; 0 when the DAG has a cycle."""
         indeg = {n.nid: 0 for n in self.nodes}
         for _s, d, _t in self.edges:
             indeg[d] += 1
-        return indeg
-
-    def is_acyclic(self) -> bool:
-        return len(self.topological_order()) == len(self.nodes)
-
-    def check_acyclic(self):
-        if not self.is_acyclic():
-            raise CyclicConstraint("operation DAG has a cycle")
-
-    def topological_order(self) -> list[int]:
-        """Kahn's algorithm; the ready set is keyed lowest (thread ordinal,
-        step index) first."""
-        key = lambda nid: (self.nodes[nid].thread, self.nodes[nid].step)
-        indeg = self.predecessors_count()
-        ready = sorted((n.nid for n in self.nodes if indeg[n.nid] == 0),
-                       key=key)
-        order = []
-        while ready:
-            nid = ready.pop(0)
-            order.append(nid)
-            for succ in self.successors(nid):
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    ready.append(succ)
-            ready.sort(key=key)
-        return order
-
-    def count_linear_extensions(self) -> int:
-        indeg = self.predecessors_count()
         placed = set()
 
         def rec():
@@ -115,8 +87,9 @@ def strategy_select(has_nested: bool, configured: str | None) -> str:
 def count_admissible_orders(dag: OperationDAG, strategy: str) -> int:
     """Distinct execution orders the scheduler could produce under each
     strategy.  Flatten executes the single tie-broken linearization;
-    nested leaves every linear extension of the DAG available."""
-    dag.check_acyclic()
-    if strategy == FLATTEN:
-        return 1
-    return dag.count_linear_extensions()
+    nested leaves every linear extension of the DAG available.  Raises
+    CyclicConstraint when the DAG has a cycle (no linear extension)."""
+    count = dag.count_linear_extensions()
+    if count == 0:
+        raise CyclicConstraint("operation DAG has a cycle")
+    return 1 if strategy == FLATTEN else count

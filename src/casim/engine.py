@@ -14,7 +14,9 @@ work, clock and trace hook to the copy, not to the original.
 
 Top-level commits run two-phase commit over simulated messages with
 presumed abort: a prepared participant that finds no commit record at the
-coordinator resolves to abort.
+coordinator resolves to abort.  A recovering node resolves only its own
+prepared records; as coordinator it applies its commits at participants
+that are still in doubt.
 """
 
 import heapq
@@ -23,8 +25,7 @@ from dataclasses import dataclass, field
 
 from . import actions as act
 from . import dag as dagmod
-from .errors import (DeadlockVictim, DuplicateRole, InconsistentFault,
-                     NodeDown, UnknownNode)
+from .errors import DeadlockVictim, InconsistentFault, NodeDown
 from .scenario import Scenario
 from .store import LogRecord, ObjectId, ObjectStore, encode_value, decode_value
 from .trace import Trace
@@ -104,7 +105,6 @@ class Simulator:
         self.threads: dict[int, LThread] = {}
         self._next_tid = 0
         self.instances: dict[str, act.CAActionInstance] = {}
-        self.top_instances: dict[str, act.CAActionInstance] = {}
         self.inflight: dict[int, TwoPC] = {}
         self.rejections: list = []
         self.crash_checks: list = []  # (node, time, stable_ok, vol_cleared)
@@ -142,10 +142,6 @@ class Simulator:
             self.inject_fault(self.now, op, node, prio=-1.0)
 
     def inject_fault(self, time, op, node, prio=None):
-        if node not in self.store.nodes:
-            raise UnknownNode(node)
-        if op not in ("crash", "recover"):
-            raise InconsistentFault(op)
         self.schedule(time, self._crash if op == "crash" else self._recover,
                       node, prio=prio)
 
@@ -154,11 +150,13 @@ class Simulator:
 
     def run(self) -> "Simulator":
         self.initial_dump = self.store.dump_stable()
+        # grouped by action key: the order fixes each submission's rng draw
         groups: dict[str, list] = {}
         for c in self.sc.clients:
             groups.setdefault(c.action_key, []).append(c)
-        for key, contribs in groups.items():
-            self.submit_joint(key, contribs)
+        for contribs in groups.values():
+            for c in contribs:
+                self.schedule(c.time, self._do_submit, c)
         for f in self.sc.faults:
             if f.when_kind == "time":
                 self.inject_fault(f.when, f.op, f.node)
@@ -208,16 +206,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # submission and registration
 
-    def submit_joint(self, action_key, contributions):
-        roles = [c.role for c in contributions]
-        if len(set(roles)) != len(roles):
-            raise DuplicateRole(action_key)
-        for c in contributions:
-            if c.node not in self.store.nodes:
-                raise UnknownNode(c.node)
-        for c in contributions:
-            self.schedule(c.time, self._do_submit, c)
-
     def _do_submit(self, c):
         self.trace.emit(self.now, "submit", client=c.client, node=c.node,
                         action=c.action_key, role=c.role)
@@ -241,9 +229,7 @@ class Simulator:
         else:
             strategy = parent.strategy
         inst = act.CAActionInstance(defn, key, th.node, strategy, parent)
-        if parent is None:
-            self.top_instances[key] = inst
-        else:
+        if parent is not None:
             parent.nested[defn.name] = inst
         self.instances[key] = inst
         self.schedule(self.now + defn.deadline, self._deadline, inst)
@@ -254,7 +240,7 @@ class Simulator:
         if defname in self._nested_only:
             err = "NotParentParticipant"
         else:
-            inst = self.top_instances.get(key)
+            inst = self.instances.get(key)
             if inst is None:
                 inst = self._new_instance(self.sc.defs[defname], key, th)
             if inst.status == act.GATHERING and role not in inst.registered:
@@ -356,10 +342,8 @@ class Simulator:
             self._step_sync(th, inst, frame, step)
         elif step.kind == act.ENTER:
             self._step_enter(th, inst, frame, step)
-        elif step.kind == act.EXIT:
+        else:  # EXIT, the one step kind left after parsing
             self._arrive(th)
-        else:
-            raise AssertionError(step.kind)
 
     def _acquire_for(self, th, inst, wants) -> bool:
         """Acquire each (obj, mode); False if the thread blocked or its
@@ -442,12 +426,6 @@ class Simulator:
                 inst.sync_waiters.setdefault(step.signal, []).append(th.tid)
 
     def _step_enter(self, th, inst, frame, step):
-        defn = self.sc.defs[step.action]
-        if inst.defn.mode == act.FLAT or (
-                inst.defn.mode == act.NESTED_SAME_KIND
-                and defn.multi_role != inst.defn.multi_role):
-            self._reject_nested(inst, step, th, "ModeViolation")
-            return
         for a, b in inst.defn.order:
             if b == step.action:
                 pred = inst.nested.get(a)
@@ -457,18 +435,15 @@ class Simulator:
                     return
         sub = inst.nested.get(step.action)
         if sub is None:
-            sub = self._new_instance(
-                defn, "%s/%s" % (inst.key, step.action), th, inst)
+            key = "%s/%s" % (inst.key, step.action)
+            sub = self._new_instance(self.sc.defs[step.action], key, th, inst)
         if sub.status != act.GATHERING or step.role in sub.registered:
-            self._reject_nested(inst, step, th, "RoleTaken")
+            self._reject(step.action, step.role, th, "RoleTaken")
+            self.coordinated_abort(inst, "roletaken")
             return
         self.trace.emit(self.now, "step", inst=inst.key, th=th.tid,
                         op="enter", target=step.action)
         self._register(sub, th, step.role)
-
-    def _reject_nested(self, inst, step, th, err):
-        self._reject(step.action, step.role, th, err)
-        self.coordinated_abort(inst, err.lower())
 
     # ------------------------------------------------------------------
     # test line and outcomes
@@ -553,15 +528,13 @@ class Simulator:
                 self.coordinated_abort(child, "parent_abort")
         st = inst.twopc
         if st is not None:
-            if st.decided == "commit":
-                return
-            if st.decided is None:
-                st.decided = "abort"
-                if self.store.node_up(st.coordinator):
-                    self.store.append_log(st.coordinator,
-                                          LogRecord("abort", st.txn))
-                self.trace.emit(self.now, "commit2", txn=st.txn,
-                                phase="decision", outcome="abort")
+            # undecided: each decision makes the instance terminal at once
+            st.decided = "abort"
+            if self.store.node_up(st.coordinator):
+                self.store.append_log(st.coordinator,
+                                      LogRecord("abort", st.txn))
+            self.trace.emit(self.now, "commit2", txn=st.txn,
+                            phase="decision", outcome="abort")
         if inst.txn_id is not None:
             own_txn = inst.parent is None or inst.parent.txn_id != inst.txn_id
             if own_txn:
@@ -653,8 +626,7 @@ class Simulator:
     # messages
 
     def _send(self, src, dst, mkind, fn, *args):
-        if not self.store.node_up(src):
-            return
+        # src is up: every send runs in a handler on its own node
         self._mid += 1
         self.trace.emit(self.now, "msg_send", **{"from": src},
                         to=dst, mtype=mkind, mid=self._mid)
@@ -693,8 +665,6 @@ class Simulator:
             th.gen += 1
         self.txns.locktable.drop_waiters([th.tid for th in dead])
         for inst in self._open_instances():
-            if inst.terminal:
-                continue
             if any(self.threads[tid].status == DEAD
                    for tid in inst.registered.values()):
                 self.coordinated_abort(inst, "crash")
@@ -710,11 +680,6 @@ class Simulator:
         self.trace.emit(self.now, "recover", node=node)
         self._resolve_participant(node)
         self._resolve_coordinator(node)
-        # a recovered coordinator may also unblock other nodes' in-doubt
-        # prepared records
-        for other in self.store.nodes:
-            if other != node and self.store.node_up(other):
-                self._resolve_participant(other)
 
     def _resolve_participant(self, node):
         """Presumed-abort resolution of prepared-but-unresolved records."""
@@ -724,23 +689,22 @@ class Simulator:
             st = self.inflight[rec.txn]
             coord = rec.coordinator
             if not self.store.node_up(coord):
-                continue  # in doubt; retried when the coordinator recovers
+                continue  # in doubt: the coordinator's recovery applies a commit
             if self.store.find_log(coord, "commit", rec.txn) is not None:
-                if node not in st.applied:
-                    self._apply_at(st, node)
+                self._apply_at(st, node)  # returns at once if applied
             elif self.store.find_log(coord, "abort", rec.txn) is None:
                 # no decision survives: presumed abort (an abort decided while
-                # the coordinator was down is logged by _resolve_coordinator)
-                if st.decided is None:
-                    self.coordinated_abort(st.inst, "presumed_abort")
+                # the coordinator was down is logged by _resolve_coordinator,
+                # and its instance is terminal already)
+                self.coordinated_abort(st.inst, "presumed_abort")
 
     def _resolve_coordinator(self, node):
         for st in self.inflight.values():
             if st.coordinator != node:
                 continue
-            if st.decided is None:
-                self.coordinated_abort(st.inst, "coordinator_recovery")
-            elif st.decided == "abort" \
+            # decided: the coordinator's crash killed its first
+            # registrant's thread, and so aborted the instance
+            if st.decided == "abort" \
                     and self.store.find_log(node, "abort", st.txn) is None:
                 self.store.append_log(node, LogRecord("abort", st.txn))
             elif st.decided == "commit":

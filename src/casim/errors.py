@@ -60,10 +60,6 @@ class ModeViolation(SimError):
     pass
 
 
-class DuplicateRole(SimError):
-    pass
-
-
 # --- mapping ---
 
 class CyclicConstraint(SimError):

@@ -1,41 +1,41 @@
 """Tiny integer expression language used by role bodies and acceptance tests.
 
 Expressions are parsed with the stdlib ast module and restricted to
-arithmetic, comparisons and boolean connectives over object names and
-integer literals.  No calls, attributes, or subscripts.
+integer literals, object names, `+ - * // %`, unary minus, `not`,
+comparisons (chains allowed) and `and`/`or`.  No calls, attributes,
+subscripts or other literals.  The checked tree is compiled on its first
+`eval`, so parsing a scenario costs only the check, and run by Python's
+evaluator without builtins; `and`/`or` yield a bool, not the deciding
+operand.  Names resolve in the environment `eval` is given.
 """
 
 import ast
 
 from .errors import ValidationError
 
-_BINOPS = {
-    ast.Add: lambda a, b: a + b,
-    ast.Sub: lambda a, b: a - b,
-    ast.Mult: lambda a, b: a * b,
-    ast.FloorDiv: lambda a, b: a // b,
-    ast.Mod: lambda a, b: a % b,
-}
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod)
+_CMPOPS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 
-_CMPOPS = {
-    ast.Eq: lambda a, b: a == b,
-    ast.NotEq: lambda a, b: a != b,
-    ast.Lt: lambda a, b: a < b,
-    ast.LtE: lambda a, b: a <= b,
-    ast.Gt: lambda a, b: a > b,
-    ast.GtE: lambda a, b: a >= b,
-}
+
+class _BoolOpsYieldBool(ast.NodeTransformer):
+    """Wraps each `and`/`or` in `not not (...)`."""
+
+    def visit_BoolOp(self, node):
+        self.generic_visit(node)
+        return ast.UnaryOp(ast.Not(), ast.UnaryOp(ast.Not(), node))
 
 
 class Expr:
+    _code = None    # set by the first eval
+
     def __init__(self, text: str):
         self.text = text
         try:
             tree = ast.parse(text, mode="eval")
         except SyntaxError as e:
             raise ValidationError("bad expression %r: %s" % (text, e))
-        self._root = tree.body
-        self.names: tuple[str, ...] = tuple(sorted(self._collect(self._root)))
+        self.names: tuple[str, ...] = tuple(sorted(self._collect(tree.body)))
+        self._tree = tree
 
     def _collect(self, node) -> set:
         if isinstance(node, ast.Constant):
@@ -63,32 +63,12 @@ class Expr:
         raise ValidationError("construct not allowed in expression %r" % self.text)
 
     def eval(self, env: dict):
-        return self._eval(self._root, env)
-
-    def _eval(self, node, env):
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, ast.Name):
-            return env[node.id]
-        if isinstance(node, ast.BinOp):
-            return _BINOPS[type(node.op)](self._eval(node.left, env),
-                                          self._eval(node.right, env))
-        if isinstance(node, ast.UnaryOp):
-            v = self._eval(node.operand, env)
-            return -v if isinstance(node.op, ast.USub) else not v
-        if isinstance(node, ast.Compare):
-            left = self._eval(node.left, env)
-            for op, cmp in zip(node.ops, node.comparators):
-                right = self._eval(cmp, env)
-                if not _CMPOPS[type(op)](left, right):
-                    return False
-                left = right
-            return True
-        if isinstance(node, ast.BoolOp):
-            if isinstance(node.op, ast.And):
-                return all(self._eval(v, env) for v in node.values)
-            return any(self._eval(v, env) for v in node.values)
-        raise AssertionError(node)
+        if self._code is None:
+            tree = self._tree
+            if "and" in self.text or "or" in self.text:  # else no BoolOp
+                tree = ast.fix_missing_locations(_BoolOpsYieldBool().visit(tree))
+            self._code = compile(tree, "<expr>", "eval")
+        return eval(self._code, {"__builtins__": {}}, env)
 
     def __repr__(self):
         return "Expr(%r)" % self.text

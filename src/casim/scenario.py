@@ -37,6 +37,12 @@ content on the same line.  Client lines may suffix the action with `#key`
 to distinguish several instances of one definition.  `fault index K`
 fires right after the K-th trace event instead of at a fixed virtual
 time.
+
+Parsing is the one input check (ValidationError, or ModeViolation and
+CyclicConstraint from `validate_defs`); the engine trusts its result.
+Beyond the grammar: no `/` in action names or client action keys (it
+joins a nested instance's key to its parent's), a test names only objects
+in its action's footprint, and no two clients give one role of one key.
 """
 
 from dataclasses import dataclass, field
@@ -93,6 +99,7 @@ def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
     cur_action = None
     cur_role = None
+    given = {}      # (action key, role) -> line of the client giving it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.lstrip().startswith("#") or not raw.strip():
             continue
@@ -165,19 +172,24 @@ def parse_scenario(text: str) -> Scenario:
             if len(toks) != 6:
                 raise ValidationError(
                     "usage: client NAME NODE TIME ACTION ROLE", lineno)
+            _no_slash(toks[4], lineno)
+            first = given.setdefault((toks[4], toks[5]), lineno)
+            if first != lineno:
+                raise ValidationError("role %s of %s already given on line %d"
+                                      % (toks[5], toks[4], first), lineno)
             sc.clients.append(Contribution(toks[1], toks[2],
                                            _int(toks[3], lineno, "time"),
                                            toks[4], toks[5]))
         elif head == "fault":
             sc.faults.append(_parse_fault(toks, lineno))
-        elif head == "seed":
-            sc.seed = _int(toks[1], lineno, "seed")
+        elif head in ("seed", "horizon"):
+            if len(toks) != 2:
+                raise ValidationError("usage: %s N" % head, lineno)
+            setattr(sc, head, _int(toks[1], lineno, head))
         elif head == "strategy":
             if len(toks) != 2 or toks[1] not in ("flatten", "nested"):
                 raise ValidationError("usage: strategy flatten|nested", lineno)
             sc.strategy = toks[1]
-        elif head == "horizon":
-            sc.horizon = _int(toks[1], lineno, "horizon")
         else:
             raise ValidationError("unknown directive %r" % head, lineno)
 
@@ -185,6 +197,13 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError("unterminated action block %r" % cur_action.name)
     validate_scenario(sc)
     return sc
+
+
+def _no_slash(name, lineno):
+    # `/` joins a nested instance's key to its parent's
+    if "/" in name:
+        raise ValidationError("%r: action names and keys may not contain /"
+                              % name, lineno)
 
 
 def _need_action(cur_action, head, lineno):
@@ -196,6 +215,7 @@ def _parse_action_header(toks, lineno) -> CAActionDef:
     if len(toks) < 2:
         raise ValidationError("usage: action NAME [mode=..] [deadline=..] "
                               "[escalate]", lineno)
+    _no_slash(toks[1], lineno)
     d = CAActionDef(toks[1], {})
     for tok in toks[2:]:
         if tok == "escalate":

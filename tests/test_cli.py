@@ -1,3 +1,5 @@
+import pytest
+
 import casim.cli as cli
 
 from conftest import TRANSFER
@@ -75,3 +77,29 @@ def test_version_flag(capsys):
     except SystemExit as e:
         assert e.code == 0
     assert capsys.readouterr().out.startswith("casim ")
+
+
+OUTSIDE_FOOTPRINT = TRANSFER.replace(
+    "object acct_b beta 40\n",
+    "object acct_b beta 40\nobject audit_log beta 0\n").replace(
+    "acct_a + acct_b == 140", "acct_a + audit_log == 100")
+ROLE_TWICE = TRANSFER + "client c3 beta 1 transfer credit\n"
+SLASH_IN_NAME = TRANSFER.replace("transfer", "pay/out")
+SLASH_IN_KEY = TRANSFER.replace("0 transfer debit", "0 transfer#a/b debit")
+
+
+@pytest.mark.parametrize("text, message", [
+    (OUTSIDE_FOOTPRINT, "test conserved names audit_log, outside the "
+                        "footprint"),
+    (ROLE_TWICE, "line 23: role credit of transfer already given on line 20"),
+    (SLASH_IN_NAME, "line 6: 'pay/out'"),
+    (SLASH_IN_KEY, "line 19: 'transfer#a/b'"),
+    ("node n1\nseed\n", "line 2: usage: seed N"),
+], ids=["test_outside_footprint", "role_twice", "slash_in_name",
+        "slash_in_key", "seed_without_value"])
+def test_rejected_scenario_exits_two(tmp_path, capsys, monkeypatch, text,
+                                     message):
+    monkeypatch.setenv("CASIM_OUT_DIR", str(tmp_path))
+    rc = cli.main(["run", write_scn(tmp_path, text)])
+    assert rc == 2
+    assert message in capsys.readouterr().err

@@ -17,12 +17,6 @@ def two_chain_dag():
     return d, (a0, a1, b0, b1)
 
 
-def test_topological_order_tie_breaks_by_thread_then_step():
-    d, (a0, a1, b0, b1) = two_chain_dag()
-    # lowest (thread, step) first drains thread 0's chain before thread 1
-    assert d.topological_order() == [a0, a1, b0, b1]
-
-
 def test_flatten_is_deterministic_single_order():
     d, _ = two_chain_dag()
     assert count_admissible_orders(d, FLATTEN) == 1
@@ -47,9 +41,9 @@ def test_cycle_detected():
     b = d.add_node(0, 1, "write", "x").nid
     d.add_edge(a, b, PROG)
     d.add_edge(b, a, SYNC)
-    assert not d.is_acyclic()
-    with pytest.raises(CyclicConstraint):
-        count_admissible_orders(d, NESTED)
+    for strategy in (FLATTEN, NESTED):
+        with pytest.raises(CyclicConstraint):
+            count_admissible_orders(d, strategy)
 
 
 def test_strategy_select_default_and_override():

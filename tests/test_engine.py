@@ -186,6 +186,20 @@ def test_rogue_entry_to_nested_only_action_rejected():
     assert res.outcomes["parent"] == "committed"
 
 
+def test_second_entry_to_a_taken_nested_role_aborts_the_parent():
+    text = NESTED % {"childopts": "", "childtest": "log == 1"}
+    text = text.replace("  nested child\n", "  role q\n    enter child c\n"
+                        "    exit\n  nested child\n")
+    text += "client c2 beta 0 parent q\n"
+    res = run_text(text)
+    assert [(err, key, role) for err, key, role, _tid in res.rejections] \
+        == [("RoleTaken", "child", "c")]
+    assert res.outcomes == {"parent": "aborted", "parent/child": "aborted"}
+    assert res.instances["parent"].abort_cause == "roletaken"
+    assert stable_value(res, "x") == 10
+    assert stable_value(res, "log") == 0
+
+
 ORDERED = """
 node alpha
 object a alpha 0
@@ -295,6 +309,65 @@ def test_participant_crash_after_decision_applies_on_recovery():
                and ev.detail.get("phase") == "apply"
                and ev.detail.get("node") == "beta"]
     assert len(applies) == 1
+
+
+def audits_pass(res, nodes):
+    report = audit.audit_trace(res.trace_text(), all_nodes=nodes)
+    checks = [v for k, v in report.items() if k != "ok"]
+    return len(checks) == 6 and all(ok for ok, _ in checks)
+
+
+SIMPLE_TRANSFER = """
+node n1
+node n2
+node n3
+object a n1 100
+object b n2 40
+action transfer
+  footprint a b
+  role debit
+    write a a - 30
+    exit
+  role credit
+    write b b + 30
+    exit
+end
+client c1 n1 0 transfer debit
+client c2 %(credit_node)s 0 transfer credit
+%(faults)s
+seed 0
+horizon 500
+"""
+
+
+def test_recovery_of_an_uninvolved_node_leaves_an_open_2pc_alone():
+    # n3 recovers after n2 prepared, while coordinator n1 still collects acks
+    res = run_text(SIMPLE_TRANSFER % {
+        "credit_node": "n2",
+        "faults": "fault at 1 crash n3\nfault at 4 recover n3"})
+    prepared = find_seq(res, lambda ev: ev.kind == "commit1")
+    recover = find_seq(res, lambda ev: ev.kind == "recover")
+    decision = find_seq(res, lambda ev: ev.kind == "commit2")
+    assert prepared < recover < decision
+    assert res.outcomes == {"transfer": "committed"}
+    assert stable_value(res, "a") == 70 and stable_value(res, "b") == 70
+    assert audits_pass(res, ["n1", "n2", "n3"])
+
+
+def test_recovered_coordinator_applies_commit_at_in_doubt_participant():
+    # n2 prepares and crashes; n1 decides commit and crashes with both
+    # applies undelivered; n2 recovers while n1 is down, so its prepare
+    # stays in doubt until n1's recovery applies the commit at both nodes
+    res = run_text(SIMPLE_TRANSFER % {
+        "credit_node": "n1",
+        "faults": "fault at 4 crash n2\nfault at 9 crash n1\n"
+                  "fault at 12 recover n2\nfault at 17 recover n1"})
+    assert res.outcomes == {"transfer": "committed"}
+    applies = [(ev.time, ev.detail["node"]) for ev in res.trace.events
+               if ev.kind == "commit2" and ev.detail["phase"] == "apply"]
+    assert applies == [(17, "n1"), (17, "n2")]
+    assert stable_value(res, "a") == 70 and stable_value(res, "b") == 70
+    assert audits_pass(res, ["n1", "n2", "n3"])
 
 
 STORAGE_ONLY = """
