@@ -4,7 +4,15 @@ Every audit here works from the trace alone (plus the appended state
 dumps), rebuilding transaction trees, lock states and action lifecycles
 independently of the live simulator structures, so a bug in the engine
 cannot vouch for itself.
+
+Every pass is linear in the length of the trace: serializability keeps
+only per-object frontier edges, and the smuggling and lock-rule scans
+index objects per transaction, so an abort, a nested-commit transfer, a
+decision or an apply touches only that transaction's objects.
 """
+
+import heapq
+from collections import defaultdict
 
 from . import trace as trace_mod
 from .errors import MalformedTrace
@@ -68,58 +76,90 @@ class TxnView:
 
 def audit_serializability(events):
     """Check committed top-level transactions for conflict
-    serializability; returns (ok, info) where info carries either a
-    serial witness order or the offending cycle."""
+    serializability in one pass over the trace; returns (ok, info).
+
+    Per object the pass keeps the last committed-top writer and the tops
+    that read since that write.  It adds an edge from that writer to each
+    later read or write, and from each of those readers to the next
+    write.  These frontier edges have the same reachability as the edges
+    between every conflicting pair of operations, so smallest-first Kahn
+    yields the same serial witness.
+
+    info["edges"] is the sorted list of frontier edges.  On success
+    info["witness"] is the serial order.  On failure info["cycle"] lists
+    the transactions of one cycle in edge order, starting at the
+    smallest, and info["conflicts"] gives for each cycle edge
+    (t1, t2, obj, seq1, seq2), the operation pair that first created it."""
     view = TxnView(events)
     committed = view.committed_top()
-    ops = []  # (seq, top txn, obj, is_write)
+    edges = {}    # (t1, t2) -> (obj, seq1, seq2) of the first pair
+    writer = {}   # obj -> (top, seq) of the last write
+    readers = {}  # obj -> {top: seq of its first read since that write}
     for ev in events:
-        if ev.kind not in ("read", "write"):
-            continue
-        if not view.op_counts(ev):
+        if ev.kind not in ("read", "write") or not view.op_counts(ev):
             continue
         top = view.top(ev.txn)
         if top not in committed:
             continue
-        ops.append((ev.seq, top, ev.obj, ev.kind == "write"))
+        w = writer.get(ev.obj)
+        if w is not None and w[0] != top:
+            edges.setdefault((w[0], top), (ev.obj, w[1], ev.seq))
+        if ev.kind == "read":
+            readers.setdefault(ev.obj, {}).setdefault(top, ev.seq)
+            continue
+        for r, seq in readers.pop(ev.obj, {}).items():
+            if r != top:
+                edges.setdefault((r, top), (ev.obj, seq, ev.seq))
+        writer[ev.obj] = (top, ev.seq)
 
-    edges: set = set()
-    for i, (_s1, t1, o1, w1) in enumerate(ops):
-        for _s2, t2, o2, w2 in ops[i + 1:]:
-            if t1 != t2 and o1 == o2 and (w1 or w2):
-                edges.add((t1, t2))
-
-    succ: dict[int, set] = {t: set() for t in committed}
-    indeg = {t: 0 for t in committed}
+    succ: dict[int, list] = {t: [] for t in committed}
+    preds: dict[int, list] = {t: [] for t in committed}
+    indeg = dict.fromkeys(committed, 0)
     for a, b in edges:
-        if b not in succ[a]:
-            succ[a].add(b)
-            indeg[b] += 1
+        succ[a].append(b)
+        preds[b].append(a)
+        indeg[b] += 1
+    ready = [t for t in committed if indeg[t] == 0]
+    heapq.heapify(ready)
     order = []
-    ready = sorted(t for t in committed if indeg[t] == 0)
     while ready:
-        t = ready.pop(0)
+        t = heapq.heappop(ready)
         order.append(t)
-        for s in sorted(succ[t]):
+        for s in succ[t]:
             indeg[s] -= 1
             if indeg[s] == 0:
-                ready.append(s)
-        ready.sort()
+                heapq.heappush(ready, s)
     if len(order) == len(committed):
         return True, {"witness": order, "edges": sorted(edges)}
-    cycle = sorted(t for t in committed if t not in order)
-    return False, {"cycle": cycle, "edges": sorted(edges)}
+    # every unplaced transaction has an unplaced predecessor, so walking
+    # predecessors from any of them must come back to a transaction seen
+    t = min(t for t in committed if indeg[t])
+    seen: dict[int, int] = {}
+    path = []
+    while t not in seen:
+        seen[t] = len(path)
+        path.append(t)
+        t = min(p for p in preds[t] if indeg[p])
+    cycle = path[seen[t]:][::-1]
+    first = cycle.index(min(cycle))
+    cycle = cycle[first:] + cycle[:first]
+    conflicts = [(a, b) + edges[(a, b)]
+                 for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    return False, {"cycle": cycle, "conflicts": conflicts,
+                   "edges": sorted(edges)}
 
 
 def scan_smuggling(events):
     """Flag reads of data whose writer's top-level transaction had not yet
     committed or aborted: information leaving an atomic action early."""
     view = TxnView(events)
-    dirty: dict[str, set] = {}  # obj -> txns with unresolved writes
+    dirty: dict[str, set] = {}     # obj -> txns with unresolved writes
+    dirtied: dict[int, set] = {}   # txn -> objs it has in `dirty`
     problems = []
     for ev in events:
         if ev.kind == "write":
             dirty.setdefault(ev.obj, set()).add(ev.txn)
+            dirtied.setdefault(ev.txn, set()).add(ev.obj)
         elif ev.kind == "read":
             for w in dirty.get(ev.obj, ()):
                 if view.top(w) != view.top(ev.txn):
@@ -127,21 +167,22 @@ def scan_smuggling(events):
                         "seq %d: txn %d read %s dirty from txn %d"
                         % (ev.seq, ev.txn, ev.obj, w))
         elif ev.kind == "abort":
-            for ws in dirty.values():
-                ws.discard(ev.txn)
+            for obj in dirtied.pop(ev.txn, ()):
+                dirty[obj].discard(ev.txn)
         elif ev.kind == "commit2":
             phase = ev.detail.get("phase")
             if phase == "nested":
                 # anti-inheritance: the tentative write now belongs to
                 # the parent transaction
                 parent = int(ev.detail["parent"])
-                for ws in dirty.values():
-                    if ev.txn in ws:
-                        ws.discard(ev.txn)
-                        ws.add(parent)
+                objs = dirtied.pop(ev.txn, set())
+                for obj in objs:
+                    dirty[obj].discard(ev.txn)
+                    dirty[obj].add(parent)
+                dirtied.setdefault(parent, set()).update(objs)
             elif phase == "decision":
-                for ws in dirty.values():
-                    ws.discard(ev.txn)
+                for obj in dirtied.pop(ev.txn, ()):
+                    dirty[obj].discard(ev.txn)
     return not problems, problems
 
 
@@ -267,13 +308,14 @@ def verify_lock_rule(events):
     view = TxnView(events)
     # objects released only at apply time, known in advance per txn
     apply_objs = view.apply_objs
-    holders: dict[str, dict[int, str]] = {}
+    holders: dict[str, dict[int, str]] = {}   # obj -> {txn: mode}
+    held: dict[int, set] = defaultdict(set)   # txn -> objs it holds
     problems = []
 
-    def drop(txn, objs=None):
-        for obj, hs in holders.items():
-            if txn in hs and (objs is None or obj in objs):
-                del hs[txn]
+    def drop(txn, objs):
+        for obj in objs:
+            del holders[obj][txn]
+        held[txn] -= objs
 
     for ev in events:
         if ev.kind == "grant":
@@ -288,23 +330,26 @@ def verify_lock_rule(events):
                         % (ev.seq, mode, ev.obj, ev.txn, h, m))
             if hs.get(ev.txn) != WRITE:
                 hs[ev.txn] = mode
+            held[ev.txn].add(ev.obj)
         elif ev.kind == "abort":
-            drop(ev.txn)
+            drop(ev.txn, set(held[ev.txn]))
         elif ev.kind == "commit2":
             phase = ev.detail.get("phase")
             if phase == "nested":
                 parent = int(ev.detail["parent"])
-                for obj, hs in holders.items():
-                    if ev.txn in hs:
-                        mode = hs.pop(ev.txn)
-                        if hs.get(parent) != WRITE:
-                            hs[parent] = mode
+                objs = held.pop(ev.txn, set())
+                for obj in objs:
+                    hs = holders[obj]
+                    mode = hs.pop(ev.txn)
+                    if hs.get(parent) != WRITE:
+                        hs[parent] = mode
+                held[parent] |= objs
             elif phase == "decision" and ev.detail["outcome"] == "commit":
                 keep = apply_objs.get(ev.txn, set())
-                drop(ev.txn, objs={o for o in holders if o not in keep})
+                drop(ev.txn, held[ev.txn] - keep)
             elif phase == "apply":
                 objs = {o for o in ev.detail.get("objs", "").split(",") if o}
-                drop(ev.txn, objs=objs)
+                drop(ev.txn, held[ev.txn] & objs)
     return not problems, problems
 
 

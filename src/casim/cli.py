@@ -92,10 +92,18 @@ def _print_report(report) -> int:
         ok, info = report[name]
         print("audit\t%s\t%s" % (name, "pass" if ok else "FAIL"))
         if not ok:
-            probs = info if isinstance(info, list) else [str(info)]
+            probs = _cycle_lines(info) if name == "serializability" else info
             for msg in probs[:10]:
                 print("\t%s" % msg)
     return 0 if report["ok"] else 1
+
+
+def _cycle_lines(info):
+    lines = ["cycle %s" % " -> ".join(str(t) for t in info["cycle"])]
+    for t1, t2, obj, seq1, seq2 in info["conflicts"]:
+        lines.append("txn %d -> txn %d: %s at seq %d then seq %d"
+                     % (t1, t2, obj, seq1, seq2))
+    return lines
 
 
 def _cmd_sweep(args) -> int:

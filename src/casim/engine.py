@@ -394,7 +394,11 @@ class Simulator:
         for name in step.expr.names:
             env[name] = decode_value(
                 self.txns.read(inst.txn_id, name, th=th.tid, inst=inst.key))
-        value = encode_value(step.expr.eval(env))
+        try:
+            value = encode_value(step.expr.eval(env))
+        except ZeroDivisionError:
+            self.coordinated_abort(inst, "eval_error")
+            return
         granted = self.txns.write(inst.txn_id, step.obj, value,
                                   th=th.tid, inst=inst.key)
         if granted:
@@ -477,7 +481,12 @@ class Simulator:
         except NodeDown:
             self.coordinated_abort(inst, "node_down")
             return
-        failed = [t.name for t in inst.defn.tests if not t.expr.eval(env)]
+        try:
+            failed = [t.name for t in inst.defn.tests
+                      if not t.expr.eval(env)]
+        except ZeroDivisionError:
+            self.coordinated_abort(inst, "eval_error")
+            return
         self.trace.emit(self.now, "test_line", inst=inst.key,
                         result="fail" if failed else "pass",
                         failed=",".join(failed) or "-")

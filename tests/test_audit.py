@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casim import audit
 from casim.errors import MalformedTrace
@@ -48,6 +49,132 @@ def test_serializability_detects_conflict_cycle():
     ok, info = audit.audit_serializability(t.events)
     assert not ok
     assert set(info["cycle"]) == {0, 1}
+
+
+def test_serializability_cycle_leaves_out_downstream_transactions():
+    t = Trace()
+    for txn in (0, 1, 2):
+        t.emit(0, "begin", txn=txn, parent="-")
+    t.emit(1, "read", txn=0, obj="x", val="31")     # seq 3
+    t.emit(2, "write", txn=1, obj="x", val="33")    # seq 4
+    t.emit(2, "write", txn=1, obj="y", val="32")    # seq 5
+    t.emit(3, "write", txn=0, obj="y", val="34")    # seq 6
+    t.emit(4, "read", txn=2, obj="x", val="33")     # seq 7: after 1
+    for txn in (0, 1, 2):
+        t.emit(5, "commit2", txn=txn, phase="decision", outcome="commit",
+               parts="-")
+    ok, info = audit.audit_serializability(t.events)
+    assert not ok
+    assert info["cycle"] == [0, 1]
+    assert info["conflicts"] == [(0, 1, "x", 3, 4), (1, 0, "y", 5, 6)]
+    assert (1, 2) in info["edges"]
+
+
+def test_serializability_keeps_only_frontier_edges():
+    n = 30
+    t = Trace()
+    for txn in range(n):
+        t.emit(txn, "begin", txn=txn, parent="-")
+        t.emit(txn, "write", txn=txn, obj="x", val=str(txn))
+        t.emit(txn, "commit2", txn=txn, phase="decision", outcome="commit",
+               parts="-")
+    ok, info = audit.audit_serializability(t.events)
+    assert ok and info["witness"] == list(range(n))
+    assert len(info["edges"]) == n - 1   # every pair would be n(n-1)/2
+
+
+def pairwise_serializability(events):
+    """Reference: an edge between every conflicting pair of operations of
+    committed top-level transactions, then smallest-first Kahn."""
+    view = audit.TxnView(events)
+    committed = view.committed_top()
+    ops = [(view.top(ev.txn), ev.obj, ev.kind == "write") for ev in events
+           if ev.kind in ("read", "write") and view.op_counts(ev)
+           and view.top(ev.txn) in committed]
+    edges = {(t1, t2) for i, (t1, o1, w1) in enumerate(ops)
+             for t2, o2, w2 in ops[i + 1:]
+             if t1 != t2 and o1 == o2 and (w1 or w2)}
+    order = []
+    while True:
+        ready = [t for t in committed if t not in order
+                 and all(a in order for a, b in edges if b == t)]
+        if not ready:
+            return len(order) == len(committed), order, edges
+        order.append(min(ready))
+
+
+def closure(edges):
+    succ = {}
+    for a, b in edges:
+        succ.setdefault(a, set()).add(b)
+    reach = set()
+    for start in succ:
+        stack = list(succ[start])
+        seen = set()
+        while stack:
+            t = stack.pop()
+            if t not in seen:
+                seen.add(t)
+                stack.extend(succ.get(t, ()))
+        reach |= {(start, t) for t in seen}
+    return reach
+
+
+@st.composite
+def random_histories(draw):
+    """A few top-level transactions, some with nested children, some
+    aborted or undecided, reading and writing two or three objects."""
+    objs = ["x", "y", "z"][:draw(st.integers(2, 3))]
+    t = Trace()
+    txns = []
+    for _ in range(draw(st.integers(1, 4))):
+        tid = len(txns)
+        t.emit(0, "begin", txn=tid, parent="-")
+        txns.append(tid)
+        for _ in range(draw(st.integers(0, 2))):
+            parent = draw(st.sampled_from(txns[txns.index(tid):]))
+            t.emit(0, "begin", txn=len(txns), parent=parent)
+            txns.append(len(txns))
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["read", "write"]))
+        t.emit(1, kind, txn=draw(st.sampled_from(txns)),
+               obj=draw(st.sampled_from(objs)), val="0")
+    for tid in txns:
+        if draw(st.integers(0, 5)) == 0:
+            t.emit(2, "abort", txn=tid, cause="deadlock")
+    view = audit.TxnView(t.events)
+    for tid in txns:
+        if view.parents[tid] is None:
+            outcome = draw(st.sampled_from(["commit", "commit", "abort",
+                                            None]))
+            if outcome:
+                t.emit(3, "commit2", txn=tid, phase="decision",
+                       outcome=outcome, parts="-")
+    return t.events
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_histories())
+def test_frontier_graph_matches_pairwise_reference(events):
+    ok, info = audit.audit_serializability(events)
+    ref_ok, ref_order, ref_edges = pairwise_serializability(events)
+    assert ok == ref_ok
+    assert set(info["edges"]) <= ref_edges
+    assert closure(info["edges"]) == closure(ref_edges)
+    if ok:
+        assert info["witness"] == ref_order
+        return
+    cycle = info["cycle"]
+    assert len(set(cycle)) == len(cycle) >= 2
+    by_seq = {ev.seq: ev for ev in events}
+    view = audit.TxnView(events)
+    for (t1, t2), (a, b, obj, s1, s2) in zip(
+            zip(cycle, cycle[1:] + cycle[:1]), info["conflicts"]):
+        assert (a, b) == (t1, t2) and (t1, t2) in ref_edges
+        e1, e2 = by_seq[s1], by_seq[s2]
+        assert s1 < s2 and e1.obj == e2.obj == obj
+        assert (view.top(e1.txn), view.top(e2.txn)) == (t1, t2)
+        assert "write" in (e1.kind, e2.kind)
 
 
 def test_serializability_ignores_aborted_transactions():

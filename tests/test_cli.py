@@ -1,6 +1,8 @@
 import pytest
 
 import casim.cli as cli
+from casim import audit
+from casim.trace import Trace
 
 from conftest import TRANSFER
 
@@ -103,3 +105,54 @@ def test_rejected_scenario_exits_two(tmp_path, capsys, monkeypatch, text,
     rc = cli.main(["run", write_scn(tmp_path, text)])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+DIVIDE_BY_ZERO = """
+node n1
+object x n1 0
+action a
+  footprint x
+  role r
+    write x 1 // x
+    exit
+end
+client c1 n1 0 a r
+"""
+TEST_MOD_ZERO = DIVIDE_BY_ZERO.replace(
+    "    write x 1 // x\n", "    read x\n").replace(
+    "end\n", "  test t x % 0 == 0\nend\n")
+
+
+@pytest.mark.parametrize("text", [DIVIDE_BY_ZERO, TEST_MOD_ZERO],
+                         ids=["write", "test"])
+def test_division_by_zero_aborts_the_instance(tmp_path, capsys, monkeypatch,
+                                              text):
+    monkeypatch.setenv("CASIM_OUT_DIR", str(tmp_path))
+    rc = cli.main(["run", write_scn(tmp_path, text)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "a\taborted" in out
+    assert out.count("\tpass") == 6
+    assert "cause=eval_error" in (tmp_path / "scn.trace").read_text()
+
+
+def test_failed_serializability_prints_cycle_and_conflicts(capsys):
+    t = Trace()
+    t.emit(0, "begin", txn=0, parent="-")
+    t.emit(0, "begin", txn=1, parent="-")
+    t.emit(1, "read", txn=0, obj="x", val="31")     # seq 2
+    t.emit(2, "write", txn=1, obj="x", val="33")    # seq 3
+    t.emit(2, "write", txn=1, obj="y", val="32")    # seq 4
+    t.emit(3, "write", txn=0, obj="y", val="34")    # seq 5
+    for txn in (0, 1):
+        t.emit(4, "commit2", txn=txn, phase="decision", outcome="commit",
+               parts="-")
+    report = {"serializability": audit.audit_serializability(t.events),
+              "ok": False}
+    assert cli._print_report(report) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "audit\tserializability\tFAIL",
+        "\tcycle 0 -> 1",
+        "\ttxn 0 -> txn 1: x at seq 2 then seq 3",
+        "\ttxn 1 -> txn 0: y at seq 4 then seq 5",
+    ]
