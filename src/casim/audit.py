@@ -30,19 +30,22 @@ class TxnView:
         self.apply_objs: dict[int, set] = {}    # top txn -> objs applied
         self.inst_outcome: dict[str, str] = {}
         for ev in events:
-            if ev.kind == "begin":
+            kind = ev.kind
+            if kind == "begin":
                 p = ev.detail.get("parent", "-")
                 self.parents[ev.txn] = None if p == "-" else int(p)
-            elif ev.kind == "abort":
+            elif kind == "abort":
                 self.aborted.add(ev.txn)
-            elif ev.kind == "commit2" and ev.detail.get("phase") == "decision":
-                self.decided[ev.txn] = ev.detail["outcome"]
-                self.decision_seq[ev.txn] = ev.seq
-            elif ev.kind == "commit2" and ev.detail.get("phase") == "apply":
-                objs = ev.detail.get("objs", "")
-                self.apply_objs.setdefault(ev.txn, set()).update(
-                    o for o in objs.split(",") if o)
-            elif ev.kind == "outcome":
+            elif kind == "commit2":
+                phase = ev.detail.get("phase")
+                if phase == "decision":
+                    self.decided[ev.txn] = ev.detail["outcome"]
+                    self.decision_seq[ev.txn] = ev.seq
+                elif phase == "apply":
+                    objs = ev.detail.get("objs", "")
+                    self.apply_objs.setdefault(ev.txn, set()).update(
+                        o for o in objs.split(",") if o)
+            elif kind == "outcome":
                 self.inst_outcome.setdefault(ev.detail["inst"],
                                              ev.detail["outcome"])
 
@@ -287,8 +290,8 @@ def check_durability(events, up_nodes):
                  if p and p != "-"]
         for p in parts:
             if p in up_nodes and p not in applied.get(ev.txn, set()):
-                problems.append("txn %d committed but never applied at "
-                                "up node %s" % (ev.txn, p))
+                problems.append("seq %d: txn %d committed but never applied "
+                                "at up node %s" % (ev.seq, ev.txn, p))
     return not problems, problems
 
 

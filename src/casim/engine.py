@@ -91,7 +91,6 @@ class Simulator:
         self.horizon = scenario.horizon if horizon is None else horizon
         self.rng = random.Random(self.seed)
         self.trace = Trace()
-        self.trace.hook = self._on_emit
         self.store = ObjectStore(scenario.nodes)
         for name, node, value in scenario.objects:
             self.store.create_object(ObjectId(name, node), encode_value(value))
@@ -138,8 +137,14 @@ class Simulator:
         heapq.heappush(self._q, (time, prio, self._qseq, fn, args))
 
     def _on_emit(self, ev):
-        for op, node in self.indexed_faults.pop(ev.seq, []):
+        """Trace hook, installed only while indexed faults are pending."""
+        faults = self.indexed_faults.pop(ev.seq, None)
+        if faults is None:
+            return
+        for op, node in faults:
             self.inject_fault(self.now, op, node, prio=-1.0)
+        if not self.indexed_faults:
+            self.trace.hook = None
 
     def inject_fault(self, time, op, node, prio=None):
         self.schedule(time, self._crash if op == "crash" else self._recover,
@@ -162,6 +167,8 @@ class Simulator:
                 self.inject_fault(f.when, f.op, f.node)
             else:
                 self.indexed_faults.setdefault(f.when, []).append((f.op, f.node))
+        if self.indexed_faults:
+            self.trace.hook = self._on_emit
 
         horizon_hit = False
         while True:

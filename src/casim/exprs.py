@@ -3,10 +3,11 @@
 Expressions are parsed with the stdlib ast module and restricted to
 integer literals, object names, `+ - * // %`, unary minus, `not`,
 comparisons (chains allowed) and `and`/`or`.  No calls, attributes,
-subscripts or other literals.  The checked tree is compiled on its first
-`eval`, so parsing a scenario costs only the check, and run by Python's
-evaluator without builtins; `and`/`or` yield a bool, not the deciding
-operand.  Names resolve in the environment `eval` is given.
+subscripts or other literals.  The checked text is compiled on its first
+`eval`, so parsing a scenario costs only the check and keeps no syntax
+tree, and run by Python's evaluator without builtins; `and`/`or` yield a
+bool, not the deciding operand.  Names resolve in the environment `eval`
+is given.
 """
 
 import ast
@@ -35,7 +36,6 @@ class Expr:
         except SyntaxError as e:
             raise ValidationError("bad expression %r: %s" % (text, e))
         self.names: tuple[str, ...] = tuple(sorted(self._collect(tree.body)))
-        self._tree = tree
 
     def _collect(self, node) -> set:
         if isinstance(node, ast.Constant):
@@ -64,10 +64,11 @@ class Expr:
 
     def eval(self, env: dict):
         if self._code is None:
-            tree = self._tree
-            if "and" in self.text or "or" in self.text:  # else no BoolOp
-                tree = ast.fix_missing_locations(_BoolOpsYieldBool().visit(tree))
-            self._code = compile(tree, "<expr>", "eval")
+            source = self.text
+            if "and" in source or "or" in source:  # else no BoolOp
+                source = ast.fix_missing_locations(_BoolOpsYieldBool().visit(
+                    ast.parse(source, mode="eval")))
+            self._code = compile(source, "<expr>", "eval")
         return eval(self._code, {"__builtins__": {}}, env)
 
     def __repr__(self):

@@ -4,7 +4,8 @@ Each object lives at exactly one home node.  Volatile state holds the
 working value (including tentative, uncommitted writes made in place by
 the transaction layer); stable state holds only committed images and a
 per-node log of commit-protocol records.  A crash wipes a node's volatile
-side; recovery reloads it from stable.
+side; recovery reloads it from stable.  The log is indexed by (kind, txn)
+as it is appended, so finding a transaction's record takes one lookup.
 """
 
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ class NodeStore:
         self.volatile: dict[str, bytes] = {}
         self.stable: dict[str, tuple[bytes, int]] = {}
         self.log: list[LogRecord] = []
+        self.first: dict[tuple[str, int], LogRecord] = {}  # (kind, txn)
 
 
 class ObjectStore:
@@ -107,13 +109,13 @@ class ObjectStore:
             ns.volatile[name] = value
 
     def append_log(self, node: str, rec: LogRecord):
-        self._up_node(node).log.append(rec)
+        ns = self._up_node(node)
+        ns.log.append(rec)
+        ns.first.setdefault((rec.kind, rec.txn), rec)
 
     def find_log(self, node: str, kind: str, txn: int) -> LogRecord | None:
-        for rec in self.nodes[node].log:
-            if rec.kind == kind and rec.txn == txn:
-                return rec
-        return None
+        """The first record of that kind for txn in the node's log."""
+        return self.nodes[node].first.get((kind, txn))
 
     # --- crash / recovery ---
 

@@ -3,9 +3,19 @@
 Each event is one line `seq TAB time TAB kind TAB txn TAB obj TAB detail`.
 A trace file ends with a literal `dump` line followed by labelled state
 sections in the object-store dump format.
+
+Detail values are strings from the moment an event is emitted (`emit`
+converts any other value with `str`), so an emitted event and the same
+event parsed back from its line are equal.  Some kinds must carry detail
+keys that the audits read directly (`REQUIRED_DETAIL`): `begin` a
+`parent` (an integer or `-`), `grant` a `mode`, `write` a `val`,
+`register` an `inst`, `outcome` an `inst` and an `outcome`, `crash` and
+`recover` a `node`; a `commit2` with `phase=decision` an `outcome`, with
+`phase=apply` a `node` and with `phase=nested` an integer `parent`.  The
+parser rejects an event that lacks one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MalformedTrace
 
@@ -21,8 +31,17 @@ ALL_KINDS = TXN_KINDS | STORE_KINDS | ACTION_KINDS | SIM_KINDS
 
 DUMP_SECTIONS = ("initial", "stable", "volatile")
 
+# kind -> detail keys it must carry; for commit2, phase -> keys
+REQUIRED_DETAIL = {
+    "begin": ("parent",), "grant": ("mode",), "write": ("val",),
+    "register": ("inst",), "outcome": ("inst", "outcome"),
+    "crash": ("node",), "recover": ("node",),
+    "commit2": {"decision": ("outcome",), "apply": ("node",),
+                "nested": ("parent",)},
+}
 
-@dataclass
+
+@dataclass(slots=True)
 class Event:
     seq: int
     time: int
@@ -32,15 +51,11 @@ class Event:
     detail: dict
 
     def line(self) -> str:
-        txn = "-" if self.txn is None else str(self.txn)
-        obj = self.obj if self.obj else "-"
-        if self.detail:
-            det = " ".join("%s=%s" % (k, self.detail[k])
-                           for k in sorted(self.detail))
-        else:
-            det = "-"
-        return "\t".join((str(self.seq), str(self.time), self.kind,
-                          txn, obj, det))
+        d = self.detail
+        return "%s\t%s\t%s\t%s\t%s\t%s" % (
+            self.seq, self.time, self.kind,
+            "-" if self.txn is None else self.txn, self.obj or "-",
+            " ".join(["%s=%s" % (k, d[k]) for k in sorted(d)]) if d else "-")
 
 
 class Trace:
@@ -52,8 +67,10 @@ class Trace:
 
     def emit(self, time: int, kind: str, txn=None, obj=None, **detail) -> Event:
         assert kind in ALL_KINDS, kind
-        ev = Event(len(self.events), time, kind, txn, obj,
-                   {k: str(v) for k, v in detail.items()})
+        for k, v in detail.items():
+            if type(v) is not str:
+                detail[k] = str(v)
+        ev = Event(len(self.events), time, kind, txn, obj, detail)
         self.events.append(ev)
         if self.hook is not None:
             self.hook(ev)
@@ -82,6 +99,22 @@ def parse_detail(text: str) -> dict:
         k, v = tok.split("=", 1)
         out[k] = v
     return out
+
+
+def _check_detail(kind, detail, need, lineno):
+    if kind == "commit2":
+        need = need.get(detail.get("phase"), ())
+    for key in need:
+        if key not in detail:
+            raise MalformedTrace("%s event lacks detail key %r" % (kind, key),
+                                 lineno)
+    if "parent" in need and not (kind == "begin"
+                                 and detail["parent"] == "-"):
+        try:
+            int(detail["parent"])
+        except ValueError:
+            raise MalformedTrace("non-integer parent %r" % detail["parent"],
+                                 lineno)
 
 
 def parse(text: str):
@@ -121,19 +154,22 @@ def parse(text: str):
         try:
             seq = int(parts[0])
             time = int(parts[1])
+            txn = None if parts[3] == "-" else int(parts[3])
         except ValueError:
-            raise MalformedTrace("non-integer seq or time", lineno)
+            raise MalformedTrace("non-integer seq, time or txn", lineno)
         if seq != expect_seq:
             raise MalformedTrace("seq %d out of order" % seq, lineno)
         expect_seq += 1
         kind = parts[2]
         if kind not in ALL_KINDS:
             raise MalformedTrace("unknown event kind %r" % kind, lineno)
-        txn = None if parts[3] == "-" else int(parts[3])
         obj = None if parts[4] == "-" else parts[4]
         try:
             detail = parse_detail(parts[5])
         except MalformedTrace as e:
             raise MalformedTrace(str(e), lineno)
+        need = REQUIRED_DETAIL.get(kind)
+        if need is not None:
+            _check_detail(kind, detail, need, lineno)
         events.append(Event(seq, time, kind, txn, obj, detail))
     return events, dumps

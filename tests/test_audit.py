@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from casim import audit
 from casim.errors import MalformedTrace
-from casim.trace import Trace
+from casim.trace import Trace, parse
 
 from conftest import TRANSFER, run_text
 
@@ -292,3 +292,18 @@ def test_durability_failure_detected():
 def test_audit_trace_propagates_malformed():
     with pytest.raises(MalformedTrace):
         audit.audit_trace("0\t0\tnonsense\t-\t-\t-\n")
+
+
+def test_durability_problem_names_the_decision_seq():
+    t = Trace()
+    t.emit(0, "begin", txn=0, parent="-")
+    t.emit(1, "grant", txn=0, obj="x", mode="w")
+    t.emit(1, "write", txn=0, obj="x", val="31")
+    t.emit(2, "commit2", txn=0, phase="decision", outcome="commit",
+           parts="n1,n2")
+    t.emit(3, "commit2", txn=0, phase="apply", node="n1", objs="x")
+    events, _ = parse(t.render())
+    ok, problems = audit.check_durability(events, up_nodes={"n1", "n2"})
+    assert not ok
+    assert problems == ["seq 3: txn 0 committed but never applied at up "
+                        "node n2"]

@@ -107,6 +107,23 @@ def test_rejected_scenario_exits_two(tmp_path, capsys, monkeypatch, text,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0\t0\tbegin\tx\t-\tparent=-\n", "line 1: non-integer seq, time or txn"),
+    ("0\t0\toutcome\t-\t-\toutcome=aborted\n",
+     "line 1: outcome event lacks detail key 'inst'"),
+    ("0\t0\tcommit2\t0\t-\tphase=decision\n",
+     "line 1: commit2 event lacks detail key 'outcome'"),
+    ("0\t0\tbegin\t0\t-\tparent=x\n", "line 1: non-integer parent 'x'"),
+], ids=["txn", "outcome_without_inst", "decision_without_outcome",
+        "begin_parent"])
+def test_rejected_trace_exits_two(tmp_path, capsys, text, message):
+    path = tmp_path / "t.trace"
+    path.write_text(text)
+    rc = cli.main(["audit", str(path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 DIVIDE_BY_ZERO = """
 node n1
 object x n1 0

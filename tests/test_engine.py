@@ -1,4 +1,5 @@
 import copy
+import heapq
 from dataclasses import replace
 from pathlib import Path
 
@@ -505,3 +506,43 @@ def test_deep_copy_of_queued_work_is_bound_to_the_copy():
     for entry in clone._q:
         assert len(entry) == 5
         assert entry[3].__self__ is clone
+
+
+def test_find_log_in_a_deep_copy_of_a_mid_run_simulator():
+    # stopped at the commit decision: both applies are still queued
+    sim = Simulator(parse_scenario(TRANSFER), horizon=10).run()
+    assert stable_value(sim, "acct_b") == 40
+    clone = copy.deepcopy(sim)
+    rec = clone.store.find_log("beta", "prepare", 0)
+    assert rec is clone.store.nodes["beta"].log[0]
+    assert rec is not sim.store.find_log("beta", "prepare", 0)
+    assert rec == sim.store.find_log("beta", "prepare", 0)
+    while clone._q:  # the copy's queued applies read the copy's log
+        t, _p, _s, fn, args = heapq.heappop(clone._q)
+        clone.now = t
+        fn(*args)
+    assert stable_value(clone, "acct_b") == 70
+    assert stable_value(sim, "acct_b") == 40
+    assert clone.store.find_log("alpha", "end", 0) is \
+        clone.store.nodes["alpha"].log[-1]
+
+
+def test_no_trace_hook_without_indexed_faults():
+    sim = Simulator(load_scenario(str(SCENARIO_DIR / "crash_recover.scn")))
+    sim.run()
+    assert [ev.kind for ev in sim.trace.events].count("crash") == 1
+    assert sim.trace.hook is None
+
+
+def test_trace_hook_cleared_after_the_last_indexed_fault():
+    sc = replace(parse_scenario(TRANSFER),
+                 faults=[Fault("index", 5, "crash", "alpha"),
+                         Fault("index", 5, "crash", "beta"),
+                         Fault("time", 200, "recover", "alpha")])
+    sim = Simulator(sc)
+    sim.run()
+    assert sim.trace.hook is None and not sim.indexed_faults
+    # the same seqs as with a hook installed for the whole run
+    assert [(ev.seq, ev.kind, ev.detail["node"]) for ev in sim.trace.events
+            if ev.kind in ("crash", "recover")] == \
+        [(6, "crash", "alpha"), (9, "crash", "beta"), (10, "recover", "alpha")]

@@ -79,6 +79,32 @@ def test_log_survives_crash():
     assert st.find_log("n1", "commit", 7) is None
 
 
+def test_find_log_returns_the_first_record_of_a_repeated_pair():
+    st = make_store()
+    first = LogRecord("abort", 3)
+    st.append_log("n1", LogRecord("prepare", 3, coordinator="n2"))
+    st.append_log("n1", first)
+    st.append_log("n1", LogRecord("abort", 3))
+    assert st.find_log("n1", "abort", 3) is first
+    assert st.find_log("n2", "abort", 3) is None
+    assert st.find_log("n1", "abort", 4) is None
+
+
+def test_find_log_after_crash_and_recovery():
+    st = make_store()
+    rec = LogRecord("commit", 2)
+    st.append_log("n2", rec)
+    st.crash_node("n2")
+    assert st.find_log("n2", "commit", 2) is rec
+    with pytest.raises(NodeDown):
+        st.append_log("n2", LogRecord("abort", 5))
+    assert st.find_log("n2", "abort", 5) is None
+    st.recover_node("n2")
+    assert st.find_log("n2", "commit", 2) is rec
+    st.append_log("n2", LogRecord("abort", 5))
+    assert st.find_log("n2", "abort", 5) is st.nodes["n2"].log[-1]
+
+
 def test_dumps_sorted_and_exclude_down_volatile():
     st = make_store()
     st.crash_node("n2")

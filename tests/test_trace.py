@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casim import trace
 from casim.errors import MalformedTrace
@@ -45,7 +46,7 @@ def test_hook_sees_every_event():
 
 
 def test_parse_rejects_bad_seq():
-    text = "0\t0\tbegin\t0\t-\t-\n5\t0\tabort\t0\t-\t-\n"
+    text = "0\t0\tbegin\t0\t-\tparent=-\n5\t0\tabort\t0\t-\t-\n"
     with pytest.raises(MalformedTrace) as e:
         trace.parse(text)
     assert e.value.line == 2
@@ -62,12 +63,90 @@ def test_parse_rejects_wrong_field_count():
 
 
 def test_parse_rejects_unknown_dump_section():
-    text = "0\t0\tbegin\t0\t-\t-\ndump\n[bogus]\n"
-    with pytest.raises(MalformedTrace):
+    text = "0\t0\tbegin\t0\t-\tparent=-\ndump\n[bogus]\n"
+    with pytest.raises(MalformedTrace) as e:
         trace.parse(text)
+    assert e.value.line == 3
 
 
 def test_emit_asserts_known_kind():
     t = trace.Trace()
     with pytest.raises(AssertionError):
         t.emit(0, "nonsense")
+
+
+def test_parse_rejects_non_integer_txn():
+    text = ("0\t0\tbegin\t0\t-\tparent=-\n"
+            "1\t0\tbegin\tx\t-\tparent=-\n")
+    with pytest.raises(MalformedTrace) as e:
+        trace.parse(text)
+    assert e.value.line == 2
+
+
+@pytest.mark.parametrize("line, message", [
+    ("begin\t0\t-\t-", "begin event lacks detail key 'parent'"),
+    ("begin\t1\t-\tparent=x", "non-integer parent 'x'"),
+    ("grant\t0\tx\t-", "grant event lacks detail key 'mode'"),
+    ("write\t0\tx\tinst=a", "write event lacks detail key 'val'"),
+    ("register\t-\t-\tok=1", "register event lacks detail key 'inst'"),
+    ("outcome\t-\t-\toutcome=aborted",
+     "outcome event lacks detail key 'inst'"),
+    ("outcome\t-\t-\tinst=a", "outcome event lacks detail key 'outcome'"),
+    ("crash\t-\t-\t-", "crash event lacks detail key 'node'"),
+    ("recover\t-\t-\t-", "recover event lacks detail key 'node'"),
+    ("commit2\t0\t-\tphase=decision",
+     "commit2 event lacks detail key 'outcome'"),
+    ("commit2\t0\t-\tobjs=x phase=apply",
+     "commit2 event lacks detail key 'node'"),
+    ("commit2\t1\t-\tphase=nested", "commit2 event lacks detail key 'parent'"),
+    ("commit2\t1\t-\tparent=- phase=nested", "non-integer parent '-'"),
+])
+def test_parse_rejects_missing_or_bad_detail(line, message):
+    text = "0\t0\tbegin\t0\t-\tparent=-\n1\t0\t%s\n" % line
+    with pytest.raises(MalformedTrace) as e:
+        trace.parse(text)
+    assert e.value.line == 2
+    assert message in str(e.value)
+
+
+def test_parse_needs_no_keys_for_other_commit2_phases():
+    events, _ = trace.parse("0\t0\tcommit2\t0\t-\t-\n")
+    assert events[0].detail == {}
+
+
+_REQUIRED = {"begin": {"parent": "-"}, "grant": {"mode": "r"},
+             "write": {"val": "31"}, "register": {"inst": "a"},
+             "outcome": {"inst": "a", "outcome": "committed"},
+             "crash": {"node": "n1"}, "recover": {"node": "n1"}}
+_PHASES = {"decision": {"outcome": "commit"}, "apply": {"node": "n1"},
+           "nested": {"parent": "3"}, "other": {}}
+_KEYS = st.sampled_from(["a", "k9", "from", "inst", "x_y", "-"])
+_VALUES = st.text("abz09_-.,#/:=", max_size=6)
+_OBJS = st.none() | st.text("abz09_-.,#/:=", min_size=2, max_size=6)
+
+
+@st.composite
+def _events(draw):
+    events = []
+    for seq in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(sorted(trace.ALL_KINDS)))
+        detail = draw(st.dictionaries(_KEYS, _VALUES, max_size=3))
+        detail.update(_REQUIRED.get(kind, {}))
+        if kind == "commit2":
+            phase = draw(st.sampled_from(sorted(_PHASES)))
+            detail["phase"] = phase
+            detail.update(_PHASES[phase])
+        events.append(trace.Event(
+            seq, draw(st.integers(0, 10 ** 6)), kind,
+            draw(st.none() | st.integers(-5, 10 ** 6)), draw(_OBJS), detail))
+    return events
+
+
+@settings(max_examples=200, deadline=None)
+@given(_events())
+def test_parse_inverts_render(events):
+    """The format guard an in-memory audit relies on: events whose detail
+    values are strings come back equal from their rendered lines."""
+    t = trace.Trace()
+    t.events = events
+    assert trace.parse(t.render()) == (events, {})
