@@ -97,7 +97,9 @@ class CAActionInstance:
         self.signals: dict[str, int] = {}       # signal -> emitting DAG node
         self.sync_waiters: dict[str, list[int]] = {}
         self.order_waiters: dict[str, list[int]] = {}  # nested name -> tids
-        self.nested: dict[str, "CAActionInstance"] = {}
+        # nested name -> child's key, in creation order; the key, not the
+        # child, so no cycle: the child is looked up in Simulator.instances
+        self.nested: dict[str, str] = {}
         self.boundary_nid: int | None = None    # node in parent's DAG
         self.last_nid: dict[int, int] = {}      # thread id -> last DAG node
         self.twopc = None
@@ -160,20 +162,22 @@ def _check_order_acyclic(action, order):
     for a, b in order:
         succ.setdefault(a, []).append(b)
     seen, done = set(), set()
-
-    def visit(n):
-        if n in done:
-            return
-        if n in seen:
-            raise CyclicConstraint("action %s: ordering constraints are "
-                                   "cyclic at %s" % (action, n))
-        seen.add(n)
-        for m in succ.get(n, []):
-            visit(m)
-        done.add(n)
-
     for n in list(succ):
-        visit(n)
+        _visit(action, succ, n, seen, done)
+
+
+def _visit(action, succ, n, seen, done):
+    """Depth-first search from n (a module function: a nested recursive
+    closure would be a reference cycle left for the GC on every parse)."""
+    if n in done:
+        return
+    if n in seen:
+        raise CyclicConstraint("action %s: ordering constraints are "
+                               "cyclic at %s" % (action, n))
+    seen.add(n)
+    for m in succ.get(n, []):
+        _visit(action, succ, m, seen, done)
+    done.add(n)
 
 
 def _validate_step(action, role, idx, step, d, defs, known_objects):

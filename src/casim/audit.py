@@ -251,6 +251,10 @@ def scan_atomicity(events, dumps):
             for obj in ev.detail.get("objs", "").split(","):
                 if not obj:
                     continue
+                if obj not in homes:
+                    problems.append("seq %d: apply of %s, which the initial "
+                                    "dump does not hold" % (ev.seq, obj))
+                    continue
                 key = (homes[obj], obj)
                 version, _old = state[key]
                 val = final_write.get((ev.txn, obj))

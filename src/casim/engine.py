@@ -12,6 +12,16 @@ seq, fn, args)` with `fn` a bound `Simulator` method.  So the queue can be
 inspected, and `copy.deepcopy` of a simulator binds the copy's pending
 work, clock and trace hook to the copy, not to the original.
 
+Ownership runs one way.  The parts of a simulator never point back at it
+or at their owner: the clock lives on the trace (`Trace.now`) that every
+emitting part already holds, the lock table asks the transaction table
+for ancestry, and cross-links between instances and two-phase commits are
+keys into `instances`, with a nested child's `parent` the only strong
+link between instances.  So a finished run holds no reference cycle and
+is freed by reference counting when its last reference goes.  `run()`
+clears the trace hook when it ends; the one exception is a run stopped by
+its horizon, whose unrun queue entries stay bound to the simulator.
+
 Top-level commits run two-phase commit over simulated messages with
 presumed abort: a prepared participant that finds no commit record at the
 coordinator resolves to abort.  A recovering node resolves only its own
@@ -70,7 +80,7 @@ class LThread:
 
 @dataclass
 class TwoPC:
-    inst: act.CAActionInstance
+    key: str                        # the instance's key in `instances`
     txn: int
     coordinator: str
     parts: list
@@ -95,9 +105,7 @@ class Simulator:
         for name, node, value in scenario.objects:
             self.store.create_object(ObjectId(name, node), encode_value(value))
         self.txns = TransactionManager(
-            self.store, self.trace, clock=self._clock,
-            unsafe_early_release=unsafe_early_release)
-        self.now = 0
+            self.store, self.trace, unsafe_early_release=unsafe_early_release)
         self._q: list = []
         self._qseq = 0
         self._mid = 0
@@ -124,8 +132,13 @@ class Simulator:
     def trace_text(self) -> str:
         return self.trace.render(self.dumps())
 
-    def _clock(self):
-        return self.now
+    @property
+    def now(self) -> int:
+        return self.trace.now
+
+    @now.setter
+    def now(self, t: int):
+        self.trace.now = t
 
     # ------------------------------------------------------------------
     # scheduling
@@ -170,6 +183,7 @@ class Simulator:
         if self.indexed_faults:
             self.trace.hook = self._on_emit
 
+        trace = self.trace
         horizon_hit = False
         while True:
             while self._q:
@@ -177,10 +191,11 @@ class Simulator:
                     horizon_hit = True
                     break
                 t, _p, _s, fn, args = heapq.heappop(self._q)
-                self.now = max(self.now, t)
+                trace.now = max(trace.now, t)
                 fn(*args)
             if horizon_hit or not self._quiesce():
                 break
+        trace.hook = None  # a fault indexed past this point would never run
         self._finish()
         return self
 
@@ -237,7 +252,7 @@ class Simulator:
             strategy = parent.strategy
         inst = act.CAActionInstance(defn, key, th.node, strategy, parent)
         if parent is not None:
-            parent.nested[defn.name] = inst
+            parent.nested[defn.name] = key
         self.instances[key] = inst
         self.schedule(self.now + defn.deadline, self._deadline, inst)
         return inst
@@ -310,13 +325,18 @@ class Simulator:
                 parent.dag.add_edge(prev, nid, dagmod.PROG)
             parent.last_nid[tid] = nid
         for a, b in parent.defn.order:
-            ia, ib = parent.nested.get(a), parent.nested.get(b)
+            ia, ib = self._child(parent, a), self._child(parent, b)
             if ia is not None and ib is not None \
                     and ia.boundary_nid is not None \
                     and ib.boundary_nid is not None:
                 edge = (ia.boundary_nid, ib.boundary_nid, dagmod.CONSTRAINT)
                 if edge not in parent.dag.edges:
                     parent.dag.add_edge(*edge)
+
+    def _child(self, inst, name):
+        """inst's nested instance of action `name`, or None."""
+        key = inst.nested.get(name)
+        return None if key is None else self.instances[key]
 
     # ------------------------------------------------------------------
     # thread stepping
@@ -439,12 +459,12 @@ class Simulator:
     def _step_enter(self, th, inst, frame, step):
         for a, b in inst.defn.order:
             if b == step.action:
-                pred = inst.nested.get(a)
+                pred = self._child(inst, a)
                 if pred is None or not pred.terminal:
                     th.status = BLOCKED_ORDER
                     inst.order_waiters.setdefault(a, []).append(th.tid)
                     return
-        sub = inst.nested.get(step.action)
+        sub = self._child(inst, step.action)
         if sub is None:
             key = "%s/%s" % (inst.key, step.action)
             sub = self._new_instance(self.sc.defs[step.action], key, th, inst)
@@ -539,7 +559,8 @@ class Simulator:
     def coordinated_abort(self, inst, cause):
         if inst.terminal:
             return
-        for child in list(inst.nested.values()):
+        for key in list(inst.nested.values()):
+            child = self.instances[key]
             if not child.terminal:
                 self.coordinated_abort(child, "parent_abort")
         st = inst.twopc
@@ -570,7 +591,8 @@ class Simulator:
 
     def _start_2pc(self, inst):
         redo = self.txns.writes_by_node(inst.txn_id)
-        st = TwoPC(inst, inst.txn_id, inst.origin_node, sorted(redo), redo)
+        st = TwoPC(inst.key, inst.txn_id, inst.origin_node, sorted(redo),
+                   redo)
         inst.twopc = st
         self.inflight[st.txn] = st
         if not st.parts:
@@ -582,7 +604,7 @@ class Simulator:
 
     def _timeout(self, st):
         if st.decided is None:
-            self.coordinated_abort(st.inst, "2pc_timeout")
+            self.coordinated_abort(self.instances[st.key], "2pc_timeout")
 
     def _on_prepare(self, st, p):
         redo = tuple((name, value, self.store.committed(name)[1] + 1)
@@ -608,8 +630,9 @@ class Simulator:
         other = [o for o, _m in self.txns.locktable.locks_of(st.txn)
                  if o not in written]
         self._apply_grants(self.txns.locktable.release_objects(st.txn, other))
-        st.inst.status = act.COMMITTED
-        self._deliver_outcome(st.inst)
+        inst = self.instances[st.key]
+        inst.status = act.COMMITTED
+        self._deliver_outcome(inst)
         for p in st.parts:
             self._send(st.coordinator, p, "apply", self._apply_at, st, p)
 
@@ -712,7 +735,8 @@ class Simulator:
                 # no decision survives: presumed abort (an abort decided while
                 # the coordinator was down is logged by _resolve_coordinator,
                 # and its instance is terminal already)
-                self.coordinated_abort(st.inst, "presumed_abort")
+                self.coordinated_abort(self.instances[st.key],
+                                       "presumed_abort")
 
     def _resolve_coordinator(self, node):
         for st in self.inflight.values():

@@ -2,7 +2,8 @@
 
 Each event is one line `seq TAB time TAB kind TAB txn TAB obj TAB detail`.
 A trace file ends with a literal `dump` line followed by labelled state
-sections in the object-store dump format.
+sections in the object-store dump format: one record per line,
+`node TAB name TAB version TAB value`, with an integer version.
 
 Detail values are strings from the moment an event is emitted (`emit`
 converts any other value with `str`), so an emitted event and the same
@@ -59,11 +60,14 @@ class Event:
 
 
 class Trace:
-    """Append-only event log with an emission hook for fault injection."""
+    """Append-only event log with an emission hook for fault injection, and
+    the simulated clock of the run that owns it: every part that emits
+    holds the trace, so `now` reaches them all without a back-reference."""
 
     def __init__(self):
         self.events: list[Event] = []
         self.hook = None  # called with each freshly emitted Event
+        self.now = 0
 
     def emit(self, time: int, kind: str, txn=None, obj=None, **detail) -> Event:
         assert kind in ALL_KINDS, kind
@@ -143,6 +147,15 @@ def parse(text: str):
                 raise MalformedTrace("dump record before section header",
                                      lineno)
             else:
+                fields = raw.split("\t")
+                if len(fields) != 4:
+                    raise MalformedTrace("expected 4 tab-separated fields in "
+                                         "a dump record", lineno)
+                try:
+                    int(fields[2])
+                except ValueError:
+                    raise MalformedTrace("non-integer version %r in a dump "
+                                         "record" % fields[2], lineno)
                 dumps[section].append(raw)
             continue
         if raw == "dump":

@@ -39,16 +39,33 @@ class Savepoint:
     writes: dict
 
 
+class TxnTable(dict):
+    """Transaction id -> Txn, with the ancestry query the lock table asks."""
+    __slots__ = ()
+
+    def is_ancestor(self, a: int, b: int) -> bool:
+        """True iff a is a proper ancestor of b."""
+        p = self[b].parent
+        while p is not None:
+            if p == a:
+                return True
+            p = self[p].parent
+        return False
+
+
 class TransactionManager:
-    def __init__(self, store: ObjectStore, trace: Trace, clock=None,
+    """Events are stamped with `trace.now`, the clock of the run that owns
+    the trace."""
+
+    def __init__(self, store: ObjectStore, trace: Trace,
                  unsafe_early_release=False):
         self.store = store
         self.trace = trace
-        self.clock = clock or (lambda: 0)
         self.unsafe_early_release = unsafe_early_release
-        self.txns: dict[int, Txn] = {}
+        self.txns = TxnTable()
         self._next = 0
-        self.locktable = locks.LockTable(self.is_ancestor, lambda t: t)
+        # the table's bound method: the lock table never reaches the manager
+        self.locktable = locks.LockTable(self.txns.is_ancestor, lambda t: t)
 
     # --- tree bookkeeping ---
 
@@ -56,13 +73,7 @@ class TransactionManager:
         return self.txns[txn_id]
 
     def is_ancestor(self, a: int, b: int) -> bool:
-        """True iff a is a proper ancestor of b."""
-        p = self.txns[b].parent
-        while p is not None:
-            if p == a:
-                return True
-            p = self.txns[p].parent
-        return False
+        return self.txns.is_ancestor(a, b)
 
     def begin(self, parent: int | None = None) -> Txn:
         if parent is not None:
@@ -74,7 +85,7 @@ class TransactionManager:
         self.txns[txn.id] = txn
         if parent is not None:
             self.txns[parent].children.append(txn.id)
-        self.trace.emit(self.clock(), "begin", txn=txn.id,
+        self.trace.emit(self.trace.now, "begin", txn=txn.id,
                         parent="-" if parent is None else parent)
         return txn
 
@@ -88,19 +99,19 @@ class TransactionManager:
             return "granted"
         status = self.locktable.acquire(txn_id, obj, mode, tag)
         kind = "grant" if status == "granted" else "queue"
-        self.trace.emit(self.clock(), kind, txn=txn_id, obj=obj, mode=mode)
+        self.trace.emit(self.trace.now, kind, txn=txn_id, obj=obj, mode=mode)
         return status
 
     def emit_grants(self, granted):
         for req in granted:
-            self.trace.emit(self.clock(), "grant", txn=req.txn, obj=req.obj,
+            self.trace.emit(self.trace.now, "grant", txn=req.txn, obj=req.obj,
                             mode=req.mode)
 
     # --- reads and writes (locks must already be held by caller) ---
 
     def read(self, txn_id: int, name: str, **ctx) -> bytes:
         value = self.store.read_volatile(name)
-        self.trace.emit(self.clock(), "read", txn=txn_id, obj=name,
+        self.trace.emit(self.trace.now, "read", txn=txn_id, obj=name,
                         val=value.hex(), **ctx)
         return value
 
@@ -112,7 +123,7 @@ class TransactionManager:
         txn.undo.append((name, old))
         txn.writes[name] = value
         self.store.write_volatile(name, value)
-        self.trace.emit(self.clock(), "write", txn=txn_id, obj=name,
+        self.trace.emit(self.trace.now, "write", txn=txn_id, obj=name,
                         val=value.hex(), **ctx)
         if self.unsafe_early_release:
             # deliberately broken variant: strictness violation for
@@ -135,7 +146,7 @@ class TransactionManager:
         parent.writes.update(txn.writes)
         txn.status = COMMITTED
         granted = self.locktable.transfer(txn_id, parent.id)
-        self.trace.emit(self.clock(), "commit2", txn=txn_id, phase="nested",
+        self.trace.emit(self.trace.now, "commit2", txn=txn_id, phase="nested",
                         parent=parent.id)
         return granted
 
@@ -151,7 +162,7 @@ class TransactionManager:
                 granted.extend(self.abort(child, cause="parent"))
         self._undo_to(txn, 0)
         txn.status = ABORTED
-        self.trace.emit(self.clock(), "abort", txn=txn_id, cause=cause)
+        self.trace.emit(self.trace.now, "abort", txn=txn_id, cause=cause)
         granted.extend(self.locktable.release_all(txn_id))
         return granted
 

@@ -289,6 +289,16 @@ def test_durability_failure_detected():
     assert ok
 
 
+def test_atomicity_flags_apply_of_an_object_with_no_home():
+    text = ("0\t0\tcommit2\t0\t-\tnode=n1 objs=zz phase=apply\n"
+            "dump\n[initial]\nn1\tx\t0\t31\n")
+    report = audit.audit_trace(text)
+    ok, problems = report["atomicity"]
+    assert not ok and not report["ok"]
+    assert problems[0] == ("seq 0: apply of zz, which the initial dump does "
+                           "not hold")
+
+
 def test_audit_trace_propagates_malformed():
     with pytest.raises(MalformedTrace):
         audit.audit_trace("0\t0\tnonsense\t-\t-\t-\n")

@@ -114,8 +114,12 @@ def test_rejected_scenario_exits_two(tmp_path, capsys, monkeypatch, text,
     ("0\t0\tcommit2\t0\t-\tphase=decision\n",
      "line 1: commit2 event lacks detail key 'outcome'"),
     ("0\t0\tbegin\t0\t-\tparent=x\n", "line 1: non-integer parent 'x'"),
+    ("dump\n[initial]\nn1\tx\t0\n",
+     "line 3: expected 4 tab-separated fields in a dump record"),
+    ("dump\n[initial]\nn1\tx\tv\t31\n",
+     "line 3: non-integer version 'v' in a dump record"),
 ], ids=["txn", "outcome_without_inst", "decision_without_outcome",
-        "begin_parent"])
+        "begin_parent", "dump_fields", "dump_version"])
 def test_rejected_trace_exits_two(tmp_path, capsys, text, message):
     path = tmp_path / "t.trace"
     path.write_text(text)

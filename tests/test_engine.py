@@ -1,14 +1,16 @@
 import copy
+import gc
 import heapq
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
-from casim import audit
+from casim import audit, sweep
 from casim.engine import Simulator
 from casim.scenario import Fault, load_scenario, parse_scenario
 from casim.store import decode_value
 
-from conftest import TRANSFER, run_text
+from conftest import TRANSFER, random_competitive_scenario, run_text
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
@@ -525,6 +527,75 @@ def test_find_log_in_a_deep_copy_of_a_mid_run_simulator():
     assert stable_value(sim, "acct_b") == 40
     assert clone.store.find_log("alpha", "end", 0) is \
         clone.store.nodes["alpha"].log[-1]
+
+
+def test_deep_copy_of_a_mid_run_simulator_keeps_its_own_clock():
+    # stopped after the first transfer, with the late one still queued
+    text = TRANSFER.replace("seed 3",
+                            "client c3 alpha 100 transfer#late debit\n"
+                            "client c4 beta 100 transfer#late credit\n"
+                            "seed 3")
+    sim = Simulator(parse_scenario(text), horizon=60).run()
+    before = sim.trace.lines()
+    clone = copy.deepcopy(sim)
+    clone.now = 1000  # the copy alone jumps ahead, then runs on
+
+    def drain(s):
+        while s._q:
+            t, _p, _s, fn, args = heapq.heappop(s._q)
+            s.now = max(s.now, t)
+            fn(*args)
+
+    def late_txn_times(s):
+        late = [ev for ev in s.trace.events[len(before):]
+                if ev.kind in ("begin", "grant", "read", "write")]
+        assert {ev.kind for ev in late} == {"begin", "grant", "read", "write"}
+        assert s.instances["transfer#late"].status == "committed"
+        return [ev.time for ev in late]
+
+    drain(clone)
+    assert sim.trace.lines() == before and sim.now <= 60
+    assert min(late_txn_times(clone)) >= 1000
+    drain(sim)  # the original, run on by itself, keeps its own times
+    assert sim.trace.lines()[:len(before)] == before
+    assert max(late_txn_times(sim)) < 1000
+
+
+def test_a_finished_run_is_freed_by_reference_counting(monkeypatch):
+    # no reference cycle inside a simulator: with the GC off, each one
+    # dies when its last reference goes
+    refs = []
+
+    class Tracked(Simulator):
+        def __init__(self, scenario, **kw):
+            super().__init__(scenario, **kw)
+            refs.append(weakref.ref(self))
+
+    def run_and_audit(sc, **kw):
+        sim = Tracked(sc, **kw).run()
+        report = audit.audit_trace(sim.trace_text(), all_nodes=sc.nodes)
+        assert report["ok"], report
+
+    monkeypatch.setattr(sweep, "Simulator", Tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        for path in sorted(SCENARIO_DIR.glob("*.scn")):
+            sc = load_scenario(str(path))
+            for strategy in (None, "flatten", "nested"):
+                for seed in range(5):
+                    run_and_audit(sc, seed=seed, strategy=strategy)
+        n_reference = len(refs)
+        rows = sweep.crash_sweep(
+            load_scenario(str(SCENARIO_DIR / "crash_recover.scn")))
+        for seed in range(50):
+            run_and_audit(random_competitive_scenario(seed))
+        alive = [i for i, ref in enumerate(refs) if ref() is not None]
+    finally:
+        gc.enable()
+    # the sweep's fault-free base run, then one run per crash point
+    assert len(refs) == n_reference + 1 + len(rows) + 50
+    assert alive == []
 
 
 def test_no_trace_hook_without_indexed_faults():

@@ -69,6 +69,20 @@ def test_parse_rejects_unknown_dump_section():
     assert e.value.line == 3
 
 
+@pytest.mark.parametrize("record, message", [
+    ("n1\tx\t0", "expected 4 tab-separated fields in a dump record"),
+    ("n1\tx\t0\t31\textra",
+     "expected 4 tab-separated fields in a dump record"),
+    ("n1\tx\tv\t31", "non-integer version 'v' in a dump record"),
+])
+def test_parse_rejects_bad_dump_record(record, message):
+    text = "0\t0\tbegin\t0\t-\tparent=-\ndump\n[initial]\n%s\n" % record
+    with pytest.raises(MalformedTrace) as e:
+        trace.parse(text)
+    assert e.value.line == 4
+    assert message in str(e.value)
+
+
 def test_emit_asserts_known_kind():
     t = trace.Trace()
     with pytest.raises(AssertionError):
