@@ -109,12 +109,17 @@ class CAActionInstance:
         return self.status in (COMMITTED, ABORTED)
 
 
-def validate_defs(defs: dict, known_objects=None):
-    """Static checks over a set of definitions.  Raises ValidationError,
-    ModeViolation or CyclicConstraint."""
+def validate_defs(defs: dict, known_objects):
+    """Static checks over a set of definitions whose objects must be among
+    `known_objects`.  Raises ValidationError, ModeViolation or
+    CyclicConstraint."""
     for name, d in defs.items():
         if not d.roles:
             raise ValidationError("action %s has no roles" % name)
+        for o in d.footprint:
+            if o not in known_objects:
+                raise ValidationError("action %s: footprint names unknown "
+                                      "object %s" % (name, o))
         if d.mode not in MODES:
             raise ValidationError("action %s: unknown mode %r" % (name, d.mode))
         for n in d.nested:
@@ -186,9 +191,9 @@ def _validate_step(action, role, idx, step, d, defs, known_objects):
         if step.obj not in d.footprint:
             raise ValidationError("%s: write to %s outside declared "
                                   "footprint" % (where, step.obj))
-    if step.kind in (READ, WRITE) and known_objects is not None:
+    if step.kind in (READ, WRITE):
         for o in [step.obj] + list(step.expr.names if step.expr else []):
-            if o is not None and o not in known_objects:
+            if o not in known_objects:
                 raise ValidationError("%s: unknown object %s" % (where, o))
     if step.kind == ENTER:
         if step.action not in d.nested:

@@ -10,7 +10,10 @@ the same (scenario, seed) reproduces a byte-identical trace and dump.
 Scheduled work is data, never a closure: a queue entry is `(time, prio,
 seq, fn, args)` with `fn` a bound `Simulator` method.  So the queue can be
 inspected, and `copy.deepcopy` of a simulator binds the copy's pending
-work, clock and trace hook to the copy, not to the original.
+work and clock to the copy, not to the original.  The run loop itself
+fires index faults: after each handler (and after each quiesce pass) it
+schedules every `fault index K` whose K-th event has been emitted, so the
+trace stays a plain log that calls nothing back.
 
 Ownership runs one way.  The parts of a simulator never point back at it
 or at their owner: the clock lives on the trace (`Trace.now`) that every
@@ -18,9 +21,9 @@ emitting part already holds, the lock table asks the transaction table
 for ancestry, and cross-links between instances and two-phase commits are
 keys into `instances`, with a nested child's `parent` the only strong
 link between instances.  So a finished run holds no reference cycle and
-is freed by reference counting when its last reference goes.  `run()`
-clears the trace hook when it ends; the one exception is a run stopped by
-its horizon, whose unrun queue entries stay bound to the simulator.
+is freed by reference counting when its last reference goes; the one
+exception is a run stopped by its horizon, whose unrun queue entries stay
+bound to the simulator.
 
 Top-level commits run two-phase commit over simulated messages with
 presumed abort: a prepared participant that finds no commit record at the
@@ -37,7 +40,7 @@ from . import actions as act
 from . import dag as dagmod
 from .errors import DeadlockVictim, InconsistentFault, NodeDown
 from .scenario import Scenario
-from .store import LogRecord, ObjectId, ObjectStore, encode_value, decode_value
+from .store import LogRecord, ObjectStore, encode_value, decode_value
 from .trace import Trace
 from .txn import ACTIVE, TransactionManager
 
@@ -103,7 +106,7 @@ class Simulator:
         self.trace = Trace()
         self.store = ObjectStore(scenario.nodes)
         for name, node, value in scenario.objects:
-            self.store.create_object(ObjectId(name, node), encode_value(value))
+            self.store.create_object(name, node, encode_value(value))
         self.txns = TransactionManager(
             self.store, self.trace, unsafe_early_release=unsafe_early_release)
         self._q: list = []
@@ -115,7 +118,10 @@ class Simulator:
         self.inflight: dict[int, TwoPC] = {}
         self.rejections: list = []
         self.crash_checks: list = []  # (node, time, stable_ok, vol_cleared)
-        self.indexed_faults: dict[int, list] = {}
+        # (K, op, node) of each `fault index K`, by K, then in file order
+        self.indexed_faults = sorted(
+            ((f.when, f.op, f.node) for f in scenario.faults
+             if f.when_kind == "index"), key=lambda f: f[0])
         self.initial_dump: list = []
         self._nested_only = {n for d in scenario.defs.values() for n in d.nested}
 
@@ -136,10 +142,6 @@ class Simulator:
     def now(self) -> int:
         return self.trace.now
 
-    @now.setter
-    def now(self, t: int):
-        self.trace.now = t
-
     # ------------------------------------------------------------------
     # scheduling
 
@@ -148,16 +150,6 @@ class Simulator:
             prio = self.rng.random()
         self._qseq += 1
         heapq.heappush(self._q, (time, prio, self._qseq, fn, args))
-
-    def _on_emit(self, ev):
-        """Trace hook, installed only while indexed faults are pending."""
-        faults = self.indexed_faults.pop(ev.seq, None)
-        if faults is None:
-            return
-        for op, node in faults:
-            self.inject_fault(self.now, op, node, prio=-1.0)
-        if not self.indexed_faults:
-            self.trace.hook = None
 
     def inject_fault(self, time, op, node, prio=None):
         self.schedule(time, self._crash if op == "crash" else self._recover,
@@ -178,12 +170,9 @@ class Simulator:
         for f in self.sc.faults:
             if f.when_kind == "time":
                 self.inject_fault(f.when, f.op, f.node)
-            else:
-                self.indexed_faults.setdefault(f.when, []).append((f.op, f.node))
-        if self.indexed_faults:
-            self.trace.hook = self._on_emit
 
-        trace = self.trace
+        trace, faults = self.trace, self.indexed_faults
+        events = trace.events
         horizon_hit = False
         while True:
             while self._q:
@@ -193,11 +182,22 @@ class Simulator:
                 t, _p, _s, fn, args = heapq.heappop(self._q)
                 trace.now = max(trace.now, t)
                 fn(*args)
+                if faults and faults[0][0] < len(events):
+                    self._fire_indexed()
             if horizon_hit or not self._quiesce():
                 break
-        trace.hook = None  # a fault indexed past this point would never run
+            self._fire_indexed()
+        # a fault indexed past this point never fires
         self._finish()
         return self
+
+    def _fire_indexed(self):
+        """Schedule, ahead of all other work at this time, each indexed
+        fault whose event has been emitted."""
+        faults, emitted = self.indexed_faults, len(self.trace.events)
+        while faults and faults[0][0] < emitted:
+            _k, op, node = faults.pop(0)
+            self.inject_fault(self.now, op, node, prio=-1.0)
 
     def _quiesce(self) -> bool:
         """Resolve stuck coordination at an empty queue; True if progress
@@ -292,7 +292,7 @@ class Simulator:
         inst.status = act.RUNNING
         # the recovery line (the txn's undo log) needs every footprint home up
         for name in inst.defn.footprint:
-            if not self.store.node_up(self.store.home(name)):
+            if not self.store.node_up(self.store.homes[name]):
                 self.coordinated_abort(inst, "node_down")
                 return
         self.trace.emit(self.now, "line_recovery", inst=inst.key,
@@ -324,14 +324,16 @@ class Simulator:
             if prev is not None:
                 parent.dag.add_edge(prev, nid, dagmod.PROG)
             parent.last_nid[tid] = nid
+        # an order edge joins two boundaries, so it is added once: when the
+        # later of the two children it names starts
+        name = inst.defn.name
         for a, b in parent.defn.order:
             ia, ib = self._child(parent, a), self._child(parent, b)
-            if ia is not None and ib is not None \
+            if name in (a, b) and ia is not None and ib is not None \
                     and ia.boundary_nid is not None \
                     and ib.boundary_nid is not None:
-                edge = (ia.boundary_nid, ib.boundary_nid, dagmod.CONSTRAINT)
-                if edge not in parent.dag.edges:
-                    parent.dag.add_edge(*edge)
+                parent.dag.add_edge(ia.boundary_nid, ib.boundary_nid,
+                                    dagmod.CONSTRAINT)
 
     def _child(self, inst, name):
         """inst's nested instance of action `name`, or None."""
@@ -376,7 +378,7 @@ class Simulator:
         """Acquire each (obj, mode); False if the thread blocked or its
         instance aborted along the way."""
         for obj, mode in wants:
-            if not self.store.node_up(self.store.home(obj)):
+            if not self.store.node_up(self.store.homes[obj]):
                 self.coordinated_abort(self._txn_owner(inst), "node_down")
                 return False
             try:

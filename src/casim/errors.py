@@ -7,27 +7,7 @@ class SimError(Exception):
 
 # --- object store ---
 
-class DuplicateObject(SimError):
-    pass
-
-
-class UnknownObject(SimError):
-    pass
-
-
 class NodeDown(SimError):
-    pass
-
-
-class NodeAlreadyDown(SimError):
-    pass
-
-
-class NodeAlreadyUp(SimError):
-    pass
-
-
-class UnknownNode(SimError):
     pass
 
 

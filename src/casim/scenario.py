@@ -36,13 +36,15 @@ start of a line (after optional blanks), so a comment cannot follow
 content on the same line.  Client lines may suffix the action with `#key`
 to distinguish several instances of one definition.  `fault index K`
 fires right after the K-th trace event instead of at a fixed virtual
-time.
+time; K and the time of `fault at` are non-negative.
 
 Parsing is the one input check (ValidationError, or ModeViolation and
 CyclicConstraint from `validate_defs`); the engine trusts its result.
 Beyond the grammar: no `/` in action names or client action keys (it
-joins a nested instance's key to its parent's), a test names only objects
-in its action's footprint, and no two clients give one role of one key.
+joins a nested instance's key to its parent's), every object an action
+names is declared, a test names only objects in its action's footprint,
+no two clients give one role of one key, and no `order` line repeats
+another in its action.
 """
 
 from dataclasses import dataclass, field
@@ -157,6 +159,9 @@ def parse_scenario(text: str) -> Scenario:
             _need_action(cur_action, head, lineno)
             if len(toks) != 4 or toks[2] != "<":
                 raise ValidationError("usage: order A < B", lineno)
+            if (toks[1], toks[3]) in cur_action.order:
+                raise ValidationError("duplicate order %s < %s"
+                                      % (toks[1], toks[3]), lineno)
             cur_action.order.append((toks[1], toks[3]))
             cur_role = None
         elif head == "end":
@@ -293,8 +298,11 @@ def _parse_fault(toks, lineno) -> Fault:
             or toks[3] not in ("crash", "recover"):
         raise ValidationError("usage: fault at|index N crash|recover NODE",
                               lineno)
-    return Fault("time" if toks[1] == "at" else "index",
-                 _int(toks[2], lineno, "fault position"), toks[3], toks[4])
+    when = _int(toks[2], lineno, "fault position")
+    if when < 0:
+        raise ValidationError("negative fault position %d" % when, lineno)
+    return Fault("time" if toks[1] == "at" else "index", when, toks[3],
+                 toks[4])
 
 
 def load_scenario(path: str) -> Scenario:

@@ -6,18 +6,16 @@ the transaction layer); stable state holds only committed images and a
 per-node log of commit-protocol records.  A crash wipes a node's volatile
 side; recovery reloads it from stable.  The log is indexed by (kind, txn)
 as it is appended, so finding a transaction's record takes one lookup.
+
+The store trusts its caller: the scenario parser has already checked that
+names and homes are declared and unique, and the engine checks a node's
+state before it crashes or recovers it.  The one error left is NodeDown,
+for an access to a crashed node, which the engine catches.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .errors import (DuplicateObject, NodeAlreadyDown, NodeAlreadyUp,
-                     NodeDown, UnknownNode, UnknownObject)
-
-
-class ObjectId(NamedTuple):
-    name: str
-    home: str
+from .errors import NodeDown
 
 
 def encode_value(v: int) -> bytes:
@@ -52,32 +50,15 @@ class ObjectStore:
         self.nodes: dict[str, NodeStore] = {}
         for n in nodes:
             self.nodes[n] = NodeStore(n)
-        self.objects: dict[str, ObjectId] = {}
+        self.homes: dict[str, str] = {}  # object name -> home node
 
-    # --- registration ---
-
-    def create_object(self, oid: ObjectId, initial: bytes):
-        if oid.name in self.objects:
-            raise DuplicateObject(oid.name)
-        if oid.home not in self.nodes:
-            raise UnknownNode(oid.home)
-        node = self._up_node(oid.home)
-        self.objects[oid.name] = oid
-        node.volatile[oid.name] = initial
-        node.stable[oid.name] = (initial, 0)
-
-    def oid(self, name: str) -> ObjectId:
-        try:
-            return self.objects[name]
-        except KeyError:
-            raise UnknownObject(name)
-
-    def home(self, name: str) -> str:
-        return self.oid(name).home
+    def create_object(self, name: str, home: str, initial: bytes):
+        ns = self.nodes[home]
+        self.homes[name] = home
+        ns.volatile[name] = initial
+        ns.stable[name] = (initial, 0)
 
     def node_up(self, node: str) -> bool:
-        if node not in self.nodes:
-            raise UnknownNode(node)
         return self.nodes[node].up
 
     def _up_node(self, node: str) -> NodeStore:
@@ -87,7 +68,7 @@ class ObjectStore:
         return ns
 
     def _node_of(self, name: str) -> NodeStore:
-        return self._up_node(self.oid(name).home)
+        return self._up_node(self.homes[name])
 
     # --- volatile access (serialized by the caller; locks live above) ---
 
@@ -120,20 +101,12 @@ class ObjectStore:
     # --- crash / recovery ---
 
     def crash_node(self, node: str):
-        if node not in self.nodes:
-            raise UnknownNode(node)
         ns = self.nodes[node]
-        if not ns.up:
-            raise NodeAlreadyDown(node)
         ns.up = False
         ns.volatile = {}
 
     def recover_node(self, node: str):
-        if node not in self.nodes:
-            raise UnknownNode(node)
         ns = self.nodes[node]
-        if ns.up:
-            raise NodeAlreadyUp(node)
         ns.up = True
         ns.volatile = {name: value for name, (value, _v) in ns.stable.items()}
 

@@ -60,13 +60,12 @@ class Event:
 
 
 class Trace:
-    """Append-only event log with an emission hook for fault injection, and
-    the simulated clock of the run that owns it: every part that emits
-    holds the trace, so `now` reaches them all without a back-reference."""
+    """Append-only event log that calls nothing back, and the simulated
+    clock of the run that owns it: every part that emits holds the trace,
+    so `now` reaches them all without a back-reference."""
 
     def __init__(self):
         self.events: list[Event] = []
-        self.hook = None  # called with each freshly emitted Event
         self.now = 0
 
     def emit(self, time: int, kind: str, txn=None, obj=None, **detail) -> Event:
@@ -76,8 +75,6 @@ class Trace:
                 detail[k] = str(v)
         ev = Event(len(self.events), time, kind, txn, obj, detail)
         self.events.append(ev)
-        if self.hook is not None:
-            self.hook(ev)
         return ev
 
     def lines(self):

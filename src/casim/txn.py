@@ -72,9 +72,6 @@ class TransactionManager:
     def get(self, txn_id: int) -> Txn:
         return self.txns[txn_id]
 
-    def is_ancestor(self, a: int, b: int) -> bool:
-        return self.txns.is_ancestor(a, b)
-
     def begin(self, parent: int | None = None) -> Txn:
         if parent is not None:
             p = self.txns[parent]
@@ -199,5 +196,5 @@ class TransactionManager:
     def writes_by_node(self, txn_id: int) -> dict[str, dict[str, bytes]]:
         out: dict[str, dict[str, bytes]] = {}
         for name, value in self.txns[txn_id].writes.items():
-            out.setdefault(self.store.home(name), {})[name] = value
+            out.setdefault(self.store.homes[name], {})[name] = value
         return out

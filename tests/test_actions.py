@@ -18,7 +18,7 @@ def leaf(name, obj="x", roles=1):
 
 def test_roles_required():
     with pytest.raises(ValidationError):
-        validate_defs({"a": CAActionDef("a", {})})
+        validate_defs({"a": CAActionDef("a", {})}, known_objects=set())
 
 
 def test_write_outside_footprint_rejected():

@@ -88,6 +88,8 @@ OUTSIDE_FOOTPRINT = TRANSFER.replace(
 ROLE_TWICE = TRANSFER + "client c3 beta 1 transfer credit\n"
 SLASH_IN_NAME = TRANSFER.replace("transfer", "pay/out")
 SLASH_IN_KEY = TRANSFER.replace("0 transfer debit", "0 transfer#a/b debit")
+UNDECLARED_FOOTPRINT = TRANSFER.replace("footprint acct_a acct_b",
+                                        "footprint acct_a acct_b zz")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -97,12 +99,29 @@ SLASH_IN_KEY = TRANSFER.replace("0 transfer debit", "0 transfer#a/b debit")
     (SLASH_IN_NAME, "line 6: 'pay/out'"),
     (SLASH_IN_KEY, "line 19: 'transfer#a/b'"),
     ("node n1\nseed\n", "line 2: usage: seed N"),
+    (UNDECLARED_FOOTPRINT, "action transfer: footprint names unknown "
+                           "object zz"),
 ], ids=["test_outside_footprint", "role_twice", "slash_in_name",
-        "slash_in_key", "seed_without_value"])
+        "slash_in_key", "seed_without_value", "undeclared_footprint"])
 def test_rejected_scenario_exits_two(tmp_path, capsys, monkeypatch, text,
                                      message):
     monkeypatch.setenv("CASIM_OUT_DIR", str(tmp_path))
     rc = cli.main(["run", write_scn(tmp_path, text)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("faults, message", [
+    ("fault at 1 crash beta\nfault at 2 crash beta\n",
+     "error: InconsistentFault: crash of down node beta"),
+    ("fault at 1 recover beta\n",
+     "error: InconsistentFault: recover of up node beta"),
+], ids=["crash_down_node", "recover_up_node"])
+def test_inconsistent_fault_exits_two(tmp_path, capsys, monkeypatch, faults,
+                                      message):
+    # the engine's check is the only one: the store trusts its caller
+    monkeypatch.setenv("CASIM_OUT_DIR", str(tmp_path))
+    rc = cli.main(["run", write_scn(tmp_path, TRANSFER + faults)])
     assert rc == 2
     assert message in capsys.readouterr().err
 

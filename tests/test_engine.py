@@ -6,6 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from casim import audit, sweep
+from casim.dag import CONSTRAINT
 from casim.engine import Simulator
 from casim.scenario import Fault, load_scenario, parse_scenario
 from casim.store import decode_value
@@ -16,7 +17,7 @@ SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
 
 def stable_value(res, name):
-    node = res.store.home(name)
+    node = res.store.homes[name]
     value, _version = res.store.nodes[node].stable[name]
     return decode_value(value)
 
@@ -245,6 +246,24 @@ def test_order_constraint_delays_successor():
     second_started = find_seq(res, lambda ev: ev.kind == "line_recovery"
                               and ev.detail["inst"] == "parent/second")
     assert first_done < second_started
+
+
+def test_order_edge_is_added_once_when_its_later_child_starts():
+    # `third` starts after both ordered children: no second copy of the edge
+    text = ORDERED.replace(
+        "    enter second r\n", "    enter second r\n    enter third r\n"
+    ).replace("nested first second", "nested first second third").replace(
+        "action parent\n",
+        "action third\n  footprint a\n  role r\n    read a\n    exit\nend\n"
+        "action parent\n")
+    for strategy in ("nested", "flatten"):
+        res = run_text(text, strategy=strategy)
+        assert res.outcomes["parent/third"] == "committed"
+        first, second, third = (res.instances["parent/" + n].boundary_nid
+                                for n in ("first", "second", "third"))
+        assert third > max(first, second)
+        assert [e for e in res.instances["parent"].dag.edges
+                if e[2] == CONSTRAINT] == [(first, second, CONSTRAINT)]
 
 
 def test_crash_of_participant_node_aborts_action():
@@ -521,7 +540,7 @@ def test_find_log_in_a_deep_copy_of_a_mid_run_simulator():
     assert rec == sim.store.find_log("beta", "prepare", 0)
     while clone._q:  # the copy's queued applies read the copy's log
         t, _p, _s, fn, args = heapq.heappop(clone._q)
-        clone.now = t
+        clone.trace.now = t
         fn(*args)
     assert stable_value(clone, "acct_b") == 70
     assert stable_value(sim, "acct_b") == 40
@@ -538,12 +557,12 @@ def test_deep_copy_of_a_mid_run_simulator_keeps_its_own_clock():
     sim = Simulator(parse_scenario(text), horizon=60).run()
     before = sim.trace.lines()
     clone = copy.deepcopy(sim)
-    clone.now = 1000  # the copy alone jumps ahead, then runs on
+    clone.trace.now = 1000  # the copy alone jumps ahead, then runs on
 
     def drain(s):
         while s._q:
             t, _p, _s, fn, args = heapq.heappop(s._q)
-            s.now = max(s.now, t)
+            s.trace.now = max(s.trace.now, t)
             fn(*args)
 
     def late_txn_times(s):
@@ -598,22 +617,32 @@ def test_a_finished_run_is_freed_by_reference_counting(monkeypatch):
     assert alive == []
 
 
-def test_no_trace_hook_without_indexed_faults():
-    sim = Simulator(load_scenario(str(SCENARIO_DIR / "crash_recover.scn")))
-    sim.run()
-    assert [ev.kind for ev in sim.trace.events].count("crash") == 1
-    assert sim.trace.hook is None
-
-
-def test_trace_hook_cleared_after_the_last_indexed_fault():
+def test_indexed_faults_fire_in_index_then_file_order():
     sc = replace(parse_scenario(TRANSFER),
                  faults=[Fault("index", 5, "crash", "alpha"),
                          Fault("index", 5, "crash", "beta"),
                          Fault("time", 200, "recover", "alpha")])
     sim = Simulator(sc)
     sim.run()
-    assert sim.trace.hook is None and not sim.indexed_faults
-    # the same seqs as with a hook installed for the whole run
+    assert not sim.indexed_faults
+    # each fault runs right after the handler that emitted event 5
     assert [(ev.seq, ev.kind, ev.detail["node"]) for ev in sim.trace.events
             if ev.kind in ("crash", "recover")] == \
         [(6, "crash", "alpha"), (9, "crash", "beta"), (10, "recover", "alpha")]
+
+
+def test_indexed_fault_on_an_event_of_a_quiesce_abort():
+    # nothing emits `moved`: at the empty queue, quiescence aborts the
+    # instance with events 12 (abort) to 14 (the second outcome)
+    sc = parse_scenario(TRANSFER.replace("sync moved emit\n    ", ""))
+    base = Simulator(sc).run()
+    assert base.trace.events[12].detail == {"cause": "unmatched_await"}
+    assert len(base.trace.events) == 15
+    sim = Simulator(replace(sc, faults=[Fault("index", 14, "crash", "alpha"),
+                                        Fault("index", 12, "crash", "beta")]))
+    sim.run()
+    assert sim.trace.lines()[:15] == base.trace.lines()
+    assert [(ev.seq, ev.time, ev.kind, ev.detail["node"])
+            for ev in sim.trace.events[15:]] == \
+        [(15, 50, "crash", "beta"), (16, 50, "crash", "alpha")]
+    assert not sim.indexed_faults

@@ -61,6 +61,12 @@ client b n1 0 bump#right w
     ("node n1\nfault at 3 crash n2\n", "unknown node"),
     ("role r\n", "outside action"),
     ("end\n", "without action"),
+    ("node n1\nobject x n1 0\naction a\n  footprint x zz\n  role r\n"
+     "    read x\n    exit\nend\n", "footprint names unknown object zz"),
+    ("node n1\nfault at -3 crash n1\n", "line 2: negative fault position"),
+    ("node n1\nfault index -1 crash n1\n",
+     "line 2: negative fault position"),
+    ("action p\n  order b < c\n  order b < c\n", "line 3: duplicate order"),
 ])
 def test_rejections(text, fragment):
     with pytest.raises(ValidationError) as e:

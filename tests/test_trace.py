@@ -36,15 +36,6 @@ def test_roundtrip_parse():
     assert parsed_dumps == dumps
 
 
-def test_hook_sees_every_event():
-    t = trace.Trace()
-    seen = []
-    t.hook = lambda ev: seen.append(ev.seq)
-    t.emit(0, "begin", txn=0)
-    t.emit(0, "abort", txn=0)
-    assert seen == [0, 1]
-
-
 def test_parse_rejects_bad_seq():
     text = "0\t0\tbegin\t0\t-\tparent=-\n5\t0\tabort\t0\t-\t-\n"
     with pytest.raises(MalformedTrace) as e:

@@ -1,15 +1,15 @@
 import pytest
 
 from casim.errors import ChildrenActive, ParentNotActive, TxnTerminal
-from casim.store import ObjectId, ObjectStore
+from casim.store import ObjectStore
 from casim.trace import Trace
 from casim.txn import ACTIVE, ABORTED, COMMITTED, TransactionManager
 
 
 def make():
     store = ObjectStore(["n1", "n2"])
-    store.create_object(ObjectId("x", "n1"), b"1")
-    store.create_object(ObjectId("y", "n2"), b"2")
+    store.create_object("x", "n1", b"1")
+    store.create_object("y", "n2", b"2")
     return store, TransactionManager(store, Trace())
 
 
@@ -18,9 +18,9 @@ def test_begin_tree_and_ancestry():
     top = tm.begin()
     child = tm.begin(top.id)
     grand = tm.begin(child.id)
-    assert tm.is_ancestor(top.id, grand.id)
-    assert tm.is_ancestor(child.id, grand.id)
-    assert not tm.is_ancestor(grand.id, top.id)
+    assert tm.txns.is_ancestor(top.id, grand.id)
+    assert tm.txns.is_ancestor(child.id, grand.id)
+    assert not tm.txns.is_ancestor(grand.id, top.id)
 
 
 def test_begin_under_terminal_parent_rejected():
@@ -131,7 +131,7 @@ def test_writes_by_node_groups_by_home():
 
 def test_unsafe_early_release_drops_write_lock():
     store = ObjectStore(["n1"])
-    store.create_object(ObjectId("x", "n1"), b"1")
+    store.create_object("x", "n1", b"1")
     tm = TransactionManager(store, Trace(), unsafe_early_release=True)
     t = tm.begin()
     tm.acquire(t.id, "x", "w")
