@@ -110,16 +110,13 @@ class CAActionInstance:
 
 
 def validate_defs(defs: dict, known_objects):
-    """Static checks over a set of definitions whose objects must be among
-    `known_objects`.  Raises ValidationError, ModeViolation or
+    """Static checks over a set of definitions whose steps name only objects
+    among `known_objects` (the scenario parser checks each footprint entry
+    at its line).  Raises ValidationError, ModeViolation or
     CyclicConstraint."""
     for name, d in defs.items():
         if not d.roles:
             raise ValidationError("action %s has no roles" % name)
-        for o in d.footprint:
-            if o not in known_objects:
-                raise ValidationError("action %s: footprint names unknown "
-                                      "object %s" % (name, o))
         if d.mode not in MODES:
             raise ValidationError("action %s: unknown mode %r" % (name, d.mode))
         for n in d.nested:

@@ -101,7 +101,10 @@ def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
     cur_action = None
     cur_role = None
-    given = {}      # (action key, role) -> line of the client giving it
+    given = {}        # (action key, role) -> line of the client giving it
+    homes = {}        # object name -> line declaring it
+    footprints = []   # (action, object, line) of each footprint entry
+    fault_lines = []  # line of each fault, in order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.lstrip().startswith("#") or not raw.strip():
             continue
@@ -121,6 +124,9 @@ def parse_scenario(text: str) -> Scenario:
         elif head == "object":
             if len(toks) != 4:
                 raise ValidationError("usage: object NAME NODE VALUE", lineno)
+            first = homes.setdefault(toks[1], lineno)
+            if first != lineno:
+                raise ValidationError("duplicate object %s" % toks[1], lineno)
             sc.objects.append((toks[1], toks[2],
                                _int(toks[3], lineno, "initial value")))
         elif head == "action":
@@ -139,6 +145,7 @@ def parse_scenario(text: str) -> Scenario:
             cur_action.roles[toks[1]] = cur_role
         elif head == "footprint":
             _need_action(cur_action, head, lineno)
+            footprints.extend((cur_action.name, o, lineno) for o in toks[1:])
             cur_action.footprint.extend(toks[1:])
             cur_role = None
         elif head == "test":
@@ -186,6 +193,7 @@ def parse_scenario(text: str) -> Scenario:
                                            _int(toks[3], lineno, "time"),
                                            toks[4], toks[5]))
         elif head == "fault":
+            fault_lines.append(lineno)
             sc.faults.append(_parse_fault(toks, lineno))
         elif head in ("seed", "horizon"):
             if len(toks) != 2:
@@ -200,7 +208,38 @@ def parse_scenario(text: str) -> Scenario:
 
     if cur_action is not None:
         raise ValidationError("unterminated action block %r" % cur_action.name)
-    validate_scenario(sc)
+    # checks that need the whole file, each at the offending line
+    if len(set(sc.nodes)) != len(sc.nodes):
+        raise ValidationError("duplicate node declaration")
+    for name, node, _v in sc.objects:
+        if node not in sc.nodes:
+            raise ValidationError("object %s homed at unknown node %s"
+                                  % (name, node), homes[name])
+    for action, o, lineno in footprints:
+        if o not in homes:
+            raise ValidationError("action %s: footprint names unknown object "
+                                  "%s" % (action, o), lineno)
+    validate_defs(sc.defs, known_objects=homes)
+    for c in sc.clients:
+        if c.node not in sc.nodes:
+            msg = "client %s at unknown node %s" % (c.client, c.node)
+        elif c.defname not in sc.defs:
+            msg = "client %s submits unknown action %s" % (c.client,
+                                                             c.defname)
+        elif c.role not in sc.defs[c.defname].roles:
+            msg = "client %s: action %s has no role %s" % (c.client,
+                                                            c.defname, c.role)
+        else:
+            continue
+        raise ValidationError(msg, given[c.action_key, c.role])
+    for f, lineno in zip(sc.faults, fault_lines):
+        if f.node not in sc.nodes:
+            msg = "fault targets unknown node %s" % f.node
+        elif f.when_kind == "time" and f.when > sc.horizon:
+            msg = "fault at time %d beyond horizon %d" % (f.when, sc.horizon)
+        else:
+            continue
+        raise ValidationError(msg, lineno)
     return sc
 
 
@@ -261,36 +300,6 @@ def _parse_step(toks, lineno) -> Step:
     if head == "exit":
         return Step(EXIT)
     raise ValidationError("unknown step %r" % head, lineno)
-
-
-def validate_scenario(sc: Scenario):
-    if len(set(sc.nodes)) != len(sc.nodes):
-        raise ValidationError("duplicate node declaration")
-    names = set()
-    for name, node, _v in sc.objects:
-        if node not in sc.nodes:
-            raise ValidationError("object %s homed at unknown node %s"
-                                  % (name, node))
-        if name in names:
-            raise ValidationError("duplicate object %s" % name)
-        names.add(name)
-    validate_defs(sc.defs, known_objects=names)
-    for c in sc.clients:
-        if c.node not in sc.nodes:
-            raise ValidationError("client %s at unknown node %s"
-                                  % (c.client, c.node))
-        if c.defname not in sc.defs:
-            raise ValidationError("client %s submits unknown action %s"
-                                  % (c.client, c.defname))
-        if c.role not in sc.defs[c.defname].roles:
-            raise ValidationError("client %s: action %s has no role %s"
-                                  % (c.client, c.defname, c.role))
-    for f in sc.faults:
-        if f.node not in sc.nodes:
-            raise ValidationError("fault targets unknown node %s" % f.node)
-        if f.when_kind == "time" and f.when > sc.horizon:
-            raise ValidationError("fault at time %d beyond horizon %d"
-                                  % (f.when, sc.horizon))
 
 
 def _parse_fault(toks, lineno) -> Fault:

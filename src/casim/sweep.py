@@ -24,8 +24,7 @@ def crash_sweep(scenario: Scenario, nodes=None, recover_after=100,
                 stride=1) -> list:
     """One row per injected crash point: {node, index, time, outcomes,
     ok, failures, stable_unchanged, volatile_cleared}."""
-    base = Simulator(replace(scenario, faults=[])).run()
-    n_events = len(base.trace.events)
+    n_events = len(Simulator(replace(scenario, faults=[])).run().trace.events)
     horizon = scenario.horizon + recover_after + 200
     rows = []
     for node in (nodes or scenario.nodes):
@@ -47,6 +46,7 @@ def crash_sweep(scenario: Scenario, nodes=None, recover_after=100,
                 "stable_unchanged": stable_ok,
                 "volatile_cleared": vol_ok,
             })
+            del res     # free this run before the next one simulates
     return rows
 
 
@@ -62,6 +62,7 @@ def seed_sweep(scenario: Scenario, start: int, stop: int) -> list:
             "ok": ok,
             "failures": failures,
         })
+        del res
     return rows
 
 

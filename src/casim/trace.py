@@ -14,6 +14,17 @@ keys that the audits read directly (`REQUIRED_DETAIL`): `begin` a
 `recover` a `node`; a `commit2` with `phase=decision` an `outcome`, with
 `phase=apply` a `node` and with `phase=nested` an integer `parent`.  The
 parser rejects an event that lacks one.
+
+Within one trace most field values repeat, so both ends keep one object
+per distinct value.  `parse` shares the kind string, each object name,
+detail key and detail value, each (key, value) token pair and each int
+of the time and txn fields across the events it returns, so equal values
+of two events may be one object.  Only immutable strings and ints are
+shared; each event has its own `detail` dict.  The parser reads its text
+in chunks of about `CHUNK_CHARS` characters, each ending just after a
+newline, so it never holds a list of every line; lines and line numbers
+are those of `str.splitlines`.  `Trace.emit` gives equal int detail
+values one string per trace.
 """
 
 from dataclasses import dataclass
@@ -29,8 +40,13 @@ ACTION_KINDS = {"register", "line_recovery", "sync_emit", "sync_await",
 SIM_KINDS = {"msg_send", "msg_recv", "drop", "step", "submit"}
 
 ALL_KINDS = TXN_KINDS | STORE_KINDS | ACTION_KINDS | SIM_KINDS
+# kind -> the one string for it, so parsed events share their kind
+_KINDS = {k: k for k in ALL_KINDS}
 
 DUMP_SECTIONS = ("initial", "stable", "volatile")
+
+# the parser reads its text in chunks of about this many characters
+CHUNK_CHARS = 1 << 16
 
 # kind -> detail keys it must carry; for commit2, phase -> keys
 REQUIRED_DETAIL = {
@@ -67,11 +83,17 @@ class Trace:
     def __init__(self):
         self.events: list[Event] = []
         self.now = 0
+        self._int_text = {}   # int detail value -> its one string
 
     def emit(self, time: int, kind: str, txn=None, obj=None, **detail) -> Event:
         assert kind in ALL_KINDS, kind
         for k, v in detail.items():
-            if type(v) is not str:
+            if type(v) is int:    # exact: True == 1 must stay "True"
+                text = self._int_text.get(v)
+                if text is None:
+                    text = self._int_text[v] = str(v)
+                detail[k] = text
+            elif type(v) is not str:
                 detail[k] = str(v)
         ev = Event(len(self.events), time, kind, txn, obj, detail)
         self.events.append(ev)
@@ -90,18 +112,6 @@ class Trace:
         return "\n".join(out) + "\n"
 
 
-def parse_detail(text: str) -> dict:
-    if text == "-":
-        return {}
-    out = {}
-    for tok in text.split(" "):
-        if "=" not in tok:
-            raise MalformedTrace("bad detail token %r" % tok)
-        k, v = tok.split("=", 1)
-        out[k] = v
-    return out
-
-
 def _check_detail(kind, detail, need, lineno):
     if kind == "commit2":
         need = need.get(detail.get("phase"), ())
@@ -118,6 +128,25 @@ def _check_detail(kind, detail, need, lineno):
                                  lineno)
 
 
+def _lines(text: str):
+    """The lines of `text`, exactly as `text.splitlines()` gives them, split
+    one chunk of about CHUNK_CHARS characters at a time.  Each chunk ends
+    just after a newline, which no line break continues past, so no line
+    is cut and the list of every line is never built."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + CHUNK_CHARS) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def _pair(tok: str, strings: dict, lineno: int) -> tuple:
+    if "=" not in tok:
+        raise MalformedTrace("bad detail token %r" % tok, lineno)
+    k, v = tok.split("=", 1)
+    return strings.setdefault(k, k), strings.setdefault(v, v)
+
+
 def parse(text: str):
     """Parse a trace file into (events, dump_sections).
 
@@ -129,7 +158,11 @@ def parse(text: str):
     section = None
     in_dump = False
     expect_seq = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # one object per distinct value within this parse
+    ints = {}       # time or txn field -> int
+    strings = {}    # object name, detail key or value -> itself
+    pairs = {}      # detail token -> (key, value)
+    for lineno, raw in enumerate(_lines(text), start=1):
         if not raw.strip():
             continue
         if in_dump:
@@ -163,21 +196,31 @@ def parse(text: str):
             raise MalformedTrace("expected 6 tab-separated fields", lineno)
         try:
             seq = int(parts[0])
-            time = int(parts[1])
-            txn = None if parts[3] == "-" else int(parts[3])
+            time = ints.get(parts[1])
+            if time is None:
+                time = ints[parts[1]] = int(parts[1])
+            txn = None
+            if parts[3] != "-":
+                txn = ints.get(parts[3])
+                if txn is None:
+                    txn = ints[parts[3]] = int(parts[3])
         except ValueError:
             raise MalformedTrace("non-integer seq, time or txn", lineno)
         if seq != expect_seq:
             raise MalformedTrace("seq %d out of order" % seq, lineno)
         expect_seq += 1
-        kind = parts[2]
-        if kind not in ALL_KINDS:
-            raise MalformedTrace("unknown event kind %r" % kind, lineno)
-        obj = None if parts[4] == "-" else parts[4]
-        try:
-            detail = parse_detail(parts[5])
-        except MalformedTrace as e:
-            raise MalformedTrace(str(e), lineno)
+        kind = _KINDS.get(parts[2])
+        if kind is None:
+            raise MalformedTrace("unknown event kind %r" % parts[2], lineno)
+        obj = None if parts[4] == "-" else strings.setdefault(parts[4],
+                                                              parts[4])
+        detail = {}
+        if parts[5] != "-":
+            for tok in parts[5].split(" "):
+                pair = pairs.get(tok)
+                if pair is None:
+                    pair = pairs[tok] = _pair(tok, strings, lineno)
+                detail[pair[0]] = pair[1]
         need = REQUIRED_DETAIL.get(kind)
         if need is not None:
             _check_detail(kind, detail, need, lineno)

@@ -74,6 +74,37 @@ def test_rejections(text, fragment):
     assert fragment in str(e.value)
 
 
+ONE_ACTION = ("node n1\nobject x n1 0\naction a\n  footprint x\n  role r\n"
+              "    read x\n    exit\nend\nclient ok n1 0 a r\n")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("node n1\nobject x n2 0\n", 2, "object x homed at unknown node n2"),
+    ("node n1\nobject x n1 0\nobject y n1 0\nobject x n1 1\n", 4,
+     "duplicate object x"),
+    ("node n1\nobject x n1 0\naction a\n  footprint x\n  footprint zz\n"
+     "  role r\n    read x\n    exit\nend\n", 5,
+     "action a: footprint names unknown object zz"),
+    (ONE_ACTION + "client c n2 0 a#k r\n", 10, "client c at unknown node n2"),
+    (ONE_ACTION + "client c n1 0 b r\n", 10,
+     "client c submits unknown action b"),
+    (ONE_ACTION + "client c n1 0 a#k s\n", 10,
+     "client c: action a has no role s"),
+    (ONE_ACTION + "fault at 3 crash n1\nfault at 5 crash n2\n", 11,
+     "fault targets unknown node n2"),
+    ("node n1\nfault at 50 crash n1\nhorizon 10\n", 2,
+     "fault at time 50 beyond horizon 10"),
+], ids=["object_node", "duplicate_object", "footprint", "client_node",
+        "client_action", "client_role", "fault_node", "fault_horizon"])
+def test_whole_scenario_checks_name_the_line(text, line, message):
+    """Checks that run after the whole file is read still point at the
+    declaring line."""
+    with pytest.raises(ValidationError) as e:
+        parse_scenario(text)
+    assert e.value.line == line
+    assert str(e.value) == "line %d: %s" % (line, message)
+
+
 def test_error_carries_line_number():
     with pytest.raises(ValidationError) as e:
         parse_scenario("node n1\nobject x n1 oops\n")

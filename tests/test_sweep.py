@@ -1,3 +1,8 @@
+import gc
+import weakref
+
+from casim import sweep
+from casim.engine import Simulator
 from casim.scenario import parse_scenario
 from casim.sweep import crash_sweep, render_rows, seed_sweep
 
@@ -27,3 +32,28 @@ def test_render_rows_table():
     lines = table.strip().split("\n")
     assert lines[0].startswith("seed\t")
     assert len(lines) == 3
+
+
+def test_sweeps_hold_one_run_at_a_time(monkeypatch):
+    """Each run is freed once its row is built, before the next one (and,
+    in a crash sweep, after the fault-free run that counts the events)."""
+    live = []
+    most = []
+
+    class Tracked(Simulator):
+        def run(self):
+            live[:] = [ref for ref in live if ref() is not None]
+            most.append(len(live))
+            live.append(weakref.ref(self))
+            return super().run()
+
+    monkeypatch.setattr(sweep, "Simulator", Tracked)
+    sc = parse_scenario(TRANSFER)
+    gc.collect()
+    gc.disable()
+    try:
+        runs = len(seed_sweep(sc, 0, 3)) + 1 + len(crash_sweep(sc, stride=8))
+    finally:
+        gc.enable()
+    assert len(most) == runs
+    assert max(most) == 0
