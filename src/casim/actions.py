@@ -102,7 +102,6 @@ class CAActionInstance:
         self.nested: dict[str, str] = {}
         self.boundary_nid: int | None = None    # node in parent's DAG
         self.last_nid: dict[int, int] = {}      # thread id -> last DAG node
-        self.twopc = None
 
     @property
     def terminal(self) -> bool:
@@ -117,8 +116,6 @@ def validate_defs(defs: dict, known_objects):
     for name, d in defs.items():
         if not d.roles:
             raise ValidationError("action %s has no roles" % name)
-        if d.mode not in MODES:
-            raise ValidationError("action %s: unknown mode %r" % (name, d.mode))
         for n in d.nested:
             if n not in defs:
                 raise ValidationError("action %s nests unknown action %s"

@@ -1,9 +1,9 @@
 """Post-run trace audits.
 
 Every audit here works from the trace alone (plus the appended state
-dumps), rebuilding transaction trees, lock states and action lifecycles
-independently of the live simulator structures, so a bug in the engine
-cannot vouch for itself.
+dumps), rebuilding transaction trees, lock states and the lifecycles of
+actions and transactions independently of the live simulator
+structures, so a bug in the engine cannot vouch for itself.
 
 Every pass is linear in the length of the trace: serializability keeps
 only per-object frontier edges, and the smuggling and lock-rule scans
@@ -15,7 +15,6 @@ import heapq
 from collections import defaultdict
 
 from . import trace as trace_mod
-from .errors import MalformedTrace
 from .locks import WRITE, conflicts
 
 
@@ -191,19 +190,59 @@ def scan_smuggling(events):
 
 BODY_KINDS = ("read", "write", "step", "sync_emit", "sync_await",
               "line_recovery", "test_line")
+TXN_OPS = frozenset(("read", "write", "grant", "queue"))
+TXN_ENDS = (("nested", None), ("decision", "commit"))  # commit2 phase, outcome
 
 
 def scan_bracketing(events):
     """Every action-body event must fall after that instance's final
-    registration and before its outcome delivery."""
+    registration and before its outcome delivery.  Each transaction begins
+    once under an open parent, reads, writes, is granted and queues only
+    while open, and ends once (abort, nested commit or commit decision),
+    after every child it began; these problems follow the instance ones."""
     last_register: dict[str, int] = {}
     first_outcome: dict[str, int] = {}
-    problems = []
+    parent: dict = {}                # begun txn -> its parent txn or "-"
+    open_kids: dict = {"-": set()}   # open txn ("-": the root) -> open kids
+    txn_problems = []
     for ev in events:
-        if ev.kind == "register" and ev.detail.get("ok") == "1":
+        kind, t = ev.kind, ev.txn
+        if kind in TXN_OPS:
+            if t not in open_kids:
+                txn_problems.append("seq %d: %s by txn %s %s" % (
+                    ev.seq, kind, t, "after its end" if t in parent
+                    else "before its begin"))
+        elif kind == "register" and ev.detail.get("ok") == "1":
             last_register[ev.detail["inst"]] = ev.seq
-        elif ev.kind == "outcome":
+        elif kind == "outcome":
             first_outcome.setdefault(ev.detail["inst"], ev.seq)
+        elif kind == "begin":
+            p = ev.detail["parent"]
+            p = p if p == "-" else int(p)
+            if t in parent:
+                txn_problems.append("seq %d: txn %s begins again"
+                                    % (ev.seq, t))
+                continue
+            parent[t], open_kids[t] = p, set()
+            if p in open_kids:
+                open_kids[p].add(t)
+            else:
+                txn_problems.append("seq %d: txn %s begins under txn %s, "
+                                    "which is not open" % (ev.seq, t, p))
+        elif kind == "abort" or kind == "commit2" and (
+                ev.detail.get("phase"), ev.detail.get("outcome")) in TXN_ENDS:
+            kids = open_kids.pop(t, None)
+            if kids is None:
+                txn_problems.append("seq %d: txn %s ends %s" % (
+                    ev.seq, t, "again" if t in parent else "before its begin"))
+                continue
+            siblings = open_kids.get(parent[t])
+            if siblings is not None:
+                siblings.discard(t)
+            if kids:
+                txn_problems.append("seq %d: txn %s ends before its child "
+                                    "txn %s" % (ev.seq, t, min(kids)))
+    problems = []
     for ev in events:
         if ev.kind not in BODY_KINDS:
             continue
@@ -219,6 +258,7 @@ def scan_bracketing(events):
         elif inst in first_outcome and ev.seq > first_outcome[inst]:
             problems.append("seq %d: %s body event after %s outcome"
                             % (ev.seq, ev.kind, inst))
+    problems += txn_problems
     return not problems, problems
 
 

@@ -29,7 +29,9 @@ Top-level commits run two-phase commit over simulated messages with
 presumed abort: a prepared participant that finds no commit record at the
 coordinator resolves to abort.  A recovering node resolves only its own
 prepared records; as coordinator it applies its commits at participants
-that are still in doubt.
+that are still in doubt.  A `TwoPC` keeps only acks and applies: the
+decision is its instance's status, and each prepare reads its redo from
+the txn's writes, which no step or abort changes after the test line.
 """
 
 import heapq
@@ -42,7 +44,7 @@ from .errors import DeadlockVictim, InconsistentFault, NodeDown
 from .scenario import Scenario
 from .store import LogRecord, ObjectStore, encode_value, decode_value
 from .trace import Trace
-from .txn import ACTIVE, TransactionManager
+from .txn import TransactionManager
 
 MSG_LATENCY = (1, 3)
 TWO_PC_TIMEOUT = 20
@@ -87,10 +89,8 @@ class TwoPC:
     txn: int
     coordinator: str
     parts: list
-    redo: dict                      # node -> {name: value}
     acks: set = field(default_factory=set)
     applied: set = field(default_factory=set)
-    decided: str | None = None      # None | commit | abort
 
 
 class Simulator:
@@ -496,7 +496,7 @@ class Simulator:
     def _txn_view(self, txn_id, name) -> bytes:
         t = txn_id
         while t is not None:
-            txn = self.txns.get(t)
+            txn = self.txns.txns[t]
             if name in txn.writes:
                 return txn.writes[name]
             t = txn.parent
@@ -538,10 +538,8 @@ class Simulator:
                 continue
             self.trace.emit(self.now, "outcome", inst=inst.key, th=tid,
                             role=role, outcome=inst.status)
-            while th.frames and th.frames[-1].instance is not inst:
-                th.frames.pop()
-            if th.frames:
-                th.frames.pop()
+            # children delivered first, so inst's frame is on top
+            th.frames.pop()
             if th.frames:
                 th.frames[-1].pc += 1
                 th.status = RUNNABLE
@@ -565,23 +563,19 @@ class Simulator:
             child = self.instances[key]
             if not child.terminal:
                 self.coordinated_abort(child, "parent_abort")
-        st = inst.twopc
+        st = self.inflight.get(inst.txn_id) if inst.parent is None else None
         if st is not None:
             # undecided: each decision makes the instance terminal at once
-            st.decided = "abort"
             if self.store.node_up(st.coordinator):
                 self.store.append_log(st.coordinator,
                                       LogRecord("abort", st.txn))
             self.trace.emit(self.now, "commit2", txn=st.txn,
                             phase="decision", outcome="abort")
-        if inst.txn_id is not None:
-            own_txn = inst.parent is None or inst.parent.txn_id != inst.txn_id
-            if own_txn:
-                if self.txns.get(inst.txn_id).status == ACTIVE:
-                    self._apply_grants(self.txns.abort(inst.txn_id, cause=cause))
-            elif inst.savepoint is not None:
-                self.txns.rollback_to(inst.savepoint)
-                inst.savepoint = None
+        if inst.savepoint is not None:  # a region of its parent's txn
+            self.txns.rollback_to(inst.savepoint)
+            inst.savepoint = None
+        elif inst.txn_id is not None:
+            self._apply_grants(self.txns.abort(inst.txn_id, cause=cause))
         inst.status = act.ABORTED
         inst.abort_cause = cause
         self._deliver_outcome(inst)
@@ -592,25 +586,21 @@ class Simulator:
     # two-phase commit
 
     def _start_2pc(self, inst):
-        redo = self.txns.writes_by_node(inst.txn_id)
-        st = TwoPC(inst.key, inst.txn_id, inst.origin_node, sorted(redo),
-                   redo)
-        inst.twopc = st
+        st = TwoPC(inst.key, inst.txn_id, inst.origin_node,
+                   sorted(self.txns.writes_by_node(inst.txn_id)))
         self.inflight[st.txn] = st
         if not st.parts:
             self._decide_commit(st)
             return
         for p in st.parts:
             self._send(st.coordinator, p, "prepare", self._on_prepare, st, p)
-        self.schedule(self.now + TWO_PC_TIMEOUT, self._timeout, st)
-
-    def _timeout(self, st):
-        if st.decided is None:
-            self.coordinated_abort(self.instances[st.key], "2pc_timeout")
+        self.schedule(self.now + TWO_PC_TIMEOUT, self.coordinated_abort, inst,
+                      "2pc_timeout")
 
     def _on_prepare(self, st, p):
+        part = self.txns.writes_by_node(st.txn)[p]
         redo = tuple((name, value, self.store.committed(name)[1] + 1)
-                     for name, value in sorted(st.redo[p].items()))
+                     for name, value in sorted(part.items()))
         self.store.append_log(p, LogRecord("prepare", st.txn,
                                            coordinator=st.coordinator,
                                            redo=redo))
@@ -619,16 +609,14 @@ class Simulator:
 
     def _on_ack(self, st, p):
         st.acks.add(p)
-        if st.decided is None and set(st.parts) <= st.acks:
+        if not self.instances[st.key].terminal and set(st.parts) <= st.acks:
             self._decide_commit(st)
 
     def _decide_commit(self, st):
-        st.decided = "commit"
         self.store.append_log(st.coordinator, LogRecord("commit", st.txn))
         self.trace.emit(self.now, "commit2", txn=st.txn, phase="decision",
                         outcome="commit", parts=",".join(st.parts) or "-")
-        self.txns.mark_committed(st.txn)
-        written = set(self.txns.get(st.txn).writes)
+        written = set(self.txns.txns[st.txn].writes)
         other = [o for o, _m in self.txns.locktable.locks_of(st.txn)
                  if o not in written]
         self._apply_grants(self.txns.locktable.release_objects(st.txn, other))
@@ -746,10 +734,11 @@ class Simulator:
                 continue
             # decided: the coordinator's crash killed its first
             # registrant's thread, and so aborted the instance
-            if st.decided == "abort" \
+            status = self.instances[st.key].status
+            if status == act.ABORTED \
                     and self.store.find_log(node, "abort", st.txn) is None:
                 self.store.append_log(node, LogRecord("abort", st.txn))
-            elif st.decided == "commit":
+            elif status == act.COMMITTED:
                 for p in st.parts:
                     if p not in st.applied and self.store.node_up(p):
                         self._apply_at(st, p)

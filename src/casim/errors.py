@@ -13,22 +13,6 @@ class NodeDown(SimError):
 
 # --- transaction engine ---
 
-class TxnNotActive(SimError):
-    pass
-
-
-class ParentNotActive(SimError):
-    pass
-
-
-class ChildrenActive(SimError):
-    pass
-
-
-class TxnTerminal(SimError):
-    pass
-
-
 class DeadlockVictim(SimError):
     """Raised to the requester chosen to die under wait-die arbitration."""
     pass

@@ -50,7 +50,7 @@ another in its action.
 from dataclasses import dataclass, field
 
 from .actions import (CAActionDef, AcceptanceTest, Role, Step,
-                      DEFAULT_DEADLINE, MODES, validate_defs,
+                      MODES, validate_defs,
                       READ, WRITE, SYNC, ENTER, EXIT)
 from .errors import ValidationError
 from .exprs import Expr
@@ -120,6 +120,8 @@ def parse_scenario(text: str) -> Scenario:
         if head == "node":
             if len(toks) != 2:
                 raise ValidationError("usage: node NAME", lineno)
+            if toks[1] in sc.nodes:
+                raise ValidationError("duplicate node %s" % toks[1], lineno)
             sc.nodes.append(toks[1])
         elif head == "object":
             if len(toks) != 4:
@@ -209,8 +211,6 @@ def parse_scenario(text: str) -> Scenario:
     if cur_action is not None:
         raise ValidationError("unterminated action block %r" % cur_action.name)
     # checks that need the whole file, each at the offending line
-    if len(set(sc.nodes)) != len(sc.nodes):
-        raise ValidationError("duplicate node declaration")
     for name, node, _v in sc.objects:
         if node not in sc.nodes:
             raise ValidationError("object %s homed at unknown node %s"

@@ -109,7 +109,8 @@ class Trace:
             for section in DUMP_SECTIONS:
                 out.append("[%s]" % section)
                 out.extend(dumps.get(section, []))
-        return "\n".join(out) + "\n"
+        out.append("")  # the final newline, without copying the text again
+        return "\n".join(out) or "\n"
 
 
 def _check_detail(kind, detail, need, lineno):

@@ -1,31 +1,28 @@
 """Nested-transaction substrate: transaction trees, undo logs, in-place
 tentative writes, lock acquisition, nested commit with anti-inheritance,
-and subtree abort.
+and abort.
 
 Top-level (distributed) commit is a protocol spanning several simulator
 events; the event-driven side lives in the engine, which calls back into
 the bookkeeping here.  A flat transaction is simply a depth-0 tree.
+
+The manager keeps no lifecycle state: it trusts the engine, whose action
+instances end each transaction once and every open child first, and the
+trace audit (`audit.scan_bracketing`) checks those lifecycles.
 """
 
 from dataclasses import dataclass, field
 
 from . import locks
-from .errors import (ChildrenActive, ParentNotActive, TxnNotActive,
-                     TxnTerminal, NodeDown)
+from .errors import NodeDown
 from .store import ObjectStore
 from .trace import Trace
-
-ACTIVE = "active"
-COMMITTED = "committed"
-ABORTED = "aborted"
 
 
 @dataclass
 class Txn:
     id: int
     parent: int | None
-    status: str = ACTIVE
-    children: list = field(default_factory=list)
     undo: list = field(default_factory=list)     # (name, old value) in write order
     writes: dict = field(default_factory=dict)   # name -> newest tentative value
 
@@ -69,19 +66,10 @@ class TransactionManager:
 
     # --- tree bookkeeping ---
 
-    def get(self, txn_id: int) -> Txn:
-        return self.txns[txn_id]
-
     def begin(self, parent: int | None = None) -> Txn:
-        if parent is not None:
-            p = self.txns[parent]
-            if p.status != ACTIVE:
-                raise ParentNotActive(parent)
         txn = Txn(self._next, parent)
         self._next += 1
         self.txns[txn.id] = txn
-        if parent is not None:
-            self.txns[parent].children.append(txn.id)
         self.trace.emit(self.trace.now, "begin", txn=txn.id,
                         parent="-" if parent is None else parent)
         return txn
@@ -89,8 +77,6 @@ class TransactionManager:
     # --- locking ---
 
     def acquire(self, txn_id: int, obj: str, mode: str, tag=None) -> str:
-        if self.txns[txn_id].status != ACTIVE:
-            raise TxnNotActive(txn_id)
         already = self.locktable.held_mode(obj, txn_id)
         if already == locks.WRITE or already == mode:
             return "granted"
@@ -114,8 +100,6 @@ class TransactionManager:
 
     def write(self, txn_id: int, name: str, value: bytes, **ctx):
         txn = self.txns[txn_id]
-        if txn.status != ACTIVE:
-            raise TxnNotActive(txn_id)
         old = self.store.read_volatile(name)
         txn.undo.append((name, old))
         txn.writes[name] = value
@@ -134,42 +118,21 @@ class TransactionManager:
         """Anti-inherit locks, undo entries and tentative writes into the
         parent; effects stay tentative.  Returns promoted lock requests."""
         txn = self.txns[txn_id]
-        if txn.status != ACTIVE:
-            raise TxnTerminal(txn_id)
-        if any(self.txns[c].status == ACTIVE for c in txn.children):
-            raise ChildrenActive(txn_id)
         parent = self.txns[txn.parent]
         parent.undo.extend(txn.undo)
         parent.writes.update(txn.writes)
-        txn.status = COMMITTED
         granted = self.locktable.transfer(txn_id, parent.id)
         self.trace.emit(self.trace.now, "commit2", txn=txn_id, phase="nested",
                         parent=parent.id)
         return granted
 
     def abort(self, txn_id: int, cause="abort"):
-        """Abort the whole subtree depth-first; undo newest-first; release
-        every lock of the subtree.  Returns promoted lock requests."""
-        txn = self.txns[txn_id]
-        if txn.status != ACTIVE:
-            raise TxnTerminal(txn_id)
-        granted = []
-        for child in reversed(txn.children):
-            if self.txns[child].status == ACTIVE:
-                granted.extend(self.abort(child, cause="parent"))
-        self._undo_to(txn, 0)
-        txn.status = ABORTED
+        """Abort one transaction, whose children have ended: undo its
+        writes newest-first and release its locks.  Returns promoted lock
+        requests."""
+        self._undo_to(self.txns[txn_id], 0)
         self.trace.emit(self.trace.now, "abort", txn=txn_id, cause=cause)
-        granted.extend(self.locktable.release_all(txn_id))
-        return granted
-
-    def mark_committed(self, txn_id: int):
-        txn = self.txns[txn_id]
-        if txn.status != ACTIVE:
-            raise TxnTerminal(txn_id)
-        if any(self.txns[c].status == ACTIVE for c in txn.children):
-            raise ChildrenActive(txn_id)
-        txn.status = COMMITTED
+        return self.locktable.release_all(txn_id)
 
     # --- savepoints (flatten-strategy nested regions) ---
 

@@ -1,11 +1,17 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casim import audit
+from casim import actions as act, audit, sweep
+from casim.engine import Simulator
 from casim.errors import MalformedTrace
+from casim.scenario import load_scenario
 from casim.trace import Trace, parse
 
 from conftest import TRANSFER, run_text
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def good_trace_report():
@@ -233,6 +239,85 @@ def test_bracketing_flags_event_outside_action_span():
     t.emit(3, "write", txn=0, obj="x", val="32", inst="a", th=0)  # too late
     ok, problems = audit.scan_bracketing(t.events)
     assert not ok and "after a outcome" in problems[0]
+
+
+def _txn_trace(*events):
+    """A trace of (kind, txn, detail) events, one tick apart."""
+    t = Trace()
+    for time, (kind, txn, detail) in enumerate(events):
+        t.emit(time, kind, txn=txn, **detail)
+    return t.events
+
+
+TOP = {"parent": "-"}
+NESTED_COMMIT = {"phase": "nested", "parent": 0}
+COMMIT = {"phase": "decision", "outcome": "commit", "parts": "-"}
+
+
+@pytest.mark.parametrize("events, problem", [
+    ([("begin", 0, TOP), ("begin", 0, TOP)], "seq 1: txn 0 begins again"),
+    ([("begin", 1, {"parent": 0})],
+     "seq 0: txn 1 begins under txn 0, which is not open"),
+    ([("begin", 0, TOP), ("abort", 0, {}), ("begin", 1, {"parent": 0})],
+     "seq 2: txn 1 begins under txn 0, which is not open"),
+    ([("read", 0, {"obj": "x", "val": "31"}), ("begin", 0, TOP)],
+     "seq 0: read by txn 0 before its begin"),
+    ([("begin", 0, TOP), ("commit2", 0, COMMIT),
+      ("write", 0, {"obj": "x", "val": "31"})],
+     "seq 2: write by txn 0 after its end"),
+    ([("begin", 0, TOP), ("abort", 0, {}),
+      ("grant", 0, {"obj": "x", "mode": "r"})],
+     "seq 2: grant by txn 0 after its end"),
+    ([("begin", 0, TOP), ("begin", 1, {"parent": 0}),
+      ("commit2", 1, NESTED_COMMIT), ("queue", 1, {"obj": "x", "mode": "w"})],
+     "seq 3: queue by txn 1 after its end"),
+    ([("abort", 0, {})], "seq 0: txn 0 ends before its begin"),
+    ([("begin", 0, TOP), ("abort", 0, {}), ("abort", 0, {})],
+     "seq 2: txn 0 ends again"),
+    ([("begin", 0, TOP), ("commit2", 0, COMMIT), ("abort", 0, {})],
+     "seq 2: txn 0 ends again"),
+    ([("begin", 0, TOP), ("begin", 1, {"parent": 0}), ("abort", 0, {})],
+     "seq 2: txn 0 ends before its child txn 1"),
+], ids=["begin_twice", "parent_not_begun", "parent_ended", "op_before_begin",
+        "op_after_commit", "grant_after_abort", "queue_after_nested_commit",
+        "end_before_begin", "abort_twice", "abort_after_commit",
+        "end_before_child"])
+def test_bracketing_flags_transaction_lifecycle(events, problem):
+    ok, problems = audit.scan_bracketing(_txn_trace(*events))
+    assert not ok
+    assert problems == [problem]
+
+
+def test_bracketing_accepts_abort_decision_then_abort():
+    """An abort decision is not an end; the abort after it is, and the
+    apply and late commit1 that may follow are no operations."""
+    ok, problems = audit.scan_bracketing(_txn_trace(
+        ("begin", 0, TOP), ("begin", 1, {"parent": 0}),
+        ("grant", 1, {"obj": "x", "mode": "w"}),
+        ("commit2", 1, NESTED_COMMIT),
+        ("commit2", 0, {"phase": "decision", "outcome": "abort"}),
+        ("abort", 0, {}), ("commit1", 0, {"node": "n1"}),
+        ("begin", 2, TOP), ("commit2", 2, COMMIT),
+        ("commit2", 2, {"phase": "apply", "node": "n1", "objs": "x"})))
+    assert ok, problems
+
+
+def test_bracketing_flags_a_double_abort_on_every_crash_sweep(monkeypatch):
+    """A coordinated abort that aborts an aborted instance again passes the
+    other five audits; the transaction bracketing flags its second abort."""
+    orig = Simulator.coordinated_abort
+
+    def abort_again(sim, inst, cause):
+        if inst.status == act.ABORTED:
+            inst.status = act.RUNNING
+        orig(sim, inst, cause)
+
+    monkeypatch.setattr(Simulator, "coordinated_abort", abort_again)
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        rows = [r for r in sweep.crash_sweep(load_scenario(path))
+                if not r["ok"]]
+        assert rows, path.name
+        assert all(r["failures"] == ["bracketing"] for r in rows), path.name
 
 
 def test_lock_rule_flags_non_ancestor_coexistence():

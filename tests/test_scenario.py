@@ -67,6 +67,29 @@ client b n1 0 bump#right w
     ("node n1\nfault index -1 crash n1\n",
      "line 2: negative fault position"),
     ("action p\n  order b < c\n  order b < c\n", "line 3: duplicate order"),
+    ("node\n", "line 1: usage: node NAME"),
+    ("object x n1\n", "line 1: usage: object NAME NODE VALUE"),
+    ("action a\naction b\n", "line 2: nested `action` block"),
+    ("action\n", "line 1: usage: action NAME"),
+    ("action a mode=odd\n", "line 1: unknown mode 'odd'"),
+    ("action a fast\n", "line 1: unknown action option 'fast'"),
+    ("footprint x\n", "line 1: `footprint` outside action block"),
+    ("action a\n  role\n", "line 2: usage: role NAME"),
+    ("action a\n  role r\n  role r\n", "line 3: duplicate role r"),
+    ("action a\n  test t\n", "line 2: usage: test NAME EXPR"),
+    ("action a\n  test t x +\n", "line 2: bad expression"),
+    ("action a\n  order b c\n", "line 2: usage: order A < B"),
+    ("action a\n  role r\n    exit\nend\naction a\n  role r\n    exit\n"
+     "end\n", "line 8: duplicate action a"),
+    ("client c n1 0 a\n", "line 1: usage: client NAME NODE TIME ACTION ROLE"),
+    ("strategy sideways\n", "line 1: usage: strategy flatten|nested"),
+    ("action a\n  role r\n    read\n", "line 3: usage: read OBJECT"),
+    ("action a\n  role r\n    write x\n", "line 3: usage: write OBJECT EXPR"),
+    ("action a\n  role r\n    write x x +\n", "line 3: bad expression"),
+    ("action a\n  role r\n    sync s\n",
+     "line 3: usage: sync SIGNAL emit|await"),
+    ("action a\n  role r\n    enter b\n", "line 3: usage: enter ACTION ROLE"),
+    ("action a\n  role r\n    jump\n", "line 3: unknown step 'jump'"),
 ])
 def test_rejections(text, fragment):
     with pytest.raises(ValidationError) as e:
@@ -79,6 +102,7 @@ ONE_ACTION = ("node n1\nobject x n1 0\naction a\n  footprint x\n  role r\n"
 
 
 @pytest.mark.parametrize("text, line, message", [
+    ("node n1\nnode n2\nnode n1\n", 3, "duplicate node n1"),
     ("node n1\nobject x n2 0\n", 2, "object x homed at unknown node n2"),
     ("node n1\nobject x n1 0\nobject y n1 0\nobject x n1 1\n", 4,
      "duplicate object x"),
@@ -94,7 +118,7 @@ ONE_ACTION = ("node n1\nobject x n1 0\naction a\n  footprint x\n  role r\n"
      "fault targets unknown node n2"),
     ("node n1\nfault at 50 crash n1\nhorizon 10\n", 2,
      "fault at time 50 beyond horizon 10"),
-], ids=["object_node", "duplicate_object", "footprint", "client_node",
+], ids=["duplicate_node", "object_node", "duplicate_object", "footprint", "client_node",
         "client_action", "client_role", "fault_node", "fault_horizon"])
 def test_whole_scenario_checks_name_the_line(text, line, message):
     """Checks that run after the whole file is read still point at the

@@ -159,7 +159,15 @@ def test_parse_inverts_render(events):
     values are strings come back equal from their rendered lines."""
     t = trace.Trace()
     t.events = events
-    assert trace.parse(t.render()) == (events, {})
+    text = t.render()
+    assert text == "\n".join(t.lines()) + "\n"
+    assert trace.parse(text) == (events, {})
+
+
+def test_render_of_no_events_is_one_newline():
+    assert trace.Trace().render() == "\n"
+    assert trace.Trace().render({}) == \
+        "dump\n[initial]\n[stable]\n[volatile]\n"
 
 
 # --- the parser before it shared values and streamed its lines, kept as
