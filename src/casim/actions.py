@@ -108,94 +108,109 @@ class CAActionInstance:
         return self.status in (COMMITTED, ABORTED)
 
 
-def validate_defs(defs: dict, known_objects):
+def validate_defs(defs: dict, known_objects, lines=None):
     """Static checks over a set of definitions whose steps name only objects
     among `known_objects` (the scenario parser checks each footprint entry
     at its line).  Raises ValidationError, ModeViolation or
-    CyclicConstraint."""
+    CyclicConstraint at the line, in `lines`, of the declaration it is
+    about: keys `(action,)` for the header, `(action, "nested", name)`,
+    `(action, "order", before, after)` and `(action, "test", i)` map to a
+    line, and `(action, "role", role)` to the lines of the role's steps.
+    A declaration missing from `lines` reports no line."""
+    at = (lines or {}).get
     for name, d in defs.items():
         if not d.roles:
-            raise ValidationError("action %s has no roles" % name)
+            raise ValidationError("action %s has no roles" % name,
+                                  at((name,)))
         for n in d.nested:
+            line = at((name, "nested", n))
             if n not in defs:
                 raise ValidationError("action %s nests unknown action %s"
-                                      % (name, n))
+                                      % (name, n), line)
             child = defs[n]
             if len(child.roles) > len(d.roles):
                 raise ValidationError(
                     "action %s: nested %s has more roles than its parent"
-                    % (name, n))
+                    % (name, n), line)
             if any(o not in d.footprint for o in child.footprint):
                 raise ValidationError(
                     "action %s: nested %s footprint exceeds parent footprint"
-                    % (name, n))
+                    % (name, n), line)
         if d.mode == FLAT and d.nested:
-            raise ModeViolation("action %s: mode=flat forbids nesting" % name)
+            raise ModeViolation("action %s: mode=flat forbids nesting" % name,
+                                at((name, "nested", d.nested[0])))
         if d.mode == NESTED_SAME_KIND:
             for n in d.nested:
                 if defs[n].multi_role != d.multi_role:
                     raise ModeViolation(
                         "action %s: mixed-kind nesting of %s under "
-                        "mode=nested_same_kind" % (name, n))
+                        "mode=nested_same_kind" % (name, n),
+                        at((name, "nested", n)))
         for a, b in d.order:
             for x in (a, b):
                 if x not in d.nested:
                     raise ValidationError(
                         "action %s: ordering constraint names %s, which is "
-                        "not nested here" % (name, x))
-        _check_order_acyclic(name, d.order)
-        for t in d.tests:
+                        "not nested here" % (name, x),
+                        at((name, "order", a, b)))
+        _check_order_acyclic(name, d.order, at)
+        for i, t in enumerate(d.tests):
             for o in t.expr.names:
                 if o not in d.footprint:
                     raise ValidationError("action %s: test %s names %s, "
                                           "outside the footprint"
-                                          % (name, t.name, o))
+                                          % (name, t.name, o),
+                                          at((name, "test", i)))
         for role in d.roles.values():
+            step_lines = at((name, "role", role.name))
             for i, step in enumerate(role.steps):
                 _validate_step(name, role.name, i, step, d, defs,
-                               known_objects)
+                               known_objects,
+                               step_lines[i] if step_lines else None)
 
 
-def _check_order_acyclic(action, order):
+def _check_order_acyclic(action, order, at):
     succ = {}
     for a, b in order:
-        succ.setdefault(a, []).append(b)
+        succ.setdefault(a, []).append((b, at((action, "order", a, b))))
     seen, done = set(), set()
     for n in list(succ):
-        _visit(action, succ, n, seen, done)
+        _visit(action, succ, n, seen, done, None)
 
 
-def _visit(action, succ, n, seen, done):
-    """Depth-first search from n (a module function: a nested recursive
-    closure would be a reference cycle left for the GC on every parse)."""
+def _visit(action, succ, n, seen, done, line):
+    """Depth-first search from n, reached by the constraint at `line` (a
+    module function: a nested recursive closure would be a reference
+    cycle left for the GC on every parse)."""
     if n in done:
         return
     if n in seen:
         raise CyclicConstraint("action %s: ordering constraints are "
-                               "cyclic at %s" % (action, n))
+                               "cyclic at %s" % (action, n), line)
     seen.add(n)
-    for m in succ.get(n, []):
-        _visit(action, succ, m, seen, done)
+    for m, m_line in succ.get(n, []):
+        _visit(action, succ, m, seen, done, m_line)
     done.add(n)
 
 
-def _validate_step(action, role, idx, step, d, defs, known_objects):
+def _validate_step(action, role, idx, step, d, defs, known_objects, line):
     where = "action %s role %s step %d" % (action, role, idx)
     if step.kind == WRITE:
         if step.obj not in d.footprint:
             raise ValidationError("%s: write to %s outside declared "
-                                  "footprint" % (where, step.obj))
+                                  "footprint" % (where, step.obj), line)
     if step.kind in (READ, WRITE):
         for o in [step.obj] + list(step.expr.names if step.expr else []):
             if o not in known_objects:
-                raise ValidationError("%s: unknown object %s" % (where, o))
+                raise ValidationError("%s: unknown object %s" % (where, o),
+                                      line)
     if step.kind == ENTER:
         if step.action not in d.nested:
             raise ValidationError("%s: enters %s, which is not declared "
-                                  "nested" % (where, step.action))
+                                  "nested" % (where, step.action), line)
         if step.role not in defs[step.action].roles:
             raise ValidationError("%s: unknown role %s of %s"
-                                  % (where, step.role, step.action))
+                                  % (where, step.role, step.action), line)
 
 
 # --- post-run concurrency classification (trace-level) ---

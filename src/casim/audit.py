@@ -9,12 +9,19 @@ Every pass is linear in the length of the trace: serializability keeps
 only per-object frontier edges, and the smuggling and lock-rule scans
 index objects per transaction, so an abort, a nested-commit transfer, a
 decision or an apply touches only that transaction's objects.
+
+`audit_trace` pauses the cyclic collector while it parses and runs the
+passes, and restores the caller's setting when it returns or raises.
+Parsed events, detail dicts and every pass's indexes hold no reference
+cycle, so reference counting frees them all once the report is built,
+and the pause defers no garbage.
 """
 
 import heapq
 from collections import defaultdict
 
 from . import trace as trace_mod
+from .gcpause import pause_cyclic_gc
 from .locks import WRITE, conflicts
 
 
@@ -400,6 +407,7 @@ def verify_lock_rule(events):
     return not problems, problems
 
 
+@pause_cyclic_gc
 def audit_trace(text: str, all_nodes=None):
     """Run every audit over a rendered trace file.  Returns a dict of
     check name -> (ok, info); key "ok" aggregates.  Raises MalformedTrace

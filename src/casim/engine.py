@@ -23,7 +23,11 @@ keys into `instances`, with a nested child's `parent` the only strong
 link between instances.  So a finished run holds no reference cycle and
 is freed by reference counting when its last reference goes; the one
 exception is a run stopped by its horizon, whose unrun queue entries stay
-bound to the simulator.
+bound to the simulator.  Even that cycle becomes garbage only when the
+caller drops the simulator, after `run` has returned.  So `run` pauses the
+cyclic collector, whose passes would only walk the live events and
+records and free nothing, and it restores the caller's setting when it
+returns or raises.
 
 Top-level commits run two-phase commit over simulated messages with
 presumed abort: a prepared participant that finds no commit record at the
@@ -41,6 +45,7 @@ from dataclasses import dataclass, field
 from . import actions as act
 from . import dag as dagmod
 from .errors import DeadlockVictim, InconsistentFault, NodeDown
+from .gcpause import pause_cyclic_gc
 from .scenario import Scenario
 from .store import LogRecord, ObjectStore, encode_value, decode_value
 from .trace import Trace
@@ -158,6 +163,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # run loop
 
+    @pause_cyclic_gc
     def run(self) -> "Simulator":
         self.initial_dump = self.store.dump_stable()
         # grouped by action key: the order fixes each submission's rng draw

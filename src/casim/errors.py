@@ -5,6 +5,14 @@ class SimError(Exception):
     pass
 
 
+class AtLine(SimError):
+    """An error about one line of an input file, when that line is known."""
+
+    def __init__(self, msg, line=None):
+        super().__init__(msg if line is None else "line %d: %s" % (line, msg))
+        self.line = line
+
+
 # --- object store ---
 
 class NodeDown(SimError):
@@ -20,28 +28,24 @@ class DeadlockVictim(SimError):
 
 # --- action manager ---
 
-class ModeViolation(SimError):
+class ModeViolation(AtLine):
     pass
 
 
 # --- mapping ---
 
-class CyclicConstraint(SimError):
+class CyclicConstraint(AtLine):
     pass
 
 
 # --- traces / scenarios ---
 
-class MalformedTrace(SimError):
-    def __init__(self, msg, line=None):
-        super().__init__(msg if line is None else "line %d: %s" % (line, msg))
-        self.line = line
+class MalformedTrace(AtLine):
+    pass
 
 
-class ValidationError(SimError):
-    def __init__(self, msg, line=None):
-        super().__init__(msg if line is None else "line %d: %s" % (line, msg))
-        self.line = line
+class ValidationError(AtLine):
+    pass
 
 
 class InconsistentFault(SimError):

@@ -39,7 +39,8 @@ fires right after the K-th trace event instead of at a fixed virtual
 time; K and the time of `fault at` are non-negative.
 
 Parsing is the one input check (ValidationError, or ModeViolation and
-CyclicConstraint from `validate_defs`); the engine trusts its result.
+CyclicConstraint from `validate_defs`), and each error names the line of
+the declaration it is about; the engine trusts its result.
 Beyond the grammar: no `/` in action names or client action keys (it
 joins a nested instance's key to its parent's), every object an action
 names is declared, a test names only objects in its action's footprint,
@@ -105,6 +106,7 @@ def parse_scenario(text: str) -> Scenario:
     homes = {}        # object name -> line declaring it
     footprints = []   # (action, object, line) of each footprint entry
     fault_lines = []  # line of each fault, in order
+    decls = {}        # declaration -> its line, for validate_defs
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.lstrip().startswith("#") or not raw.strip():
             continue
@@ -114,6 +116,7 @@ def parse_scenario(text: str) -> Scenario:
 
         if cur_role is not None and head not in ("role", "test", "footprint",
                                                  "nested", "order", "end"):
+            step_lines.append(lineno)
             cur_role.steps.append(_parse_step(toks, lineno))
             continue
 
@@ -136,6 +139,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ValidationError("nested `action` block (missing `end`?)",
                                       lineno)
             cur_action = _parse_action_header(toks, lineno)
+            decls[cur_action.name,] = lineno
         elif head == "role":
             if cur_action is None:
                 raise ValidationError("`role` outside action block", lineno)
@@ -144,6 +148,7 @@ def parse_scenario(text: str) -> Scenario:
             if toks[1] in cur_action.roles:
                 raise ValidationError("duplicate role %s" % toks[1], lineno)
             cur_role = Role(toks[1], [])
+            step_lines = decls[cur_action.name, "role", toks[1]] = []
             cur_action.roles[toks[1]] = cur_role
         elif head == "footprint":
             _need_action(cur_action, head, lineno)
@@ -158,10 +163,13 @@ def parse_scenario(text: str) -> Scenario:
                 expr = Expr(" ".join(toks[2:]))
             except ValidationError as e:
                 raise ValidationError(str(e), lineno)
+            decls[cur_action.name, "test", len(cur_action.tests)] = lineno
             cur_action.tests.append(AcceptanceTest(toks[1], expr))
             cur_role = None
         elif head == "nested":
             _need_action(cur_action, head, lineno)
+            for n in toks[1:]:
+                decls.setdefault((cur_action.name, "nested", n), lineno)
             cur_action.nested.extend(toks[1:])
             cur_role = None
         elif head == "order":
@@ -171,6 +179,7 @@ def parse_scenario(text: str) -> Scenario:
             if (toks[1], toks[3]) in cur_action.order:
                 raise ValidationError("duplicate order %s < %s"
                                       % (toks[1], toks[3]), lineno)
+            decls[cur_action.name, "order", toks[1], toks[3]] = lineno
             cur_action.order.append((toks[1], toks[3]))
             cur_role = None
         elif head == "end":
@@ -219,7 +228,7 @@ def parse_scenario(text: str) -> Scenario:
         if o not in homes:
             raise ValidationError("action %s: footprint names unknown object "
                                   "%s" % (action, o), lineno)
-    validate_defs(sc.defs, known_objects=homes)
+    validate_defs(sc.defs, known_objects=homes, lines=decls)
     for c in sc.clients:
         if c.node not in sc.nodes:
             msg = "client %s at unknown node %s" % (c.client, c.node)

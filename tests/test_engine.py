@@ -1,19 +1,25 @@
 import copy
 import gc
 import heapq
+import runpy
+import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from casim import audit, sweep
 from casim.dag import CONSTRAINT
 from casim.engine import Simulator
+from casim.errors import InconsistentFault, MalformedTrace
 from casim.scenario import Fault, load_scenario, parse_scenario
 from casim.store import decode_value
 
 from conftest import TRANSFER, random_competitive_scenario, run_text
 
-SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 def stable_value(res, name):
@@ -581,8 +587,9 @@ def test_deep_copy_of_a_mid_run_simulator_keeps_its_own_clock():
 
 
 def test_a_finished_run_is_freed_by_reference_counting(monkeypatch):
-    # no reference cycle inside a simulator: with the GC off, each one
-    # dies when its last reference goes
+    # no reference cycle from scenario parse to audit verdict: with the GC
+    # off, each simulator dies when its last reference goes, and nothing
+    # is left for the collector
     refs = []
 
     class Tracked(Simulator):
@@ -595,26 +602,96 @@ def test_a_finished_run_is_freed_by_reference_counting(monkeypatch):
         report = audit.audit_trace(sim.trace_text(), all_nodes=sc.nodes)
         assert report["ok"], report
 
+    # generated before the first collection: the generators' module
+    # globals and functions are a cycle of their own
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    texts = [workloads[name](1) for name in ("crash_sweep", "nested_seeds")]
+    del workloads
     monkeypatch.setattr(sweep, "Simulator", Tracked)
     gc.collect()
     gc.disable()
     try:
         for path in sorted(SCENARIO_DIR.glob("*.scn")):
-            sc = load_scenario(str(path))
+            text = path.read_text()
             for strategy in (None, "flatten", "nested"):
                 for seed in range(5):
-                    run_and_audit(sc, seed=seed, strategy=strategy)
+                    run_and_audit(parse_scenario(text), seed=seed,
+                                  strategy=strategy)
         n_reference = len(refs)
         rows = sweep.crash_sweep(
             load_scenario(str(SCENARIO_DIR / "crash_recover.scn")))
         for seed in range(50):
             run_and_audit(random_competitive_scenario(seed))
+        for text in texts:
+            run_and_audit(parse_scenario(text))
         alive = [i for i, ref in enumerate(refs) if ref() is not None]
+        garbage = gc.collect()
     finally:
         gc.enable()
     # the sweep's fault-free base run, then one run per crash point
-    assert len(refs) == n_reference + 1 + len(rows) + 50
+    assert len(refs) == n_reference + 1 + len(rows) + 50 + len(texts)
     assert alive == []
+    assert garbage == 0
+
+
+def _on_stack(codes) -> bool:
+    frame = sys._getframe(1)
+    while frame is not None:
+        if frame.f_code in codes:
+            return True
+        frame = frame.f_back
+    return False
+
+
+def test_runs_and_audits_start_no_collection():
+    # they build no cycle, so they pause the cyclic collector
+    bodies = {Simulator.run.__wrapped__.__code__,
+              audit.audit_trace.__wrapped__.__code__}
+    starts = []     # per collection started: inside a run or an audit?
+
+    def hook(phase, _info):
+        if phase == "start":
+            starts.append(_on_stack(bodies))
+
+    assert gc.isenabled()
+    gc.callbacks.append(hook)
+    try:
+        gc.collect()    # one the hook must see, outside both
+        for path in sorted(SCENARIO_DIR.glob("*.scn")):
+            sc = load_scenario(str(path))
+            for strategy in (None, "flatten", "nested"):
+                sim = Simulator(sc, strategy=strategy).run()
+                report = audit.audit_trace(sim.trace_text(),
+                                           all_nodes=sc.nodes)
+                assert report["ok"], report
+        rows = sweep.crash_sweep(
+            load_scenario(str(SCENARIO_DIR / "crash_recover.scn")))
+    finally:
+        gc.callbacks.remove(hook)
+    assert all(row["ok"] for row in rows)
+    assert starts and not any(starts)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled",
+                                                         "disabled"])
+def test_runs_and_audits_restore_the_callers_collector_setting(enabled):
+    sc = parse_scenario(TRANSFER)
+    recover_up = parse_scenario(TRANSFER + "fault at 1 recover beta\n")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        text = Simulator(sc).run().trace_text()
+        assert gc.isenabled() is enabled
+        with pytest.raises(InconsistentFault):
+            Simulator(recover_up).run()
+        assert gc.isenabled() is enabled
+        assert audit.audit_trace(text)["ok"]
+        assert gc.isenabled() is enabled
+        with pytest.raises(MalformedTrace):
+            audit.audit_trace("0\t0\tnonsense\t-\t-\t-\n")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_indexed_faults_fire_in_index_then_file_order():

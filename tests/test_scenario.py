@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from casim.errors import ValidationError
+from casim.errors import CyclicConstraint, ModeViolation, ValidationError
 from casim.scenario import parse_scenario
 
 from conftest import TRANSFER
@@ -125,6 +125,59 @@ def test_whole_scenario_checks_name_the_line(text, line, message):
     declaring line."""
     with pytest.raises(ValidationError) as e:
         parse_scenario(text)
+    assert e.value.line == line
+    assert str(e.value) == "line %d: %s" % (line, message)
+
+
+# lines 1-20 define `one` (one role), `two` (two roles) and `far` (footprint
+# y); action `a` opens on line 21 and its body starts on line 23
+NESTABLE = ("node n1\nobject x n1 0\nobject y n1 0\n"
+            "action one\n  footprint x\n  role c\n    exit\nend\n"
+            "action two\n  footprint x\n  role c\n    exit\n  role d\n"
+            "    exit\nend\n"
+            "action far\n  footprint y\n  role c\n    exit\nend\n")
+ROLE_R = "  role r\n    exit\n"
+ROLES_RS = "  role r\n    exit\n  role s\n    exit\n"
+
+
+@pytest.mark.parametrize("options, body, line, error, message", [
+    ("", "", 21, ValidationError, "action a has no roles"),
+    ("", ROLE_R + "  nested ghost\n", 25, ValidationError,
+     "action a nests unknown action ghost"),
+    ("", ROLE_R + "  nested one two\n", 25, ValidationError,
+     "action a: nested two has more roles than its parent"),
+    ("", ROLE_R + "  nested one\n  nested far\n", 26, ValidationError,
+     "action a: nested far footprint exceeds parent footprint"),
+    (" mode=flat", ROLE_R + "  nested one\n", 25, ModeViolation,
+     "action a: mode=flat forbids nesting"),
+    (" mode=nested_same_kind", ROLES_RS + "  nested two\n  nested one\n", 28,
+     ModeViolation,
+     "action a: mixed-kind nesting of one under mode=nested_same_kind"),
+    ("", ROLE_R + "  nested one\n  order one < far\n", 26, ValidationError,
+     "action a: ordering constraint names far, which is not nested here"),
+    ("", ROLES_RS + "  nested one two\n  order one < two\n  order two < one\n",
+     29, CyclicConstraint, "action a: ordering constraints are cyclic at one"),
+    ("", ROLE_R + "  test t x == 0\n  test u y == 0\n", 26, ValidationError,
+     "action a: test u names y, outside the footprint"),
+    ("", "  role r\n    read x\n    write y 1\n", 25, ValidationError,
+     "action a role r step 1: write to y outside declared footprint"),
+    ("", ROLE_R + "  role s\n    read ghost\n", 26, ValidationError,
+     "action a role s step 0: unknown object ghost"),
+    ("", "  role r\n    exit\n    enter one c\n", 25, ValidationError,
+     "action a role r step 1: enters one, which is not declared nested"),
+    ("", "  role r\n    enter one z\n  nested one\n", 24, ValidationError,
+     "action a role r step 0: unknown role z of one"),
+], ids=["no_roles", "nested_unknown", "nested_roles", "nested_footprint",
+        "flat_nesting", "mixed_kind", "order_not_nested", "order_cycle",
+        "test_footprint", "step_write", "step_object", "step_enter",
+        "step_role"])
+def test_definition_checks_name_the_line(options, body, line, error,
+                                         message):
+    """Each check of `validate_defs` points at the declaration it is
+    about: the action header, a nested, order or test line, or a step."""
+    with pytest.raises(error) as e:
+        parse_scenario(NESTABLE + "action a%s\n  footprint x\n%send\n"
+                       % (options, body))
     assert e.value.line == line
     assert str(e.value) == "line %d: %s" % (line, message)
 
