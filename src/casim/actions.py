@@ -30,8 +30,11 @@ EXIT = "exit"
 DEFAULT_DEADLINE = 50
 
 
-@dataclass
+@dataclass(frozen=True)
 class Step:
+    """One step of a role body.  The scenario parser makes one Step per
+    distinct step line and lets every role that has the line share it,
+    hence frozen."""
     kind: str
     obj: str | None = None
     expr: Expr | None = None       # write value expression
@@ -194,23 +197,22 @@ def _visit(action, succ, n, seen, done, line):
 
 
 def _validate_step(action, role, idx, step, d, defs, known_objects, line):
-    where = "action %s role %s step %d" % (action, role, idx)
-    if step.kind == WRITE:
-        if step.obj not in d.footprint:
-            raise ValidationError("%s: write to %s outside declared "
-                                  "footprint" % (where, step.obj), line)
-    if step.kind in (READ, WRITE):
-        for o in [step.obj] + list(step.expr.names if step.expr else []):
+    problem = None
+    if step.kind == WRITE and step.obj not in d.footprint:
+        problem = "write to %s outside declared footprint" % step.obj
+    elif step.kind in (READ, WRITE):
+        for o in (step.obj,) + (step.expr.names if step.expr else ()):
             if o not in known_objects:
-                raise ValidationError("%s: unknown object %s" % (where, o),
-                                      line)
-    if step.kind == ENTER:
+                problem = "unknown object %s" % o
+                break
+    elif step.kind == ENTER:
         if step.action not in d.nested:
-            raise ValidationError("%s: enters %s, which is not declared "
-                                  "nested" % (where, step.action), line)
-        if step.role not in defs[step.action].roles:
-            raise ValidationError("%s: unknown role %s of %s"
-                                  % (where, step.role, step.action), line)
+            problem = "enters %s, which is not declared nested" % step.action
+        elif step.role not in defs[step.action].roles:
+            problem = "unknown role %s of %s" % (step.role, step.action)
+    if problem is not None:     # the prefix is formatted only to raise
+        raise ValidationError("action %s role %s step %d: %s"
+                              % (action, role, idx, problem), line)
 
 
 # --- post-run concurrency classification (trace-level) ---

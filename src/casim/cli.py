@@ -7,8 +7,11 @@
     casim audit TRACEFILE
 
 Output files default into $CASIM_OUT_DIR (falling back to the current
-directory).  Exit status: 0 success, 1 an audit failed, 2 the scenario or
-trace was rejected with a line-numbered diagnostic.
+directory).  Exit status: 0 success, 1 an audit failed, 2 an option,
+the scenario or the trace was rejected with a diagnostic, line-numbered
+for a file.  Options that would run nothing or recover a node before its
+crash are rejected: --stride below 1, an empty --range, a negative
+--recover-after or --horizon.
 """
 
 import argparse
@@ -25,6 +28,31 @@ def _out_path(name):
     return os.path.join(os.environ.get("CASIM_OUT_DIR", "."), name)
 
 
+def _int_at_least(least):
+    """argparse type: an integer no less than `least`."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < least:
+            raise argparse.ArgumentTypeError(
+                "expected an integer >= %d, got %r" % (least, text))
+        return n
+    return parse
+
+
+def _seed_range(text):
+    """argparse type: a non-empty inclusive range A..B."""
+    try:
+        start, stop = (int(t) for t in text.split("..", 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected A..B, got %r" % text)
+    if stop < start:
+        raise argparse.ArgumentTypeError("empty range %r" % text)
+    return start, stop
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="casim",
@@ -39,7 +67,7 @@ def _build_parser():
     runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--strategy", choices=("flatten", "nested"),
                       default=None)
-    runp.add_argument("--horizon", type=int, default=None)
+    runp.add_argument("--horizon", type=_int_at_least(0), default=None)
     runp.add_argument("--trace", default=None,
                       help="trace output path (default: <scenario>.trace "
                            "in $CASIM_OUT_DIR)")
@@ -49,10 +77,12 @@ def _build_parser():
     sweepp = sub.add_parser("sweep", help="audited fault or seed sweep")
     sweepp.add_argument("scenario")
     sweepp.add_argument("--mode", choices=("crash", "seeds"), required=True)
-    sweepp.add_argument("--range", default="0..19", metavar="A..B",
+    sweepp.add_argument("--range", type=_seed_range, default="0..19",
+                        metavar="A..B",
                         help="seed range for --mode seeds (inclusive)")
-    sweepp.add_argument("--recover-after", type=int, default=100)
-    sweepp.add_argument("--stride", type=int, default=1,
+    sweepp.add_argument("--recover-after", type=_int_at_least(0),
+                        default=100)
+    sweepp.add_argument("--stride", type=_int_at_least(1), default=1,
                         help="crash every K-th trace index only")
     sweepp.add_argument("--out", default=None,
                         help="write the verdict table here as well")
@@ -112,11 +142,7 @@ def _cmd_sweep(args) -> int:
         rows = sweep.crash_sweep(sc, recover_after=args.recover_after,
                                  stride=args.stride)
     else:
-        try:
-            start, stop = (int(t) for t in args.range.split("..", 1))
-        except ValueError:
-            raise ValidationError("bad --range %r, expected A..B" % args.range)
-        rows = sweep.seed_sweep(sc, start, stop)
+        rows = sweep.seed_sweep(sc, *args.range)
     table = sweep.render_rows(rows)
     sys.stdout.write(table)
     if args.out:

@@ -8,6 +8,11 @@ subscripts or other literals.  The checked text is compiled on its first
 tree, and run by Python's evaluator without builtins; `and`/`or` yield a
 bool, not the deciding operand.  Names resolve in the environment `eval`
 is given.
+
+An Expr is read-only once checked, apart from the code its first `eval`
+caches, so the scenario parser gives every line of one scenario that
+has the same text the same Expr: each distinct text is checked and
+compiled once per scenario.
 """
 
 import ast

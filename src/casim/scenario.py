@@ -36,7 +36,16 @@ start of a line (after optional blanks), so a comment cannot follow
 content on the same line.  Client lines may suffix the action with `#key`
 to distinguish several instances of one definition.  `fault index K`
 fires right after the K-th trace event instead of at a fixed virtual
-time; K and the time of `fault at` are non-negative.
+time; K, the time of `fault at` and the horizon are non-negative.
+
+Steps and expressions are read-only after parsing, so one parse makes
+one `Step` per distinct step line and one `Expr` per distinct expression
+text, and every line that repeats one shares it: a generated scenario
+that repeats `exit` or `x + 1` across thousands of actions checks and
+compiles each distinct expression once.  Nothing is shared across two
+parses.  Errors still name the first line that breaks a rule, and the
+checks that depend on the action (footprint, nesting) run on every step
+at its own line.
 
 Parsing is the one input check (ValidationError, or ModeViolation and
 CyclicConstraint from `validate_defs`), and each error names the line of
@@ -107,17 +116,22 @@ def parse_scenario(text: str) -> Scenario:
     footprints = []   # (action, object, line) of each footprint entry
     fault_lines = []  # line of each fault, in order
     decls = {}        # declaration -> its line, for validate_defs
+    steps = {}        # step line -> its Step, one per distinct line
+    exprs = {}        # expression text -> its Expr, one per distinct text
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.lstrip().startswith("#") or not raw.strip():
+        toks = raw.split()
+        if not toks or toks[0][0] == "#":
             continue
-        stripped = raw.strip()
-        toks = stripped.split()
         head = toks[0]
 
         if cur_role is not None and head not in ("role", "test", "footprint",
                                                  "nested", "order", "end"):
             step_lines.append(lineno)
-            cur_role.steps.append(_parse_step(toks, lineno))
+            key = " ".join(toks)
+            step = steps.get(key)
+            if step is None:
+                step = steps[key] = _parse_step(toks, lineno, exprs)
+            cur_role.steps.append(step)
             continue
 
         if head == "node":
@@ -159,12 +173,9 @@ def parse_scenario(text: str) -> Scenario:
             _need_action(cur_action, head, lineno)
             if len(toks) < 3:
                 raise ValidationError("usage: test NAME EXPR", lineno)
-            try:
-                expr = Expr(" ".join(toks[2:]))
-            except ValidationError as e:
-                raise ValidationError(str(e), lineno)
             decls[cur_action.name, "test", len(cur_action.tests)] = lineno
-            cur_action.tests.append(AcceptanceTest(toks[1], expr))
+            cur_action.tests.append(AcceptanceTest(
+                toks[1], _expr(" ".join(toks[2:]), lineno, exprs)))
             cur_role = None
         elif head == "nested":
             _need_action(cur_action, head, lineno)
@@ -209,7 +220,10 @@ def parse_scenario(text: str) -> Scenario:
         elif head in ("seed", "horizon"):
             if len(toks) != 2:
                 raise ValidationError("usage: %s N" % head, lineno)
-            setattr(sc, head, _int(toks[1], lineno, head))
+            n = _int(toks[1], lineno, head)
+            if head == "horizon" and n < 0:
+                raise ValidationError("negative horizon %d" % n, lineno)
+            setattr(sc, head, n)
         elif head == "strategy":
             if len(toks) != 2 or toks[1] not in ("flatten", "nested"):
                 raise ValidationError("usage: strategy flatten|nested", lineno)
@@ -284,7 +298,19 @@ def _parse_action_header(toks, lineno) -> CAActionDef:
     return d
 
 
-def _parse_step(toks, lineno) -> Step:
+def _expr(text, lineno, exprs) -> Expr:
+    """The Expr of `text`, made once per parse: `exprs` maps each text
+    already parsed to its Expr."""
+    expr = exprs.get(text)
+    if expr is None:
+        try:
+            expr = exprs[text] = Expr(text)
+        except ValidationError as e:
+            raise ValidationError(str(e), lineno)
+    return expr
+
+
+def _parse_step(toks, lineno, exprs) -> Step:
     head = toks[0]
     if head == "read":
         if len(toks) != 2:
@@ -293,11 +319,8 @@ def _parse_step(toks, lineno) -> Step:
     if head == "write":
         if len(toks) < 3:
             raise ValidationError("usage: write OBJECT EXPR", lineno)
-        try:
-            expr = Expr(" ".join(toks[2:]))
-        except ValidationError as e:
-            raise ValidationError(str(e), lineno)
-        return Step(WRITE, obj=toks[1], expr=expr)
+        return Step(WRITE, obj=toks[1],
+                    expr=_expr(" ".join(toks[2:]), lineno, exprs))
     if head == "sync":
         if len(toks) != 3 or toks[2] not in ("emit", "await"):
             raise ValidationError("usage: sync SIGNAL emit|await", lineno)

@@ -73,6 +73,29 @@ def test_sweep_crash_subcommand(tmp_path, capsys):
     assert "0 failed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--mode", "crash", "--stride", "0"],
+     "argument --stride: expected an integer >= 1, got '0'"),
+    (["sweep", "--mode", "crash", "--stride", "-1"],
+     "argument --stride: expected an integer >= 1, got '-1'"),
+    (["sweep", "--mode", "seeds", "--range", "5..3"],
+     "argument --range: empty range '5..3'"),
+    (["sweep", "--mode", "seeds", "--range", "5"],
+     "argument --range: expected A..B, got '5'"),
+    (["sweep", "--mode", "crash", "--recover-after", "-5"],
+     "argument --recover-after: expected an integer >= 0, got '-5'"),
+    (["run", "--horizon", "-1"],
+     "argument --horizon: expected an integer >= 0, got '-1'"),
+], ids=["stride_zero", "stride_negative", "empty_range", "bad_range",
+        "recover_before_crash", "negative_horizon"])
+def test_rejected_option_exits_two(tmp_path, capsys, args, message):
+    # options that would run nothing, or recover a node before its crash
+    with pytest.raises(SystemExit) as e:
+        cli.main(args[:1] + [write_scn(tmp_path)] + args[1:])
+    assert e.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     try:
         cli.main(["--version"])

@@ -5,23 +5,29 @@ each strategy (the scenario's own, flatten, nested) and of the crash-sweep
 verdict table of crash_recover.scn, and the sha256 of the audit report of
 each of those runs and of 50 generated competitive scenarios (the
 serializability witness and every pass's verdict and problems; the
-frontier edge list is left out).  A change that is meant to keep traces
-unchanged (a refactor, a deletion, a speed-up) must leave every digest as
-it is.  A change that alters a trace on purpose, such as making the
+frontier edge list is left out).  It also pins, for each benchmark
+workload generated at seed 1 (`bench/workloads.py`, read only), the
+trace of the first run its benchmark checks (304 to ~38k events), and
+the repr of the parsed scenario of each workload and reference
+scenario.  A change that is meant to keep traces unchanged (a refactor,
+a deletion, a speed-up) must leave every digest as it is.  A change that alters a trace on purpose, such as making the
 acceptance tests take read locks, updates the digests here and gives the
 reason in CHANGES.md.
 """
 
 import hashlib
+import runpy
+from dataclasses import replace
 from pathlib import Path
 
 from casim import audit, sweep
 from casim.engine import Simulator
-from casim.scenario import load_scenario
+from casim.scenario import load_scenario, parse_scenario
 
 from conftest import random_competitive_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 TRACE_DIGESTS = {
     ("competitive", None): "2118302fcaeaeab63619cef40295339ec5eeb7b97a59ff1f5e31690929f2080e",
@@ -64,6 +70,25 @@ COMPETITIVE_AUDIT_DIGEST = \
 
 CRASH_SWEEP_DIGEST = \
     "ac3aa3e917fd1c2e884584fbd9e07f903716df0a78ba54c4aa14de0f5b8155d7"
+
+# the run each workload's benchmark audits first: contended_2pc's one run,
+# crash_sweep's fault-free run and nested_seeds' run at seed 0
+WORKLOAD_TRACE_DIGESTS = {
+    "contended_2pc": "03ca798a7e9046fa7930273e7c2bdeda16505a46dee03d04266374874c91f025",
+    "crash_sweep": "7e15e33505dd7a34c8f67f36a7122315f71fbf0314efb6d2e596f8de2fbe2c65",
+    "nested_seeds": "dd396ebf553bb2eb79a1b9857192cb4f23adcaacfab6ae16528a6983d7f58d4e",
+}
+
+PARSE_REPR_DIGESTS = {
+    "competitive": "91f7dd8ec78eed00e14ec07b3bcb8602b75d8e836d625a8accfef42fdd968b7a",
+    "crash_recover": "f887e8c1982ea57c17ae25a015d45e55e8cdc63a8187b53b7cd4105a2212b40e",
+    "deep_tree": "27da3d8f17b3f0801aa5c224b91759d6f839e76119d6413e2e31b4c8aeba5ac8",
+    "flat_transfer": "6cc71b37a318fd1ec2599584223651bf432d364902aaeaf9126869a84c87a75d",
+    "nested_audit": "0985c34bbf306432a85163fa5d31e887c6fe6c12bdb42449725fa49c49e3e9e5",
+    "contended_2pc": "b5954e419c116bda3c3a5bc87e29f67ca43d24451fee181e968e54c29dfd33fe",
+    "crash_sweep": "c2c9afa65b4110f3638bc4c9d91eee16c87578364c68fc32cd4e88b772638d77",
+    "nested_seeds": "befb2f2836758b5b8a6ce3f99a41f747ce4052ca637e02cbb3528ac7fb283b9e",
+}
 
 
 def sha256(text):
@@ -109,3 +134,19 @@ def test_golden_audit_reports():
         reports.append(audit_report_text(
             audit.audit_trace(text, all_nodes=sc.nodes)))
     assert sha256("\n\n".join(reports)) == COMPETITIVE_AUDIT_DIGEST
+
+
+def test_golden_workload_traces_and_parses():
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    texts = {name: workloads[name](1) for name in WORKLOAD_TRACE_DIGESTS}
+    texts.update((p.stem, p.read_text()) for p in SCENARIOS.glob("*.scn"))
+    parsed = {name: parse_scenario(text) for name, text in texts.items()}
+    assert {name: sha256(repr(sc)) for name, sc in parsed.items()} \
+        == PARSE_REPR_DIGESTS
+    runs = {
+        "contended_2pc": Simulator(parsed["contended_2pc"]),
+        "crash_sweep": Simulator(replace(parsed["crash_sweep"], faults=[])),
+        "nested_seeds": Simulator(parsed["nested_seeds"], seed=0),
+    }
+    assert {name: sha256(sim.run().trace_text())
+            for name, sim in runs.items()} == WORKLOAD_TRACE_DIGESTS

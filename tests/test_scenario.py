@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,12 @@ def test_parse_full_scenario():
 def test_comments_and_blank_lines_ignored():
     sc = parse_scenario("# a comment\n\nnode n1\nobject x n1 0\n")
     assert sc.nodes == ["n1"]
+    # blanks are any run of whitespace; a comment may be indented
+    sc = parse_scenario("node n1\nobject x n1 0\n \t\naction a\n"
+                        "  footprint x\n  role r\n    write x x + 1\n"
+                        "   # comment\n\twrite  x x\t+ 1  \n    exit\nend\n")
+    first, second, _exit = sc.defs["a"].roles["r"].steps
+    assert first is second and first.expr.text == "x + 1"
 
 
 def test_readme_scenario_example_parses():
@@ -66,6 +73,7 @@ client b n1 0 bump#right w
     ("node n1\nfault at -3 crash n1\n", "line 2: negative fault position"),
     ("node n1\nfault index -1 crash n1\n",
      "line 2: negative fault position"),
+    ("node n1\nhorizon -1\n", "line 2: negative horizon -1"),
     ("action p\n  order b < c\n  order b < c\n", "line 3: duplicate order"),
     ("node\n", "line 1: usage: node NAME"),
     ("object x n1\n", "line 1: usage: object NAME NODE VALUE"),
@@ -86,6 +94,11 @@ client b n1 0 bump#right w
     ("action a\n  role r\n    read\n", "line 3: usage: read OBJECT"),
     ("action a\n  role r\n    write x\n", "line 3: usage: write OBJECT EXPR"),
     ("action a\n  role r\n    write x x +\n", "line 3: bad expression"),
+    # a repeated bad line or expression is reported at its first line
+    ("action a\n  role r\n    write x x +\n    write x x +\n",
+     "line 3: bad expression"),
+    ("action a\n  role r\n    write x x +\n  test t x +\n",
+     "line 3: bad expression"),
     ("action a\n  role r\n    sync s\n",
      "line 3: usage: sync SIGNAL emit|await"),
     ("action a\n  role r\n    enter b\n", "line 3: usage: enter ACTION ROLE"),
@@ -95,6 +108,46 @@ def test_rejections(text, fragment):
     with pytest.raises(ValidationError) as e:
         parse_scenario(text)
     assert fragment in str(e.value)
+
+
+# the step and expression lines of action a repeat in action b
+SHARED_STEP = """node n1
+object x n1 0
+object y n1 0
+action a
+  footprint x
+  role r
+    write x x + 1
+    exit
+  test t x + 1 > 0
+end
+action b
+  footprint x y
+  role s
+    write x x + 1
+    write y x + 1
+    exit
+  test t x + 1 > 0
+end
+"""
+
+
+def test_one_object_per_distinct_step_line_and_expression():
+    sc = parse_scenario(SHARED_STEP)
+    a, b = sc.defs["a"], sc.defs["b"]
+    (write_a, exit_a), (write_bx, write_by, exit_b) = (
+        a.roles["r"].steps, b.roles["s"].steps)
+    assert write_a is write_bx and exit_a is exit_b
+    assert write_by is not write_bx and write_by.expr is write_bx.expr
+    assert a.tests[0].expr is b.tests[0].expr
+    # the test's text differs from the writes' text
+    assert a.tests[0].expr is not write_a.expr
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        write_a.obj = "y"
+    again = parse_scenario(SHARED_STEP)
+    assert again.defs["a"].roles["r"].steps[0] is not write_a
+    assert again.defs["a"].tests[0].expr is not a.tests[0].expr
+    assert repr(again) == repr(sc)
 
 
 ONE_ACTION = ("node n1\nobject x n1 0\naction a\n  footprint x\n  role r\n"
@@ -118,8 +171,14 @@ ONE_ACTION = ("node n1\nobject x n1 0\naction a\n  footprint x\n  role r\n"
      "fault targets unknown node n2"),
     ("node n1\nfault at 50 crash n1\nhorizon 10\n", 2,
      "fault at time 50 beyond horizon 10"),
+    # one Step serves lines 7 and 12; only action b's footprint lacks x
+    ("node n1\nobject x n1 0\nobject y n1 0\n"
+     "action a\n  footprint x\n  role r\n    write x x + 1\nend\n"
+     "action b\n  footprint y\n  role s\n    write x x + 1\nend\n", 12,
+     "action b role s step 0: write to x outside declared footprint"),
 ], ids=["duplicate_node", "object_node", "duplicate_object", "footprint", "client_node",
-        "client_action", "client_role", "fault_node", "fault_horizon"])
+        "client_action", "client_role", "fault_node", "fault_horizon",
+        "shared_step_footprint"])
 def test_whole_scenario_checks_name_the_line(text, line, message):
     """Checks that run after the whole file is read still point at the
     declaring line."""
