@@ -105,10 +105,29 @@ class CAActionInstance:
         self.nested: dict[str, str] = {}
         self.boundary_nid: int | None = None    # node in parent's DAG
         self.last_nid: dict[int, int] = {}      # thread id -> last DAG node
+        self.dag = None                 # OperationDAG, made at the start
 
     @property
     def terminal(self) -> bool:
         return self.status in (COMMITTED, ABORTED)
+
+    def copy(self, parent) -> "CAActionInstance":
+        """This instance for a fork of its run, under `parent`, the fork's
+        copy of this one's parent."""
+        inst = object.__new__(CAActionInstance)
+        inst.__dict__.update(self.__dict__)
+        inst.parent = parent
+        inst.registered = dict(self.registered)
+        inst.arrived = set(self.arrived)
+        inst.signals = dict(self.signals)
+        inst.sync_waiters = {k: list(v) for k, v in self.sync_waiters.items()}
+        inst.order_waiters = {k: list(v)
+                              for k, v in self.order_waiters.items()}
+        inst.nested = dict(self.nested)
+        inst.last_nid = dict(self.last_nid)
+        if self.dag is not None:
+            inst.dag = self.dag.copy()
+        return inst
 
 
 def validate_defs(defs: dict, known_objects, lines=None):

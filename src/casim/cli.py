@@ -11,7 +11,8 @@ directory).  Exit status: 0 success, 1 an audit failed, 2 an option,
 the scenario or the trace was rejected with a diagnostic, line-numbered
 for a file.  Options that would run nothing or recover a node before its
 crash are rejected: --stride below 1, an empty --range, a negative
---recover-after or --horizon.
+--recover-after or --horizon.  So is a --horizon before a `fault at` time
+of the scenario, as the parser rejects such a horizon in the file.
 """
 
 import argparse
@@ -94,6 +95,12 @@ def _build_parser():
 
 def _cmd_run(args) -> int:
     sc = load_scenario(args.scenario)
+    if args.horizon is not None:
+        # as the parser checks a file's horizon: no timed fault is dropped
+        for f in sc.faults:
+            if f.when_kind == "time" and f.when > args.horizon:
+                raise ValidationError("fault at time %d beyond --horizon %d"
+                                      % (f.when, args.horizon))
     res = Simulator(sc, seed=args.seed, strategy=args.strategy,
                     horizon=args.horizon).run()
     stem = os.path.splitext(os.path.basename(args.scenario))[0]

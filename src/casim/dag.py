@@ -47,6 +47,14 @@ class OperationDAG:
         self.edges.append((src, dst, etype))
         self._succ.setdefault(src, []).append(dst)
 
+    def copy(self) -> "OperationDAG":
+        """A DAG to extend apart from this one; the nodes are shared."""
+        dag = OperationDAG()
+        dag.nodes = list(self.nodes)
+        dag.edges = list(self.edges)
+        dag._succ = {nid: list(s) for nid, s in self._succ.items()}
+        return dag
+
     def successors(self, nid: int):
         return self._succ.get(nid, [])
 

@@ -7,27 +7,28 @@ waits, entry gathering, the exit barrier) is modeled as the thread
 becoming non-runnable until an enabling event reschedules it.  Replaying
 the same (scenario, seed) reproduces a byte-identical trace and dump.
 
-Scheduled work is data, never a closure: a queue entry is `(time, prio,
-seq, fn, args)` with `fn` a bound `Simulator` method.  So the queue can be
-inspected, and `copy.deepcopy` of a simulator binds the copy's pending
-work and clock to the copy, not to the original.  The run loop itself
-fires index faults: after each handler (and after each quiesce pass) it
-schedules every `fault index K` whose K-th event has been emitted, so the
-trace stays a plain log that calls nothing back.
+Scheduled work is plain data, never a closure: a queue entry is `(time,
+prio, seq, fn, args)` with `fn` a plain `Simulator` function, called as
+`fn(sim, *args)`, and `args` only ids, keys, node names and immutable
+scenario values, never a simulator, thread, instance or commit.  So the
+queue can be inspected, and a fork (`Simulator.fork`) shares its entries.
+The run loop itself fires index faults: after each handler (and after
+each quiesce pass) it schedules every `fault index K` whose K-th event has
+been emitted, so the trace stays a plain log that calls nothing back.
+`run_to` pauses a run at the same points, and `fork` copies a paused run's
+mutable state, so a crash sweep crashes a node in a fork of one fault-free
+run instead of simulating the shared prefix again for every crash point.
 
 Ownership runs one way.  The parts of a simulator never point back at it
 or at their owner: the clock lives on the trace (`Trace.now`) that every
 emitting part already holds, the lock table asks the transaction table
 for ancestry, and cross-links between instances and two-phase commits are
 keys into `instances`, with a nested child's `parent` the only strong
-link between instances.  So a finished run holds no reference cycle and
-is freed by reference counting when its last reference goes; the one
-exception is a run stopped by its horizon, whose unrun queue entries stay
-bound to the simulator.  Even that cycle becomes garbage only when the
-caller drops the simulator, after `run` has returned.  So `run` pauses the
-cyclic collector, whose passes would only walk the live events and
-records and free nothing, and it restores the caller's setting when it
-returns or raises.
+link between instances.  So a run, finished or stopped at any point,
+holds no reference cycle and is freed by reference counting when its
+last reference goes.  So `run` and `run_to` pause the cyclic collector,
+whose passes would only walk the live events and records and free
+nothing, and they restore the caller's setting when they return or raise.
 
 Top-level commits run two-phase commit over simulated messages with
 presumed abort: a prepared participant that finds no commit record at the
@@ -87,15 +88,28 @@ class LThread:
     def frame(self) -> Frame | None:
         return self.frames[-1] if self.frames else None
 
+    def copy(self, instances) -> "LThread":
+        """This thread for a fork whose instances are `instances`."""
+        th = LThread(self.tid, self.client, self.node)
+        th.frames = [Frame(instances[f.instance.key], f.steps, f.pc)
+                     for f in self.frames]
+        th.status = self.status
+        th.gen = self.gen
+        return th
+
 
 @dataclass
 class TwoPC:
     key: str                        # the instance's key in `instances`
     txn: int
     coordinator: str
-    parts: list
+    parts: list                     # never changed once sorted
     acks: set = field(default_factory=set)
     applied: set = field(default_factory=set)
+
+    def copy(self) -> "TwoPC":
+        return TwoPC(self.key, self.txn, self.coordinator, self.parts,
+                     set(self.acks), set(self.applied))
 
 
 class Simulator:
@@ -129,6 +143,7 @@ class Simulator:
              if f.when_kind == "index"), key=lambda f: f[0])
         self.initial_dump: list = []
         self._nested_only = {n for d in scenario.defs.values() for n in d.nested}
+        self._started = False
 
     @property
     def outcomes(self) -> dict:
@@ -157,14 +172,55 @@ class Simulator:
         heapq.heappush(self._q, (time, prio, self._qseq, fn, args))
 
     def inject_fault(self, time, op, node, prio=None):
-        self.schedule(time, self._crash if op == "crash" else self._recover,
-                      node, prio=prio)
+        self.schedule(time, Simulator._crash if op == "crash"
+                      else Simulator._recover, node, prio=prio)
 
     # ------------------------------------------------------------------
     # run loop
 
     @pause_cyclic_gc
     def run(self) -> "Simulator":
+        """Run on from wherever this simulator is to the end of the run."""
+        self._advance(None)
+        # a fault indexed past this point never fires
+        self._finish()
+        return self
+
+    @pause_cyclic_gc
+    def run_to(self, index) -> bool:
+        """Advance until the trace holds more than `index` events, checked
+        where indexed faults are: after each handler and after each
+        quiesce pass.  True if that point was reached; False if the run
+        ended first, unfinished (`run` finishes it)."""
+        return self._advance(index)
+
+    def fork(self) -> "Simulator":
+        """An independent copy of this simulator, paused where it is.  Only
+        mutable state is copied; the scenario and everything it holds,
+        and every emitted event, log record, lock request, DAG node and
+        savepoint are shared, as nothing changes them once made."""
+        sim = object.__new__(type(self))
+        sim.__dict__.update(self.__dict__)
+        sim.rng = random.Random.__new__(random.Random)  # state set at once
+        sim.rng.setstate(self.rng.getstate())
+        sim.trace = self.trace.copy()
+        sim.store = self.store.copy()
+        sim.txns = self.txns.copy(sim.store, sim.trace)
+        sim._q = list(self._q)
+        # parents come before their children in `instances`
+        sim.instances = insts = {}
+        for key, inst in self.instances.items():
+            insts[key] = inst.copy(
+                None if inst.parent is None else insts[inst.parent.key])
+        sim.threads = {tid: th.copy(insts) for tid, th in self.threads.items()}
+        sim.inflight = {t: st.copy() for t, st in self.inflight.items()}
+        sim.rejections = list(self.rejections)
+        sim.crash_checks = list(self.crash_checks)
+        sim.indexed_faults = list(self.indexed_faults)
+        return sim
+
+    def _start(self):
+        self._started = True
         self.initial_dump = self.store.dump_stable()
         # grouped by action key: the order fixes each submission's rng draw
         groups: dict[str, list] = {}
@@ -172,30 +228,48 @@ class Simulator:
             groups.setdefault(c.action_key, []).append(c)
         for contribs in groups.values():
             for c in contribs:
-                self.schedule(c.time, self._do_submit, c)
+                self.schedule(c.time, Simulator._do_submit, c)
         for f in self.sc.faults:
             if f.when_kind == "time":
                 self.inject_fault(f.when, f.op, f.node)
 
-        trace, faults = self.trace, self.indexed_faults
+    def _advance(self, pause) -> bool:
+        """The run loop: True once the trace holds more than `pause`
+        events (never, for None), False when the run ends."""
+        if not self._started:
+            self._start()
+        trace, q = self.trace, self._q
         events = trace.events
-        horizon_hit = False
+        if pause is not None and pause < len(events):
+            return True
         while True:
-            while self._q:
-                if self._q[0][0] > self.horizon:
-                    horizon_hit = True
-                    break
-                t, _p, _s, fn, args = heapq.heappop(self._q)
+            check = self._next_check(pause)
+            while q:
+                if q[0][0] > self.horizon:
+                    return False
+                t, _p, _s, fn, args = heapq.heappop(q)
                 trace.now = max(trace.now, t)
-                fn(*args)
-                if faults and faults[0][0] < len(events):
-                    self._fire_indexed()
-            if horizon_hit or not self._quiesce():
-                break
-            self._fire_indexed()
-        # a fault indexed past this point never fires
-        self._finish()
-        return self
+                fn(self, *args)
+                if check is not None and check < len(events):
+                    if self._checkpoint(pause):
+                        return True
+                    check = self._next_check(pause)
+            if not self._quiesce():
+                return False
+            if self._checkpoint(pause):
+                return True
+
+    def _next_check(self, pause):
+        """The least event index that, once emitted, makes the loop stop at
+        its next check point (to fire a fault or to pause), or None."""
+        faults = self.indexed_faults
+        if not faults:
+            return pause
+        return faults[0][0] if pause is None else min(faults[0][0], pause)
+
+    def _checkpoint(self, pause) -> bool:
+        self._fire_indexed()
+        return pause is not None and pause < len(self.trace.events)
 
     def _fire_indexed(self):
         """Schedule, ahead of all other work at this time, each indexed
@@ -260,7 +334,7 @@ class Simulator:
         if parent is not None:
             parent.nested[defn.name] = key
         self.instances[key] = inst
-        self.schedule(self.now + defn.deadline, self._deadline, inst)
+        self.schedule(self.now + defn.deadline, Simulator._deadline, key)
         return inst
 
     def _register_top(self, th, key, role):
@@ -287,7 +361,8 @@ class Simulator:
         if set(inst.registered) == set(inst.defn.roles):
             self._start_instance(inst)
 
-    def _deadline(self, inst):
+    def _deadline(self, key):
+        inst = self.instances[key]
         if inst.status == act.GATHERING:
             self.coordinated_abort(inst, "entry_timeout")
 
@@ -351,14 +426,15 @@ class Simulator:
 
     def _schedule_step(self, th):
         th.gen += 1
-        self.schedule(self.now + 1, self._thread_step, th, th.gen)
+        self.schedule(self.now + 1, Simulator._thread_step, th.tid, th.gen)
 
     def _wake(self, th):
         if th.status in (BLOCKED_LOCK, BLOCKED_SYNC, BLOCKED_ORDER):
             th.status = RUNNABLE
             self._schedule_step(th)
 
-    def _thread_step(self, th, gen):
+    def _thread_step(self, tid, gen):
+        th = self.threads[tid]
         if th.gen != gen or th.status != RUNNABLE or not th.frames:
             return
         frame = th.frame
@@ -599,11 +675,16 @@ class Simulator:
             self._decide_commit(st)
             return
         for p in st.parts:
-            self._send(st.coordinator, p, "prepare", self._on_prepare, st, p)
-        self.schedule(self.now + TWO_PC_TIMEOUT, self.coordinated_abort, inst,
-                      "2pc_timeout")
+            self._send(st.coordinator, p, "prepare", Simulator._on_prepare,
+                       st.txn, p)
+        self.schedule(self.now + TWO_PC_TIMEOUT, Simulator._commit_timeout,
+                      inst.key)
 
-    def _on_prepare(self, st, p):
+    def _commit_timeout(self, key):
+        self.coordinated_abort(self.instances[key], "2pc_timeout")
+
+    def _on_prepare(self, txn, p):
+        st = self.inflight[txn]
         part = self.txns.writes_by_node(st.txn)[p]
         redo = tuple((name, value, self.store.committed(name)[1] + 1)
                      for name, value in sorted(part.items()))
@@ -611,9 +692,10 @@ class Simulator:
                                            coordinator=st.coordinator,
                                            redo=redo))
         self.trace.emit(self.now, "commit1", txn=st.txn, node=p)
-        self._send(p, st.coordinator, "ack", self._on_ack, st, p)
+        self._send(p, st.coordinator, "ack", Simulator._on_ack, txn, p)
 
-    def _on_ack(self, st, p):
+    def _on_ack(self, txn, p):
+        st = self.inflight[txn]
         st.acks.add(p)
         if not self.instances[st.key].terminal and set(st.parts) <= st.acks:
             self._decide_commit(st)
@@ -630,9 +712,11 @@ class Simulator:
         inst.status = act.COMMITTED
         self._deliver_outcome(inst)
         for p in st.parts:
-            self._send(st.coordinator, p, "apply", self._apply_at, st, p)
+            self._send(st.coordinator, p, "apply", Simulator._apply_at,
+                       st.txn, p)
 
-    def _apply_at(self, st, p):
+    def _apply_at(self, txn, p):
+        st = self.inflight[txn]
         if p in st.applied:
             return
         rec = self.store.find_log(p, "prepare", st.txn)
@@ -666,7 +750,7 @@ class Simulator:
         self.trace.emit(self.now, "msg_send", **{"from": src},
                         to=dst, mtype=mkind, mid=self._mid)
         latency = self.rng.randint(*MSG_LATENCY)
-        self.schedule(self.now + latency, self._deliver,
+        self.schedule(self.now + latency, Simulator._deliver,
                       src, dst, mkind, self._mid, fn, args)
 
     def _deliver(self, src, dst, mkind, mid, fn, args):
@@ -676,7 +760,7 @@ class Simulator:
             return
         self.trace.emit(self.now, "msg_recv", **{"from": src},
                         to=dst, mtype=mkind, mid=mid)
-        fn(*args)
+        fn(self, *args)
 
     # ------------------------------------------------------------------
     # crash and recovery
@@ -692,7 +776,7 @@ class Simulator:
         self.trace.emit(self.now, "crash", node=node)
         if self.auto_recover_after is not None:
             self.schedule(self.now + self.auto_recover_after,
-                          self._auto_recover, node)
+                          Simulator._auto_recover, node)
         dead = [th for th in self.threads.values()
                 if th.node == node and th.status not in (DONE, DEAD)]
         for th in dead:
@@ -726,7 +810,7 @@ class Simulator:
             if not self.store.node_up(coord):
                 continue  # in doubt: the coordinator's recovery applies a commit
             if self.store.find_log(coord, "commit", rec.txn) is not None:
-                self._apply_at(st, node)  # returns at once if applied
+                self._apply_at(st.txn, node)  # returns at once if applied
             elif self.store.find_log(coord, "abort", rec.txn) is None:
                 # no decision survives: presumed abort (an abort decided while
                 # the coordinator was down is logged by _resolve_coordinator,
@@ -747,5 +831,5 @@ class Simulator:
             elif status == act.COMMITTED:
                 for p in st.parts:
                     if p not in st.applied and self.store.node_up(p):
-                        self._apply_at(st, p)
+                        self._apply_at(st.txn, p)
 

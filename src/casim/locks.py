@@ -37,6 +37,11 @@ class LockTable:
         self.holders: dict[str, dict[int, str]] = {}  # obj -> txn -> mode
         self.queue: dict[str, deque[Request]] = {}
 
+    def copy_state(self, other: "LockTable"):
+        """Take a copy of other's holders and queues; requests are shared."""
+        self.holders = {obj: dict(hs) for obj, hs in other.holders.items()}
+        self.queue = {obj: deque(q) for obj, q in other.queue.items()}
+
     def held_mode(self, obj: str, txn: int) -> str | None:
         return self.holders.get(obj, {}).get(txn)
 

@@ -44,6 +44,16 @@ class NodeStore:
         self.log: list[LogRecord] = []
         self.first: dict[tuple[str, int], LogRecord] = {}  # (kind, txn)
 
+    def copy(self) -> "NodeStore":
+        """A node to change apart from this one; log records are shared."""
+        ns = NodeStore(self.name)
+        ns.up = self.up
+        ns.volatile = dict(self.volatile)
+        ns.stable = dict(self.stable)
+        ns.log = list(self.log)
+        ns.first = dict(self.first)
+        return ns
+
 
 class ObjectStore:
     def __init__(self, nodes):
@@ -51,6 +61,13 @@ class ObjectStore:
         for n in nodes:
             self.nodes[n] = NodeStore(n)
         self.homes: dict[str, str] = {}  # object name -> home node
+
+    def copy(self) -> "ObjectStore":
+        """A store to change apart from this one."""
+        store = ObjectStore(())
+        store.nodes = {n: ns.copy() for n, ns in self.nodes.items()}
+        store.homes = dict(self.homes)
+        return store
 
     def create_object(self, name: str, home: str, initial: bytes):
         ns = self.nodes[home]

@@ -1,16 +1,18 @@
 """Systematic fault and seed sweeps.
 
-The crash sweep reruns one scenario once per (node, trace-event index),
-crashing that node right after that event and recovering it a fixed
-interval later, then audits every run.  The seed sweep reruns the
-scenario across a seed range.  Both return one verdict row per run.
+The crash sweep crashes a node once per (node, trace-event index), right
+after that event, recovers it a fixed interval later, and audits every
+run.  Each node's crash runs fork from one fault-free run that pauses at
+each crash point in turn, so the prefix they share is simulated once per
+node, not once per crash point.  The seed sweep reruns the scenario
+across a seed range.  Both return one verdict row per run.
 """
 
 from dataclasses import replace
 
 from . import audit
 from .engine import Simulator
-from .scenario import Fault, Scenario
+from .scenario import Scenario
 
 
 def _audit_run(res, all_nodes):
@@ -24,15 +26,19 @@ def crash_sweep(scenario: Scenario, nodes=None, recover_after=100,
                 stride=1) -> list:
     """One row per injected crash point: {node, index, time, outcomes,
     ok, failures, stable_unchanged, volatile_cleared}."""
-    n_events = len(Simulator(replace(scenario, faults=[])).run().trace.events)
+    fault_free = replace(scenario, faults=[])
+    n_events = len(Simulator(fault_free).run().trace.events)
     horizon = scenario.horizon + recover_after + 200
     rows = []
     for node in (nodes or scenario.nodes):
+        base = Simulator(fault_free, horizon=horizon,
+                         auto_recover_after=recover_after)
         for index in range(0, n_events, stride):
-            sc = replace(scenario,
-                         faults=[Fault("index", index, "crash", node)])
-            res = Simulator(sc, horizon=horizon,
-                            auto_recover_after=recover_after).run()
+            reached = base.run_to(index)
+            res = base.fork()
+            if reached:     # as the run loop fires `fault index <index>`
+                res.inject_fault(res.now, "crash", node, prio=-1.0)
+            res.run()
             ok, failures = _audit_run(res, scenario.nodes)
             stable_ok = all(c[2] for c in res.crash_checks)
             vol_ok = all(c[3] for c in res.crash_checks)

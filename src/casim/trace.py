@@ -99,6 +99,14 @@ class Trace:
         self.events.append(ev)
         return ev
 
+    def copy(self) -> "Trace":
+        """A trace to extend apart from this one; the events are shared."""
+        tr = Trace()
+        tr.events = list(self.events)
+        tr.now = self.now
+        tr._int_text = dict(self._int_text)
+        return tr
+
     def lines(self):
         return [ev.line() for ev in self.events]
 

@@ -64,6 +64,16 @@ class TransactionManager:
         # the table's bound method: the lock table never reaches the manager
         self.locktable = locks.LockTable(self.txns.is_ancestor, lambda t: t)
 
+    def copy(self, store: ObjectStore, trace: Trace) -> "TransactionManager":
+        """This manager for a fork whose store and trace are the given
+        copies."""
+        tm = TransactionManager(store, trace, self.unsafe_early_release)
+        for t in self.txns.values():
+            tm.txns[t.id] = Txn(t.id, t.parent, list(t.undo), dict(t.writes))
+        tm._next = self._next
+        tm.locktable.copy_state(self.locktable)
+        return tm
+
     # --- tree bookkeeping ---
 
     def begin(self, parent: int | None = None) -> Txn:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 import casim.cli as cli
@@ -48,6 +50,22 @@ def test_validation_error_exits_two_with_line_number(tmp_path, capsys):
     rc = cli.main(["run", str(bad)])
     assert rc == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_run_rejects_a_horizon_before_a_timed_fault(tmp_path, capsys,
+                                                    monkeypatch):
+    # crash_recover.scn crashes beta at 4 and recovers it at 80
+    monkeypatch.setenv("CASIM_OUT_DIR", str(tmp_path))
+    scn = str(Path(__file__).resolve().parent.parent / "scenarios"
+              / "crash_recover.scn")
+    for horizon in ("5", "79"):
+        assert cli.main(["run", scn, "--horizon", horizon]) == 2
+        assert capsys.readouterr().err == \
+            "error: fault at time 80 beyond --horizon %s\n" % horizon
+    assert not (tmp_path / "crash_recover.trace").exists()
+    assert cli.main(["run", scn, "--horizon", "80"]) == 0
+    trace_text = (tmp_path / "crash_recover.trace").read_text()
+    assert "\t80\trecover\t-\t-\tnode=beta\n" in trace_text
 
 
 def test_malformed_trace_exits_two(tmp_path, capsys):

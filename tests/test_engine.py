@@ -1,8 +1,8 @@
-import copy
 import gc
 import heapq
 import runpy
 import sys
+import types
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +13,8 @@ from casim import audit, sweep
 from casim.dag import CONSTRAINT
 from casim.engine import Simulator
 from casim.errors import InconsistentFault, MalformedTrace
-from casim.scenario import Fault, load_scenario, parse_scenario
+from casim.scenario import (Contribution, Fault, load_scenario,
+                            parse_scenario)
 from casim.store import decode_value
 
 from conftest import TRANSFER, random_competitive_scenario, run_text
@@ -513,48 +514,93 @@ def test_strategy_equivalent_stable_state():
     assert f_begins == 1 and n_begins == 2
 
 
-def test_deep_copy_runs_like_the_original():
+def drain(sim):
+    """Run every queued handler of sim, ignoring its horizon."""
+    while sim._q:
+        t, _p, _s, fn, args = heapq.heappop(sim._q)
+        sim.trace.now = max(sim.trace.now, t)
+        fn(sim, *args)
+
+
+def test_fork_runs_like_the_original():
     for path in sorted(SCENARIO_DIR.glob("*.scn")):
         sc = load_scenario(str(path))
         fresh = Simulator(sc).run().trace_text()
         sim = Simulator(sc)
-        clone = copy.deepcopy(sim)
-        assert clone.run().trace_text() == fresh, path.name
+        assert sim.fork().run().trace_text() == fresh, path.name
+        index = 0
+        while sim.run_to(index):    # and a fork at every pause point
+            assert sim.fork().run().trace_text() == fresh, (path.name, index)
+            index += 1
+        assert index == len(sim.trace.events) > 0
         assert sim.run().trace_text() == fresh, path.name
 
 
-def test_deep_copy_of_queued_work_is_bound_to_the_copy():
+def test_a_fork_and_its_base_run_apart():
+    for path in sorted(SCENARIO_DIR.glob("*.scn")):
+        sc = replace(load_scenario(str(path)), faults=[])
+        run = Simulator(sc).run()
+        fresh = run.trace_text()
+        base = Simulator(sc)
+        assert base.run_to(len(run.trace.events) // 2)
+        forks = [base.fork(), base.fork()]
+        texts = []
+        for fork in forks:      # each runs to its end before the next
+            fork.inject_fault(fork.now, "crash", sc.nodes[0], prio=-1.0)
+            texts.append(fork.run().trace_text())
+            assert fork.crash_checks and fork.crash_checks[0][0] == sc.nodes[0]
+        assert texts[0] == texts[1] != fresh, path.name
+        assert not base.crash_checks
+        assert base.run().trace_text() == fresh, path.name
+
+
+def _plain(value) -> bool:
+    if isinstance(value, tuple):
+        return all(_plain(v) for v in value)
+    return isinstance(value, (str, int, float, types.FunctionType,
+                              Contribution))
+
+
+def test_queued_work_is_plain_data_that_acts_on_a_fork():
     sc = load_scenario(str(SCENARIO_DIR / "crash_recover.scn"))
-    sim = Simulator(sc, horizon=40)
-    sim.run()
-    assert sim._q  # the recovery at time 80 is still queued
-    clone = copy.deepcopy(sim)
-    assert len(clone._q) == len(sim._q)
-    for entry in clone._q:
-        assert len(entry) == 5
-        assert entry[3].__self__ is clone
+    sim = Simulator(sc, horizon=40).run()
+    # the aborted transfer's entry deadline and the recovery are queued
+    assert sorted((e[0], e[3].__name__, e[4]) for e in sim._q) == \
+        [(50, "_deadline", ("transfer",)), (80, "_recover", ("beta",))]
+    assert all(len(e) == 5 and _plain(e) for e in sim._q)
+    mid, index, queued = Simulator(parse_scenario(TRANSFER)), 0, set()
+    while mid.run_to(index):
+        assert all(len(e) == 5 and _plain(e) for e in mid._q), index
+        queued |= {e[3].__name__ for e in mid._q}
+        index += 1
+    assert queued == {"_do_submit", "_deadline", "_thread_step", "_deliver",
+                      "_commit_timeout"}
+    clone = sim.fork()
+    assert clone._q == sim._q and clone._q is not sim._q
+    drain(clone)
+    assert clone.store.node_up("beta") and not sim.store.node_up("beta")
+    assert kinds(clone)[len(kinds(sim)):] == ["recover"]
+    assert sim._q
 
 
-def test_find_log_in_a_deep_copy_of_a_mid_run_simulator():
+def test_find_log_in_a_fork_of_a_mid_run_simulator():
     # stopped at the commit decision: both applies are still queued
     sim = Simulator(parse_scenario(TRANSFER), horizon=10).run()
     assert stable_value(sim, "acct_b") == 40
-    clone = copy.deepcopy(sim)
+    clone = sim.fork()
     rec = clone.store.find_log("beta", "prepare", 0)
     assert rec is clone.store.nodes["beta"].log[0]
-    assert rec is not sim.store.find_log("beta", "prepare", 0)
-    assert rec == sim.store.find_log("beta", "prepare", 0)
-    while clone._q:  # the copy's queued applies read the copy's log
-        t, _p, _s, fn, args = heapq.heappop(clone._q)
-        clone.trace.now = t
-        fn(*args)
+    assert rec is sim.store.find_log("beta", "prepare", 0)  # shared record
+    assert clone.store.nodes["beta"].log is not sim.store.nodes["beta"].log
+    drain(clone)  # the copy's queued applies read the copy's log
     assert stable_value(clone, "acct_b") == 70
     assert stable_value(sim, "acct_b") == 40
     assert clone.store.find_log("alpha", "end", 0) is \
         clone.store.nodes["alpha"].log[-1]
+    assert sim.store.find_log("alpha", "end", 0) is None
 
 
-def test_deep_copy_of_a_mid_run_simulator_keeps_its_own_clock():
+def test_fork_of_a_mid_run_simulator_keeps_its_own_clock():
     # stopped after the first transfer, with the late one still queued
     text = TRANSFER.replace("seed 3",
                             "client c3 alpha 100 transfer#late debit\n"
@@ -562,14 +608,8 @@ def test_deep_copy_of_a_mid_run_simulator_keeps_its_own_clock():
                             "seed 3")
     sim = Simulator(parse_scenario(text), horizon=60).run()
     before = sim.trace.lines()
-    clone = copy.deepcopy(sim)
+    clone = sim.fork()
     clone.trace.now = 1000  # the copy alone jumps ahead, then runs on
-
-    def drain(s):
-        while s._q:
-            t, _p, _s, fn, args = heapq.heappop(s._q)
-            s.trace.now = max(s.trace.now, t)
-            fn(*args)
 
     def late_txn_times(s):
         late = [ev for ev in s.trace.events[len(before):]
@@ -588,14 +628,19 @@ def test_deep_copy_of_a_mid_run_simulator_keeps_its_own_clock():
 
 def test_a_finished_run_is_freed_by_reference_counting(monkeypatch):
     # no reference cycle from scenario parse to audit verdict: with the GC
-    # off, each simulator dies when its last reference goes, and nothing
-    # is left for the collector
+    # off, each simulator, fork and run stopped by its horizon dies when
+    # its last reference goes, and nothing is left for the collector
     refs = []
 
     class Tracked(Simulator):
         def __init__(self, scenario, **kw):
             super().__init__(scenario, **kw)
             refs.append(weakref.ref(self))
+
+        def fork(self):
+            sim = super().fork()
+            refs.append(weakref.ref(sim))
+            return sim
 
     def run_and_audit(sc, **kw):
         sim = Tracked(sc, **kw).run()
@@ -617,9 +662,10 @@ def test_a_finished_run_is_freed_by_reference_counting(monkeypatch):
                 for seed in range(5):
                     run_and_audit(parse_scenario(text), seed=seed,
                                   strategy=strategy)
+        crash_recover = load_scenario(str(SCENARIO_DIR / "crash_recover.scn"))
+        run_and_audit(crash_recover, horizon=40)    # work left queued
         n_reference = len(refs)
-        rows = sweep.crash_sweep(
-            load_scenario(str(SCENARIO_DIR / "crash_recover.scn")))
+        rows = sweep.crash_sweep(crash_recover)
         for seed in range(50):
             run_and_audit(random_competitive_scenario(seed))
         for text in texts:
@@ -628,8 +674,10 @@ def test_a_finished_run_is_freed_by_reference_counting(monkeypatch):
         garbage = gc.collect()
     finally:
         gc.enable()
-    # the sweep's fault-free base run, then one run per crash point
-    assert len(refs) == n_reference + 1 + len(rows) + 50 + len(texts)
+    # the sweep's fault-free run, then per node a paused base run, then
+    # one fork per crash point
+    assert len(refs) == n_reference + 1 + len(crash_recover.nodes) \
+        + len(rows) + 50 + len(texts)
     assert alive == []
     assert garbage == 0
 
@@ -646,8 +694,12 @@ def _on_stack(codes) -> bool:
 def test_runs_and_audits_start_no_collection():
     # they build no cycle, so they pause the cyclic collector
     bodies = {Simulator.run.__wrapped__.__code__,
+              Simulator.run_to.__wrapped__.__code__,
               audit.audit_trace.__wrapped__.__code__}
     starts = []     # per collection started: inside a run or an audit?
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    crash_text = workloads["crash_sweep"](1)
+    del workloads
 
     def hook(phase, _info):
         if phase == "start":
@@ -656,7 +708,7 @@ def test_runs_and_audits_start_no_collection():
     assert gc.isenabled()
     gc.callbacks.append(hook)
     try:
-        gc.collect()    # one the hook must see, outside both
+        gc.collect()    # one the hook must see, outside them all
         for path in sorted(SCENARIO_DIR.glob("*.scn")):
             sc = load_scenario(str(path))
             for strategy in (None, "flatten", "nested"):
@@ -664,6 +716,11 @@ def test_runs_and_audits_start_no_collection():
                 report = audit.audit_trace(sim.trace_text(),
                                            all_nodes=sc.nodes)
                 assert report["ok"], report
+        # a base advanced pause by pause, as a crash sweep advances it
+        base, index = Simulator(parse_scenario(crash_text)), 0
+        while base.run_to(index):
+            index += 1
+        assert index == 304
         rows = sweep.crash_sweep(
             load_scenario(str(SCENARIO_DIR / "crash_recover.scn")))
     finally:

@@ -1,12 +1,20 @@
 import gc
+import runpy
 import weakref
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
 
 from casim import sweep
 from casim.engine import Simulator
-from casim.scenario import parse_scenario
+from casim.scenario import Fault, load_scenario, parse_scenario
 from casim.sweep import crash_sweep, render_rows, seed_sweep
 
-from conftest import TRANSFER
+from conftest import TRANSFER, random_competitive_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 def test_seed_sweep_rows_all_audited():
@@ -35,16 +43,28 @@ def test_render_rows_table():
 
 
 def test_sweeps_hold_one_run_at_a_time(monkeypatch):
-    """Each run is freed once its row is built, before the next one (and,
-    in a crash sweep, after the fault-free run that counts the events)."""
+    """Each run is freed once its row is built, before the next one.  A
+    crash sweep also holds, while it runs the forks of one node, that
+    node's paused fault-free base, which never runs to its end."""
     live = []
-    most = []
+    others = []     # per run: (id, horizon, crashes) of each other
+                    # simulator alive as it starts
 
     class Tracked(Simulator):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            live.append(weakref.ref(self))
+
+        def fork(self):
+            sim = super().fork()
+            live.append(weakref.ref(sim))
+            return sim
+
         def run(self):
             live[:] = [ref for ref in live if ref() is not None]
-            most.append(len(live))
-            live.append(weakref.ref(self))
+            others.append([(id(ref()), ref().horizon,
+                            len(ref().crash_checks))
+                           for ref in live if ref() is not self])
             return super().run()
 
     monkeypatch.setattr(sweep, "Simulator", Tracked)
@@ -52,8 +72,113 @@ def test_sweeps_hold_one_run_at_a_time(monkeypatch):
     gc.collect()
     gc.disable()
     try:
-        runs = len(seed_sweep(sc, 0, 3)) + 1 + len(crash_sweep(sc, stride=8))
+        seed_runs = len(seed_sweep(sc, 0, 3))
+        crash_runs = len(crash_sweep(sc, stride=8))
     finally:
         gc.enable()
-    assert len(most) == runs
-    assert max(most) == 0
+    assert len(others) == seed_runs + 1 + crash_runs
+    # the seed runs and the crash sweep's fault-free run that counts events
+    assert others[:seed_runs + 1] == [[]] * (seed_runs + 1)
+    forks = others[seed_runs + 1:]
+    assert all(len(sims) == 1 for sims in forks)
+    assert all(horizon == sc.horizon + 300 and crashes == 0
+               for [(_id, horizon, crashes)] in forks)
+    assert len({sims[0][0] for sims in forks}) == len(sc.nodes)
+
+
+def _reference_crash_sweep(scenario, nodes=None, recover_after=100,
+                           stride=1):
+    """The crash sweep as it was before forking: each crash run simulates
+    its whole trace, with the crash as a `fault index`.  Returns the rows
+    and each run's (trace text, crash checks)."""
+    n_events = len(Simulator(replace(scenario, faults=[])).run().trace.events)
+    horizon = scenario.horizon + recover_after + 200
+    rows, runs = [], []
+    for node in (nodes or scenario.nodes):
+        for index in range(0, n_events, stride):
+            sc = replace(scenario,
+                         faults=[Fault("index", index, "crash", node)])
+            res = Simulator(sc, horizon=horizon,
+                            auto_recover_after=recover_after).run()
+            runs.append((res.trace_text(), res.crash_checks))
+            ok, failures = sweep._audit_run(res, scenario.nodes)
+            stable_ok = all(c[2] for c in res.crash_checks)
+            vol_ok = all(c[3] for c in res.crash_checks)
+            rows.append({
+                "node": node,
+                "index": index,
+                "time": res.crash_checks[0][1] if res.crash_checks else None,
+                "outcomes": dict(res.outcomes),
+                "ok": ok and stable_ok and vol_ok,
+                "failures": failures,
+                "stable_unchanged": stable_ok,
+                "volatile_cleared": vol_ok,
+            })
+    return rows, runs
+
+
+def _forked_crash_sweep(monkeypatch, scenario, **kw):
+    """crash_sweep's rows and each run's (trace text, crash checks)."""
+    runs = []
+    audit_run = sweep._audit_run
+
+    def recording(res, all_nodes):
+        runs.append((res.trace_text(), res.crash_checks))
+        return audit_run(res, all_nodes)
+
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "_audit_run", recording)
+        rows = crash_sweep(scenario, **kw)
+    return rows, runs
+
+
+def _assert_same_sweep(monkeypatch, scenario, **kw):
+    rows, runs = _forked_crash_sweep(monkeypatch, scenario, **kw)
+    ref_rows, ref_runs = _reference_crash_sweep(scenario, **kw)
+    assert len(runs) == len(ref_runs)
+    for i, (run, ref) in enumerate(zip(runs, ref_runs)):
+        assert run == ref, (rows[i]["node"], rows[i]["index"])
+    assert render_rows(rows) == render_rows(ref_rows)
+    assert rows == ref_rows
+    return rows
+
+
+@pytest.mark.parametrize("recover_after", [100, 1])
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob(
+    "*.scn")))
+def test_forked_sweep_matches_reexecution(monkeypatch, name, stride,
+                                          recover_after):
+    rows = _assert_same_sweep(monkeypatch,
+                              load_scenario(str(SCENARIO_DIR / name)),
+                              stride=stride, recover_after=recover_after)
+    assert any(r["time"] is not None for r in rows)
+
+
+def test_forked_sweep_matches_reexecution_on_random_scenarios(monkeypatch):
+    for seed in range(30):
+        _assert_same_sweep(monkeypatch, random_competitive_scenario(seed))
+
+
+def test_forked_sweep_matches_reexecution_on_the_crash_workload(monkeypatch):
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    sc = parse_scenario(workloads["crash_sweep"](1))
+    rows = _assert_same_sweep(monkeypatch, sc,
+                              stride=workloads["CRASH_STRIDE"])
+    assert len(rows) == 608 and all(r["ok"] for r in rows)
+
+
+def test_run_to_past_the_end_of_a_run():
+    sc = parse_scenario(TRANSFER)
+    fresh = Simulator(sc).run()
+    n = len(fresh.trace.events)
+    base = Simulator(sc)
+    assert base.run_to(n - 1)
+    assert len(base.trace.events) == n
+    assert not base.run_to(n)
+    assert not base.run_to(n)   # an ended run stays ended
+    assert len(base.trace.events) == n
+    fork = base.fork()   # a crash sweep injects no crash into this fork
+    assert fork.run().trace_text() == fresh.trace_text()
+    assert fork.crash_checks == []
+    assert base.run().trace_text() == fresh.trace_text()
