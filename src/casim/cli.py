@@ -9,8 +9,9 @@
 Output files default into $CASIM_OUT_DIR (falling back to the current
 directory).  Exit status: 0 success, 1 an audit failed, 2 an option,
 the scenario or the trace was rejected with a diagnostic, line-numbered
-for a file.  Options that would run nothing or recover a node before its
-crash are rejected: --stride below 1, an empty --range, a negative
+for a file, or a file could not be read, decoded or written (`error:
+PATH: reason`).  Options that would run nothing or recover a node before
+its crash are rejected: --stride below 1, an empty --range, a negative
 --recover-after or --horizon.  So is a --horizon before a `fault at` time
 of the scenario, as the parser rejects such a horizon in the file.
 """
@@ -179,6 +180,14 @@ def main(argv=None) -> int:
         return 2
     except SimError as e:
         print("error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:     # only the input file is decoded
+        path = args.tracefile if args.cmd == "audit" else args.scenario
+        print("error: %s: %s" % (path, e), file=sys.stderr)
+        return 2
+    except OSError as e:    # a file that cannot be opened, read or written
+        where = "" if e.filename is None else "%s: " % e.filename
+        print("error: %s%s" % (where, e.strerror or e), file=sys.stderr)
         return 2
 
 

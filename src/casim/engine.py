@@ -198,7 +198,9 @@ class Simulator:
         """An independent copy of this simulator, paused where it is.  Only
         mutable state is copied; the scenario and everything it holds,
         and every emitted event, log record, lock request, DAG node and
-        savepoint are shared, as nothing changes them once made."""
+        savepoint are shared, as nothing changes them once made.  So are
+        the rendered lines of the events so far (`Trace.copy`): the forks
+        of one paused run render its prefix once between them."""
         sim = object.__new__(type(self))
         sim.__dict__.update(self.__dict__)
         sim.rng = random.Random.__new__(random.Random)  # state set at once

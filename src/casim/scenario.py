@@ -36,7 +36,8 @@ start of a line (after optional blanks), so a comment cannot follow
 content on the same line.  Client lines may suffix the action with `#key`
 to distinguish several instances of one definition.  `fault index K`
 fires right after the K-th trace event instead of at a fixed virtual
-time; K, the time of `fault at` and the horizon are non-negative.
+time; K, the time of `fault at`, a client's time and the horizon are
+non-negative.
 
 Steps and expressions are read-only after parsing, so one parse makes
 one `Step` per distinct step line and one `Expr` per distinct expression
@@ -211,8 +212,11 @@ def parse_scenario(text: str) -> Scenario:
             if first != lineno:
                 raise ValidationError("role %s of %s already given on line %d"
                                       % (toks[5], toks[4], first), lineno)
-            sc.clients.append(Contribution(toks[1], toks[2],
-                                           _int(toks[3], lineno, "time"),
+            when = _int(toks[3], lineno, "time")
+            if when < 0:
+                raise ValidationError("negative client time %d" % when,
+                                      lineno)
+            sc.clients.append(Contribution(toks[1], toks[2], when,
                                            toks[4], toks[5]))
         elif head == "fault":
             fault_lines.append(lineno)

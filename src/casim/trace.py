@@ -25,9 +25,19 @@ in chunks of about `CHUNK_CHARS` characters, each ending just after a
 newline, so it never holds a list of every line; lines and line numbers
 are those of `str.splitlines`.  `Trace.emit` gives equal int detail
 values one string per trace.
+
+A trace and its copies share rendered lines.  `copy` first renders the
+source's events past its cache of rendered lines, and the new trace
+starts with its own copy of that list; `lines` and `render` format only
+the events past the cache, so the copies of one paused run format their
+common prefix once between them.  Emitted events are shared between a
+trace and its copies and never change after `emit`, so neither do their
+lines.  Only `copy` fills the cache: a trace that is never copied keeps
+no lines after `render`.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import MalformedTrace
 
@@ -84,6 +94,7 @@ class Trace:
         self.events: list[Event] = []
         self.now = 0
         self._int_text = {}   # int detail value -> its one string
+        self._lines = []      # lines of the first events; filled by copy()
 
     def emit(self, time: int, kind: str, txn=None, obj=None, **detail) -> Event:
         assert kind in ALL_KINDS, kind
@@ -100,15 +111,22 @@ class Trace:
         return ev
 
     def copy(self) -> "Trace":
-        """A trace to extend apart from this one; the events are shared."""
+        """A trace to extend apart from this one.  The events are shared,
+        and so are their lines: this trace renders the events it has not
+        rendered yet, and the copy starts with its own list of them."""
+        done = self._lines
+        done += [ev.line() for ev in islice(self.events, len(done), None)]
         tr = Trace()
         tr.events = list(self.events)
+        tr._lines = list(done)
         tr.now = self.now
         tr._int_text = dict(self._int_text)
         return tr
 
     def lines(self):
-        return [ev.line() for ev in self.events]
+        done = self._lines
+        new = [ev.line() for ev in islice(self.events, len(done), None)]
+        return done + new if done else new
 
     def render(self, dumps: dict | None = None) -> str:
         out = self.lines()

@@ -74,6 +74,36 @@ def test_malformed_trace_exits_two(tmp_path, capsys):
     assert cli.main(["audit", str(p)]) == 2
 
 
+FLAT = str(Path(__file__).resolve().parent.parent / "scenarios"
+           / "flat_transfer.scn")
+
+
+# {tmp} is the test's directory; bad.scn holds bytes that are not UTF-8
+@pytest.mark.parametrize("argv, path, reason", [
+    (["run", "{tmp}/nope.scn"], "{tmp}/nope.scn", "No such file or directory"),
+    (["audit", "{tmp}/nope.trace"], "{tmp}/nope.trace",
+     "No such file or directory"),
+    (["run", FLAT, "--trace", "{tmp}/no/such/dir/x.trace"],
+     "{tmp}/no/such/dir/x.trace", "No such file or directory"),
+    (["run", "{tmp}/bad.scn"], "{tmp}/bad.scn",
+     "'utf-8' codec can't decode byte 0xff in position 0"),
+    (["sweep", FLAT, "--mode", "seeds", "--range", "0..0",
+      "--out", "{tmp}/no/such/t.tsv"], "{tmp}/no/such/t.tsv",
+     "No such file or directory"),
+], ids=["missing_scenario", "missing_trace", "unwritable_trace",
+        "undecodable_scenario", "unwritable_sweep_table"])
+def test_file_error_exits_two(tmp_path, capsys, monkeypatch, argv, path,
+                              reason):
+    # exit 1 would mean that an audit failed
+    monkeypatch.setenv("CASIM_OUT_DIR", str(tmp_path))
+    (tmp_path / "bad.scn").write_bytes(b"\xff\xfe")
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: %s" % (path.format(tmp=tmp_path),
+                                             reason))
+    assert err.count("\n") == 1
+
+
 def test_sweep_seeds_subcommand(tmp_path, capsys):
     out = tmp_path / "table.tsv"
     rc = cli.main(["sweep", write_scn(tmp_path), "--mode", "seeds",

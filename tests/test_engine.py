@@ -554,6 +554,56 @@ def test_a_fork_and_its_base_run_apart():
         assert base.run().trace_text() == fresh, path.name
 
 
+def _crash_fork(base, node):
+    """A fork of `base` that crashes `node` where the base is paused, as the
+    crash sweep does."""
+    fork = base.fork()
+    fork.inject_fault(fork.now, "crash", node, prio=-1.0)
+    return fork
+
+
+def _crash_text(sc, index, node) -> str:
+    """The trace of a fresh run with `fault index <index> crash <node>`."""
+    sc = replace(sc, faults=[Fault("index", index, "crash", node)])
+    return Simulator(sc).run().trace_text()
+
+
+def test_forks_render_apart_from_their_base_moving_on():
+    # each fork runs and renders only after its base has moved on and
+    # been forked again, which the crash sweep never does
+    for path in sorted(SCENARIO_DIR.glob("*.scn")):
+        sc = replace(load_scenario(str(path)), faults=[])
+        n = len(Simulator(sc).run().trace.events)
+        node = sc.nodes[0]
+        base, forks = Simulator(sc), []
+        for k in (n // 3, 2 * n // 3):
+            assert base.run_to(k)
+            forks.append((k, _crash_fork(base, node)))
+        for k, fork in forks:
+            assert fork.run().trace_text() == _crash_text(sc, k, node), \
+                (path.name, k)
+
+
+def test_a_fork_of_a_fork_renders_like_a_fresh_run():
+    for path in sorted(SCENARIO_DIR.glob("*.scn")):
+        sc = replace(load_scenario(str(path)), faults=[])
+        n = len(Simulator(sc).run().trace.events)
+        node = sc.nodes[0]
+        k1, k2 = n // 3, 2 * n // 3
+        base = Simulator(sc)
+        assert base.run_to(k1)
+        crashed = _crash_fork(base, node)
+        crashed.run_to(k2)
+        again = crashed.fork()  # its prefix is the base's, then its own
+        assert base.run_to(k2)
+        later = _crash_fork(base, node)
+        expected = _crash_text(sc, k1, node)
+        assert again.run().trace_text() == expected, path.name
+        assert crashed.run().trace_text() == expected, path.name
+        assert later.run().trace_text() == _crash_text(sc, k2, node), \
+            path.name
+
+
 def _plain(value) -> bool:
     if isinstance(value, tuple):
         return all(_plain(v) for v in value)

@@ -74,6 +74,7 @@ client b n1 0 bump#right w
     ("node n1\nfault index -1 crash n1\n",
      "line 2: negative fault position"),
     ("node n1\nhorizon -1\n", "line 2: negative horizon -1"),
+    ("node n1\nclient c n1 -5 a r\n", "line 2: negative client time -5"),
     ("action p\n  order b < c\n  order b < c\n", "line 3: duplicate order"),
     ("node\n", "line 1: usage: node NAME"),
     ("object x n1\n", "line 1: usage: object NAME NODE VALUE"),

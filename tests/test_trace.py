@@ -164,6 +164,21 @@ def test_parse_inverts_render(events):
     assert trace.parse(text) == (events, {})
 
 
+def test_only_a_copied_trace_keeps_rendered_lines():
+    t = make_trace()
+    text = t.render()
+    assert t._lines == []       # render alone keeps nothing
+    c = t.copy()
+    # the source renders its events once and the copy takes its own list
+    assert t._lines == c._lines == text.splitlines()
+    assert c._lines is not t._lines
+    c.emit(2, "commit1", txn=0)
+    t.emit(2, "abort", txn=0)
+    assert c.render() == text + "3\t2\tcommit1\t0\t-\t-\n"
+    assert t.render() == text + "3\t2\tabort\t0\t-\t-\n"
+    assert len(t._lines) == len(c._lines) == 3
+
+
 def test_render_of_no_events_is_one_newline():
     assert trace.Trace().render() == "\n"
     assert trace.Trace().render({}) == \
