@@ -408,11 +408,12 @@ def verify_lock_rule(events):
 
 
 @pause_cyclic_gc
-def audit_trace(text: str, all_nodes=None):
+def audit_trace(text: str, all_nodes=None, reuse=None):
     """Run every audit over a rendered trace file.  Returns a dict of
     check name -> (ok, info); key "ok" aggregates.  Raises MalformedTrace
-    on schema violations."""
-    events, dumps = trace_mod.parse(text)
+    on schema violations.  `reuse` is passed to `trace.parse`; the passes
+    never change an event, so events shared between texts stay valid."""
+    events, dumps = trace_mod.parse(text, reuse)
     if all_nodes is None:
         all_nodes = {ln.split("\t")[0] for ln in dumps.get("initial", [])}
     report = {

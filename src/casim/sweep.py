@@ -4,8 +4,11 @@ The crash sweep crashes a node once per (node, trace-event index), right
 after that event, recovers it a fixed interval later, and audits every
 run.  Each node's crash runs fork from one fault-free run that pauses at
 each crash point in turn, so the prefix they share is simulated once per
-node, not once per crash point.  The seed sweep reruns the scenario
-across a seed range.  Both return one verdict row per run.
+node, not once per crash point.  Each run's audit still reads its whole
+trace text, but parses only the event lines the previous run's text did
+not have: one `trace.parse` reuse dict serves the whole sweep.  The seed
+sweep reruns the scenario across a seed range; its runs share few lines,
+so it parses each text whole.  Both return one verdict row per run.
 """
 
 from dataclasses import replace
@@ -15,8 +18,9 @@ from .engine import Simulator
 from .scenario import Scenario
 
 
-def _audit_run(res, all_nodes):
-    report = audit.audit_trace(res.trace_text(), all_nodes=all_nodes)
+def _audit_run(res, all_nodes, reuse=None):
+    report = audit.audit_trace(res.trace_text(), all_nodes=all_nodes,
+                               reuse=reuse)
     failures = [name for name, v in report.items()
                 if name != "ok" and not v[0]]
     return report["ok"], failures
@@ -30,6 +34,7 @@ def crash_sweep(scenario: Scenario, nodes=None, recover_after=100,
     n_events = len(Simulator(fault_free).run().trace.events)
     horizon = scenario.horizon + recover_after + 200
     rows = []
+    reuse = {}      # the previous run's event lines -> their events
     for node in (nodes or scenario.nodes):
         base = Simulator(fault_free, horizon=horizon,
                          auto_recover_after=recover_after)
@@ -39,7 +44,7 @@ def crash_sweep(scenario: Scenario, nodes=None, recover_after=100,
             if reached:     # as the run loop fires `fault index <index>`
                 res.inject_fault(res.now, "crash", node, prio=-1.0)
             res.run()
-            ok, failures = _audit_run(res, scenario.nodes)
+            ok, failures = _audit_run(res, scenario.nodes, reuse)
             stable_ok = all(c[2] for c in res.crash_checks)
             vol_ok = all(c[3] for c in res.crash_checks)
             rows.append({

@@ -3,7 +3,9 @@
 Each event is one line `seq TAB time TAB kind TAB txn TAB obj TAB detail`.
 A trace file ends with a literal `dump` line followed by labelled state
 sections in the object-store dump format: one record per line,
-`node TAB name TAB version TAB value`, with an integer version.
+`node TAB name TAB version TAB value`, with an integer version.  Each
+section appears at most once and holds at most one record per (node,
+name), so no record can shadow another.
 
 Detail values are strings from the moment an event is emitted (`emit`
 converts any other value with `str`), so an emitted event and the same
@@ -20,7 +22,12 @@ per distinct value.  `parse` shares the kind string, each object name,
 detail key and detail value, each (key, value) token pair and each int
 of the time and txn fields across the events it returns, so equal values
 of two events may be one object.  Only immutable strings and ints are
-shared; each event has its own `detail` dict.  The parser reads its text
+shared within one call; each event it returns has its own `detail` dict.
+Across calls, `parse(text, reuse)` shares whole events: an event line
+that the previous call through the same `reuse` dict parsed yields that
+call's event, `detail` dict included, so no reader of parsed events may
+change one.  The crash sweep's consecutive texts share most of their
+lines, and it parses each through one dict.  The parser reads its text
 in chunks of about `CHUNK_CHARS` characters, each ending just after a
 newline, so it never holds a list of every line; lines and line numbers
 are those of `str.splitlines`.  `Trace.emit` gives equal int detail
@@ -174,17 +181,25 @@ def _pair(tok: str, strings: dict, lineno: int) -> tuple:
     return strings.setdefault(k, k), strings.setdefault(v, v)
 
 
-def parse(text: str):
+def parse(text: str, reuse: dict | None = None):
     """Parse a trace file into (events, dump_sections).
 
     dump_sections maps section name to its list of raw record lines.
     Raises MalformedTrace with a line number on schema violations.
+
+    `reuse`, if given, maps event lines to the events an earlier parse
+    made of them.  An event line found there yields that event, once its
+    seq is the one expected here; every other check depends on the line
+    alone, which passed it when it was first parsed.  On return `reuse`
+    maps exactly this text's event lines to their events; a parse that
+    raises leaves it as it was.
     """
     events = []
     dumps = {}
     section = None
     in_dump = False
     expect_seq = 0
+    seen = None if reuse is None else {}    # this text's event lines
     # one object per distinct value within this parse
     ints = {}       # time or txn field -> int
     strings = {}    # object name, detail key or value -> itself
@@ -198,8 +213,12 @@ def parse(text: str):
                 if name not in DUMP_SECTIONS:
                     raise MalformedTrace("unknown dump section %r" % name,
                                          lineno)
+                if name in dumps:
+                    raise MalformedTrace("repeated dump section %r" % name,
+                                         lineno)
                 section = name
                 dumps[section] = []
+                records = set()     # "node TAB object" of this section
             elif section is None:
                 raise MalformedTrace("dump record before section header",
                                      lineno)
@@ -213,11 +232,27 @@ def parse(text: str):
                 except ValueError:
                     raise MalformedTrace("non-integer version %r in a dump "
                                          "record" % fields[2], lineno)
+                key = raw[:len(fields[0]) + 1 + len(fields[1])]
+                if key in records:
+                    raise MalformedTrace("repeated dump record %s/%s in [%s]"
+                                         % (fields[0], fields[1], section),
+                                         lineno)
+                records.add(key)
                 dumps[section].append(raw)
             continue
         if raw == "dump":
             in_dump = True
             continue
+        if seen is not None:
+            ev = reuse.get(raw)
+            if ev is not None:
+                if ev.seq != expect_seq:
+                    raise MalformedTrace("seq %d out of order" % ev.seq,
+                                         lineno)
+                expect_seq += 1
+                events.append(ev)
+                seen[raw] = ev
+                continue
         parts = raw.split("\t")
         if len(parts) != 6:
             raise MalformedTrace("expected 6 tab-separated fields", lineno)
@@ -251,5 +286,11 @@ def parse(text: str):
         need = REQUIRED_DETAIL.get(kind)
         if need is not None:
             _check_detail(kind, detail, need, lineno)
-        events.append(Event(seq, time, kind, txn, obj, detail))
+        ev = Event(seq, time, kind, txn, obj, detail)
+        events.append(ev)
+        if seen is not None:
+            seen[raw] = ev
+    if seen is not None:
+        reuse.clear()
+        reuse.update(seen)
     return events, dumps

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -382,6 +383,61 @@ def test_atomicity_flags_apply_of_an_object_with_no_home():
     assert not ok and not report["ok"]
     assert problems[0] == ("seq 0: apply of zz, which the initial dump does "
                            "not hold")
+
+
+def _crash_fork(scenario, node, index):
+    """The crash sweep's run that crashes `node` after event `index`."""
+    base = Simulator(replace(scenario, faults=[]),
+                     horizon=scenario.horizon + 300, auto_recover_after=100)
+    assert base.run_to(index)
+    res = base.fork()
+    res.inject_fault(res.now, "crash", node, prio=-1.0)
+    return res.run()
+
+
+def test_audits_change_no_event():
+    """A crash sweep shares parsed events between the texts it audits, so
+    no audit pass may change an event or its detail dict."""
+    runs = [Simulator(load_scenario(str(path))).run()
+            for path in sorted(SCENARIOS.glob("*.scn"))]
+    crash_recover = load_scenario(str(SCENARIOS / "crash_recover.scn"))
+    runs.append(_crash_fork(crash_recover, crash_recover.nodes[0], 10))
+    assert runs[-1].crash_checks
+    for res in runs:
+        text = res.trace_text()
+        reuse = {}      # holds the very events the passes read
+        audit.audit_trace(text, reuse=reuse)
+        audited = list(reuse.values())
+        fresh, _ = parse(text)
+        assert len(audited) == len(fresh) > 0
+        for a, b in zip(audited, fresh):
+            assert a.detail is not b.detail
+            assert (a.seq, a.time, a.kind, a.txn, a.obj, a.detail) == \
+                (b.seq, b.time, b.kind, b.txn, b.obj, b.detail)
+
+
+def test_audit_trace_rejects_a_shadowing_dump_section():
+    """A bogus [stable] section before the real one used to be dropped in
+    silence, and one record shadowing another would pass atomicity."""
+    res = Simulator(load_scenario(str(SCENARIOS / "flat_transfer.scn"))).run()
+    text = res.trace_text()
+    assert audit.audit_trace(text)["ok"]
+    lines = text.splitlines()
+    at = lines.index("[stable]")
+    bogus = "\n".join(lines[:at] + ["[stable]", "n9\tzz\t7\t999"]
+                      + lines[at:]) + "\n"
+    with pytest.raises(MalformedTrace) as e:
+        audit.audit_trace(bogus)
+    assert e.value.line == at + 3
+    assert "repeated dump section 'stable'" in str(e.value)
+    record = lines[at + 1]
+    shadowed = "\n".join(lines[:at + 2] + [record] + lines[at + 2:]) + "\n"
+    with pytest.raises(MalformedTrace) as e:
+        audit.audit_trace(shadowed)
+    assert e.value.line == at + 3
+    node, obj = record.split("\t")[:2]
+    assert "repeated dump record %s/%s in [stable]" % (node, obj) in \
+        str(e.value)
 
 
 def test_audit_trace_propagates_malformed():

@@ -208,8 +208,13 @@ def test_inconsistent_fault_exits_two(tmp_path, capsys, monkeypatch, faults,
      "line 3: expected 4 tab-separated fields in a dump record"),
     ("dump\n[initial]\nn1\tx\tv\t31\n",
      "line 3: non-integer version 'v' in a dump record"),
+    ("dump\n[stable]\nn9\tzz\t7\t999\n[initial]\n[stable]\n",
+     "line 5: repeated dump section 'stable'"),
+    ("dump\n[stable]\nn1\tx\t0\t31\nn1\tx\t1\t32\n",
+     "line 4: repeated dump record n1/x in [stable]"),
 ], ids=["txn", "outcome_without_inst", "decision_without_outcome",
-        "begin_parent", "dump_fields", "dump_version"])
+        "begin_parent", "dump_fields", "dump_version", "dump_section_twice",
+        "dump_record_twice"])
 def test_rejected_trace_exits_two(tmp_path, capsys, text, message):
     path = tmp_path / "t.trace"
     path.write_text(text)

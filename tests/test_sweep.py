@@ -122,9 +122,9 @@ def _forked_crash_sweep(monkeypatch, scenario, **kw):
     runs = []
     audit_run = sweep._audit_run
 
-    def recording(res, all_nodes):
+    def recording(res, *args, **kw):
         runs.append((res.trace_text(), res.crash_checks))
-        return audit_run(res, all_nodes)
+        return audit_run(res, *args, **kw)
 
     with monkeypatch.context() as m:
         m.setattr(sweep, "_audit_run", recording)

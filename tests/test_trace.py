@@ -1,13 +1,16 @@
 import random
+import runpy
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from casim import trace
+from casim import sweep, trace
 from casim.engine import Simulator
 from casim.errors import MalformedTrace
-from casim.scenario import load_scenario
+from casim.scenario import load_scenario, parse_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_trace():
@@ -77,6 +80,37 @@ def test_parse_rejects_bad_dump_record(record, message):
         trace.parse(text)
     assert e.value.line == 4
     assert message in str(e.value)
+
+
+@pytest.mark.parametrize("dump, line, message", [
+    ("[initial]\n[stable]\n[initial]\n", 5,
+     "repeated dump section 'initial'"),
+    ("[stable]\nn1\tx\t0\t31\n[volatile]\n[stable]\n", 6,
+     "repeated dump section 'stable'"),
+    ("[stable]\nn1\tx\t0\t31\nn1\ty\t0\t31\nn1\tx\t1\t32\n", 6,
+     "repeated dump record n1/x in [stable]"),
+    ("[initial]\nn1\tx\t0\t31\n[stable]\nn2\tx\t0\t31\n"
+     "n2\tx\t0\t31\n", 7, "repeated dump record n2/x in [stable]"),
+])
+def test_parse_rejects_a_repeated_dump_section_or_record(dump, line,
+                                                         message):
+    """A repeated section or (node, object) record would let a later one
+    silently shadow the first."""
+    text = "0\t0\tbegin\t0\t-\tparent=-\ndump\n" + dump
+    with pytest.raises(MalformedTrace) as e:
+        trace.parse(text)
+    assert e.value.line == line
+    assert str(e.value) == "line %d: %s" % (line, message)
+
+
+def test_parse_keeps_one_record_per_section():
+    """The same (node, object) may appear once in each section, and
+    records of other nodes or objects do not collide."""
+    text = ("dump\n[initial]\nn1\tx\t0\t31\nn2\tx\t0\t31\n"
+            "n1\ty\t0\t31\n[stable]\nn1\tx\t1\t32\n"
+            "[volatile]\nn1\tx\t1\t32\n")
+    _, dumps = trace.parse(text)
+    assert [len(dumps[s]) for s in trace.DUMP_SECTIONS] == [3, 1, 1]
 
 
 def test_emit_asserts_known_kind():
@@ -231,6 +265,9 @@ def _reference_parse(text):
                 if name not in trace.DUMP_SECTIONS:
                     raise MalformedTrace("unknown dump section %r" % name,
                                          lineno)
+                if name in dumps:
+                    raise MalformedTrace("repeated dump section %r" % name,
+                                         lineno)
                 section = name
                 dumps[section] = []
             elif section is None:
@@ -246,6 +283,11 @@ def _reference_parse(text):
                 except ValueError:
                     raise MalformedTrace("non-integer version %r in a dump "
                                          "record" % fields[2], lineno)
+                if any(r.split("\t")[:2] == fields[:2]
+                       for r in dumps[section]):
+                    raise MalformedTrace("repeated dump record %s/%s in [%s]"
+                                         % (fields[0], fields[1], section),
+                                         lineno)
                 dumps[section].append(raw)
             continue
         if raw == "dump":
@@ -390,8 +432,7 @@ def test_parse_matches_reference_across_a_chunk_edge(brk):
 
 
 def test_parse_shares_repeated_values():
-    path = Path(__file__).resolve().parent.parent / "scenarios" / \
-        "crash_recover.scn"
+    path = ROOT / "scenarios" / "crash_recover.scn"
     text = Simulator(load_scenario(str(path))).run().trace_text()
     events, _ = trace.parse(text)
     first = {}
@@ -424,3 +465,149 @@ def test_emit_shares_the_string_of_each_int():
     ev = t.emit(2, "step", th=1, ok=True)
     assert ev.detail == {"th": "1", "ok": "True"}
     assert t.lines()[-1].endswith("ok=True th=1")
+
+
+# --- parsing with `reuse`: events of an earlier parse's lines ---
+
+def _event_lines(text):
+    lines = text.splitlines()
+    return lines[:lines.index("dump")] if "dump" in lines else lines
+
+
+def _crash_sweep_texts(scenario, **kw):
+    """Every audited text of crash_sweep(scenario), in sweep order."""
+    texts = []
+
+    def record(res, *args, **kw):
+        texts.append(res.trace_text())
+        return True, []
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "_audit_run", record)
+        sweep.crash_sweep(scenario, **kw)
+    return texts
+
+
+@pytest.fixture(scope="module")
+def sweep_texts():
+    texts = []
+    for path in sorted((ROOT / "scenarios").glob("*.scn")):
+        for stride in (1, 3):
+            texts += _crash_sweep_texts(load_scenario(str(path)),
+                                        stride=stride)
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    texts += _crash_sweep_texts(parse_scenario(workloads["crash_sweep"](1)),
+                                stride=workloads["CRASH_STRIDE"])
+    return texts
+
+
+def test_parse_with_reuse_matches_a_fresh_parse(sweep_texts):
+    """Crash-sweep texts, parsed in sweep order through one dict, give what
+    a fresh parse of each gives, and the dict then holds exactly that
+    text's event lines and events."""
+    reuse = {}
+    reused = total = 0
+    for text in sweep_texts:
+        prev = dict(reuse)
+        events, dumps = trace.parse(text, reuse)
+        assert (events, dumps) == trace.parse(text)
+        lines = _event_lines(text)
+        assert list(reuse) == lines
+        assert all(a is b for a, b in zip(reuse.values(), events))
+        reused += sum(prev.get(ln) is ev for ln, ev in zip(lines, events))
+        total += len(events)
+    assert len(sweep_texts) > 1000
+    assert reused > 0.8 * total
+
+
+SWAPPABLE = "0\t0\tbegin\t0\t-\tparent=-\n1\t0\tgrant\t0\tx\tmode=w\n"
+
+
+def _reuse_of(text):
+    reuse = {}
+    trace.parse(text, reuse)
+    return reuse
+
+
+def _assert_raises_leaving_reuse(text, reuse, line, message):
+    before = dict(reuse)
+    with pytest.raises(MalformedTrace) as e:
+        trace.parse(text, reuse)
+    assert str(e.value) == "line %d: %s" % (line, message)
+    assert e.value.line == line
+    assert reuse == before
+    assert all(reuse[ln] is ev for ln, ev in before.items())
+
+
+def test_reused_lines_still_check_their_seq():
+    reuse = _reuse_of(SWAPPABLE)
+    first, second = SWAPPABLE.splitlines()
+    _assert_raises_leaving_reuse(second + "\n" + first + "\n", reuse, 1,
+                                 "seq 1 out of order")
+    _assert_raises_leaving_reuse(first + "\n" + first + "\n", reuse, 2,
+                                 "seq 0 out of order")
+
+
+def test_a_malformed_line_after_reused_lines_names_its_own_line():
+    reuse = _reuse_of(SWAPPABLE)
+    for bad, message in [
+            ("2\t0\tfrobnicate\t-\t-\t-", "unknown event kind 'frobnicate'"),
+            ("2\t0\tgrant\t0\tx\t-", "grant event lacks detail key 'mode'"),
+            ("5\t0\tabort\t0\t-\t-", "seq 5 out of order")]:
+        text = "\n" + SWAPPABLE + bad + "\n"
+        _assert_raises_leaving_reuse(text, reuse, 4, message)
+        assert _outcome(lambda t: trace.parse(t, dict(reuse)), text) == \
+            _outcome(_reference_parse, text)
+
+
+def test_dump_lines_are_never_reused():
+    """A dump record that equals an event line parses as a record."""
+    reuse = _reuse_of(SWAPPABLE)
+    first = SWAPPABLE.splitlines()[0]
+    with pytest.raises(MalformedTrace) as e:
+        trace.parse(SWAPPABLE + "dump\n[initial]\n" + first + "\n", reuse)
+    assert e.value.line == 5
+    assert "expected 4 tab-separated fields in a dump record" in str(e.value)
+
+
+def _variant(rng, lines):
+    """`lines` with a few lines cut, swapped, repeated or replaced."""
+    lines = list(lines)
+    for _ in range(rng.randint(0, 3)):
+        if not lines:
+            break
+        i = rng.randrange(len(lines))
+        op = rng.choice(["truncate", "delete", "swap", "repeat", "noise"])
+        if op == "truncate":
+            del lines[i:]
+        elif op == "delete":
+            del lines[i]
+        elif op == "swap":
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[rng.randrange(len(lines))])
+        else:
+            lines[i] = rng.choice(_NOISE)
+    return "".join(ln + "\n" for ln in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_parse_with_reuse_matches_reference(seed):
+    """Texts that share most of their lines, parsed in turn through one
+    dict, parse as the reference parses each one alone; a text that is
+    rejected leaves the dict as it was."""
+    rng = random.Random(seed)
+    lines = _repetitive_text(rng).splitlines()
+    reuse = {}
+    for _ in range(5):
+        text = _variant(rng, lines)
+        before = dict(reuse)
+        got = _outcome(lambda t: trace.parse(t, reuse), text)
+        assert got == _outcome(_reference_parse, text)
+        if got[0] == "MalformedTrace":
+            assert reuse == before
+        else:
+            assert list(reuse) == [ln for ln in _event_lines(text)
+                                   if ln.strip()]
