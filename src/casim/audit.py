@@ -408,12 +408,12 @@ def verify_lock_rule(events):
 
 
 @pause_cyclic_gc
-def audit_trace(text: str, all_nodes=None, reuse=None):
+def audit_trace(text: str, all_nodes=None, index=None):
     """Run every audit over a rendered trace file.  Returns a dict of
     check name -> (ok, info); key "ok" aggregates.  Raises MalformedTrace
-    on schema violations.  `reuse` is passed to `trace.parse`; the passes
-    never change an event, so events shared between texts stay valid."""
-    events, dumps = trace_mod.parse(text, reuse)
+    on schema violations.  `index` is passed to `trace.parse`, so the
+    passes may read a run's emitted events; they never change one."""
+    events, dumps = trace_mod.parse(text, index)
     if all_nodes is None:
         all_nodes = {ln.split("\t")[0] for ln in dumps.get("initial", [])}
     report = {

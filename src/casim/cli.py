@@ -106,7 +106,8 @@ def _cmd_run(args) -> int:
                     horizon=args.horizon).run()
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     trace_path = args.trace or _out_path(stem + ".trace")
-    text = res.trace_text()
+    index = {}      # the audit reads the emitted events through it
+    text = res.trace_text(index)
     with open(trace_path, "w") as f:
         f.write(text)
     if args.dump:
@@ -121,7 +122,7 @@ def _cmd_run(args) -> int:
     for err, key, role, tid in res.rejections:
         print("rejected\t%s\t%s\t%s" % (key, role, err))
     print("trace\t%s\t%d events" % (trace_path, len(res.trace.events)))
-    report = audit.audit_trace(text, all_nodes=sc.nodes)
+    report = audit.audit_trace(text, all_nodes=sc.nodes, index=index)
     return _print_report(report)
 
 

@@ -155,8 +155,8 @@ class Simulator:
                 "stable": self.store.dump_stable(),
                 "volatile": self.store.dump_volatile()}
 
-    def trace_text(self) -> str:
-        return self.trace.render(self.dumps())
+    def trace_text(self, index: dict | None = None) -> str:
+        return self.trace.render(self.dumps(), index)
 
     @property
     def now(self) -> int:

@@ -4,26 +4,46 @@ The crash sweep crashes a node once per (node, trace-event index), right
 after that event, recovers it a fixed interval later, and audits every
 run.  Each node's crash runs fork from one fault-free run that pauses at
 each crash point in turn, so the prefix they share is simulated once per
-node, not once per crash point.  Each run's audit still reads its whole
-trace text, but parses only the event lines the previous run's text did
-not have: one `trace.parse` reuse dict serves the whole sweep.  The seed
-sweep reruns the scenario across a seed range; its runs share few lines,
-so it parses each text whole.  Both return one verdict row per run.
+node, not once per crash point.  The seed sweep reruns the scenario
+across a seed range.  Both return one verdict row per run.
+
+Each run's audit reads its whole trace text, but through the line index
+its render fills (`trace.parse`), so the audited events are the ones the
+run emitted and no line is parsed into a second copy of its event.  That
+holds only while parsing a line rebuilds the event it was rendered from,
+so each sweep parses its first run's text in full as well, and the crash
+sweep its fault-free run's, and raises MalformedTrace if those events
+differ from the emitted ones.
 """
 
 from dataclasses import replace
 
-from . import audit
+from . import audit, trace
 from .engine import Simulator
+from .errors import MalformedTrace
 from .scenario import Scenario
 
 
-def _audit_run(res, all_nodes, reuse=None):
-    report = audit.audit_trace(res.trace_text(), all_nodes=all_nodes,
-                               reuse=reuse)
+def _audit_run(res, all_nodes, round_trip=False):
+    index = {}
+    text = res.trace_text(index)
+    if round_trip:
+        _check_round_trip(text, res.trace.events)
+    report = audit.audit_trace(text, all_nodes=all_nodes, index=index)
     failures = [name for name, v in report.items()
                 if name != "ok" and not v[0]]
     return report["ok"], failures
+
+
+def _check_round_trip(text, emitted):
+    """Raise MalformedTrace, at the first event line that differs, unless
+    a plain parse of `text` gives back the `emitted` events."""
+    parsed, _ = trace.parse(text)
+    if parsed != emitted:
+        at = next((i for i, (a, b) in enumerate(zip(parsed, emitted))
+                   if a != b), min(len(parsed), len(emitted)))
+        raise MalformedTrace("parsing this line does not give back the "
+                             "event it was rendered from", at + 1)
 
 
 def crash_sweep(scenario: Scenario, nodes=None, recover_after=100,
@@ -31,10 +51,13 @@ def crash_sweep(scenario: Scenario, nodes=None, recover_after=100,
     """One row per injected crash point: {node, index, time, outcomes,
     ok, failures, stable_unchanged, volatile_cleared}."""
     fault_free = replace(scenario, faults=[])
-    n_events = len(Simulator(fault_free).run().trace.events)
+    free = Simulator(fault_free).run()
+    # a first fork that crashes early emits few kinds of event
+    _check_round_trip(free.trace_text(), free.trace.events)
+    n_events = len(free.trace.events)
+    del free
     horizon = scenario.horizon + recover_after + 200
     rows = []
-    reuse = {}      # the previous run's event lines -> their events
     for node in (nodes or scenario.nodes):
         base = Simulator(fault_free, horizon=horizon,
                          auto_recover_after=recover_after)
@@ -44,7 +67,7 @@ def crash_sweep(scenario: Scenario, nodes=None, recover_after=100,
             if reached:     # as the run loop fires `fault index <index>`
                 res.inject_fault(res.now, "crash", node, prio=-1.0)
             res.run()
-            ok, failures = _audit_run(res, scenario.nodes, reuse)
+            ok, failures = _audit_run(res, scenario.nodes, not rows)
             stable_ok = all(c[2] for c in res.crash_checks)
             vol_ok = all(c[3] for c in res.crash_checks)
             rows.append({
@@ -66,7 +89,7 @@ def seed_sweep(scenario: Scenario, start: int, stop: int) -> list:
     rows = []
     for seed in range(start, stop + 1):
         res = Simulator(scenario, seed=seed).run()
-        ok, failures = _audit_run(res, scenario.nodes)
+        ok, failures = _audit_run(res, scenario.nodes, seed == start)
         rows.append({
             "seed": seed,
             "outcomes": dict(res.outcomes),

@@ -23,15 +23,16 @@ detail key and detail value, each (key, value) token pair and each int
 of the time and txn fields across the events it returns, so equal values
 of two events may be one object.  Only immutable strings and ints are
 shared within one call; each event it returns has its own `detail` dict.
-Across calls, `parse(text, reuse)` shares whole events: an event line
-that the previous call through the same `reuse` dict parsed yields that
-call's event, `detail` dict included, so no reader of parsed events may
-change one.  The crash sweep's consecutive texts share most of their
-lines, and it parses each through one dict.  The parser reads its text
-in chunks of about `CHUNK_CHARS` characters, each ending just after a
-newline, so it never holds a list of every line; lines and line numbers
-are those of `str.splitlines`.  `Trace.emit` gives equal int detail
-values one string per trace.
+`render(dumps, index)` also fills `index` with each event line it
+renders, mapped to the event it was rendered from, and `parse(text,
+index)` takes a line found there as that event, `detail` dict included,
+so it may return a run's own emitted events and no reader of parsed
+events may change one.  The sweeps audit each run this way, so no event
+of a run is built a second time from its line.  The parser reads its
+text in chunks of about `CHUNK_CHARS` characters, each ending just after
+a newline, so it never holds a list of every line; lines and line
+numbers are those of `str.splitlines`.  `Trace.emit` gives equal int
+detail values one string per trace.
 
 A trace and its copies share rendered lines.  `copy` first renders the
 source's events past its cache of rendered lines, and the new trace
@@ -135,8 +136,11 @@ class Trace:
         new = [ev.line() for ev in islice(self.events, len(done), None)]
         return done + new if done else new
 
-    def render(self, dumps: dict | None = None) -> str:
+    def render(self, dumps: dict | None = None,
+               index: dict | None = None) -> str:
         out = self.lines()
+        if index is not None:   # each event line -> its event, for parse
+            index.update(zip(out, self.events))
         if dumps is not None:
             out.append("dump")
             for section in DUMP_SECTIONS:
@@ -181,25 +185,24 @@ def _pair(tok: str, strings: dict, lineno: int) -> tuple:
     return strings.setdefault(k, k), strings.setdefault(v, v)
 
 
-def parse(text: str, reuse: dict | None = None):
+def parse(text: str, index: dict | None = None):
     """Parse a trace file into (events, dump_sections).
 
     dump_sections maps section name to its list of raw record lines.
     Raises MalformedTrace with a line number on schema violations.
 
-    `reuse`, if given, maps event lines to the events an earlier parse
-    made of them.  An event line found there yields that event, once its
-    seq is the one expected here; every other check depends on the line
-    alone, which passed it when it was first parsed.  On return `reuse`
-    maps exactly this text's event lines to their events; a parse that
-    raises leaves it as it was.
+    `index`, if given, maps event lines to events, as `Trace.render`
+    fills it.  An event line found there yields that event once its seq
+    is the one expected here and it carries its kind's required detail
+    keys; every other check depends on the line alone, which rendering
+    that event made.  Any other line is parsed and checked in full.
+    `index` is only read.
     """
     events = []
     dumps = {}
     section = None
     in_dump = False
     expect_seq = 0
-    seen = None if reuse is None else {}    # this text's event lines
     # one object per distinct value within this parse
     ints = {}       # time or txn field -> int
     strings = {}    # object name, detail key or value -> itself
@@ -243,15 +246,17 @@ def parse(text: str, reuse: dict | None = None):
         if raw == "dump":
             in_dump = True
             continue
-        if seen is not None:
-            ev = reuse.get(raw)
+        if index is not None:
+            ev = index.get(raw)
             if ev is not None:
                 if ev.seq != expect_seq:
                     raise MalformedTrace("seq %d out of order" % ev.seq,
                                          lineno)
                 expect_seq += 1
+                need = REQUIRED_DETAIL.get(ev.kind)
+                if need is not None:
+                    _check_detail(ev.kind, ev.detail, need, lineno)
                 events.append(ev)
-                seen[raw] = ev
                 continue
         parts = raw.split("\t")
         if len(parts) != 6:
@@ -286,11 +291,5 @@ def parse(text: str, reuse: dict | None = None):
         need = REQUIRED_DETAIL.get(kind)
         if need is not None:
             _check_detail(kind, detail, need, lineno)
-        ev = Event(seq, time, kind, txn, obj, detail)
-        events.append(ev)
-        if seen is not None:
-            seen[raw] = ev
-    if seen is not None:
-        reuse.clear()
-        reuse.update(seen)
+        events.append(Event(seq, time, kind, txn, obj, detail))
     return events, dumps

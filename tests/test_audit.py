@@ -395,23 +395,33 @@ def _crash_fork(scenario, node, index):
     return res.run()
 
 
-def test_audits_change_no_event():
-    """A crash sweep shares parsed events between the texts it audits, so
-    no audit pass may change an event or its detail dict."""
+def test_audits_change_no_event(monkeypatch):
+    """Through its render's index an audit reads the run's own emitted
+    events, which the run and its forks share, so no audit pass may
+    change an event or its detail dict."""
     runs = [Simulator(load_scenario(str(path))).run()
             for path in sorted(SCENARIOS.glob("*.scn"))]
     crash_recover = load_scenario(str(SCENARIOS / "crash_recover.scn"))
     runs.append(_crash_fork(crash_recover, crash_recover.nodes[0], 10))
     assert runs[-1].crash_checks
+    parsed = []     # the events each audit reads
+    real_parse = audit.trace_mod.parse
+
+    def recording(text, index=None):
+        events, dumps = real_parse(text, index)
+        parsed.append(events)
+        return events, dumps
+
+    monkeypatch.setattr(audit.trace_mod, "parse", recording)
     for res in runs:
-        text = res.trace_text()
-        reuse = {}      # holds the very events the passes read
-        audit.audit_trace(text, reuse=reuse)
-        audited = list(reuse.values())
-        fresh, _ = parse(text)
+        index = {}
+        text = res.trace_text(index)
+        fresh, _ = real_parse(text)
+        audit.audit_trace(text, index=index)
+        audited = parsed.pop()
         assert len(audited) == len(fresh) > 0
-        for a, b in zip(audited, fresh):
-            assert a.detail is not b.detail
+        for a, emitted, b in zip(audited, res.trace.events, fresh):
+            assert a is emitted and a.detail is not b.detail
             assert (a.seq, a.time, a.kind, a.txn, a.obj, a.detail) == \
                 (b.seq, b.time, b.kind, b.txn, b.obj, b.detail)
 

@@ -8,6 +8,8 @@ from casim.trace import Trace
 
 from conftest import TRANSFER
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
 
 def write_scn(tmp_path, text=TRANSFER):
     p = tmp_path / "scn.scn"
@@ -42,6 +44,24 @@ def test_audit_subcommand_on_written_trace(tmp_path, capsys):
                      "--trace", str(trace_path)]) == 0
     capsys.readouterr()
     assert cli.main(["audit", str(trace_path)]) == 0
+
+
+def _audit_lines(out):
+    return [ln for ln in out.splitlines()
+            if ln.startswith(("audit\t", "\t"))]
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")),
+                         ids=lambda p: p.stem)
+def test_run_audits_as_audit_of_its_written_trace(tmp_path, capsys, path):
+    """`casim run` audits the events it emitted; `casim audit` parses the
+    written trace: both print the same audit lines."""
+    trace_path = tmp_path / "t.trace"
+    rc = cli.main(["run", str(path), "--trace", str(trace_path)])
+    ran = _audit_lines(capsys.readouterr().out)
+    assert cli.main(["audit", str(trace_path)]) == rc
+    assert _audit_lines(capsys.readouterr().out) == ran
+    assert len(ran) == 6
 
 
 def test_validation_error_exits_two_with_line_number(tmp_path, capsys):

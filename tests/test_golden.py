@@ -7,12 +7,13 @@ each of those runs and of 50 generated competitive scenarios (the
 serializability witness and every pass's verdict and problems; the
 frontier edge list is left out).  It also pins, for each benchmark
 workload generated at seed 1 (`bench/workloads.py`, read only), the
-trace of the first run its benchmark checks (304 to ~38k events), and
-the repr of the parsed scenario of each workload and reference
-scenario.  A change that is meant to keep traces unchanged (a refactor,
-a deletion, a speed-up) must leave every digest as it is.  A change that alters a trace on purpose, such as making the
-acceptance tests take read locks, updates the digests here and gives the
-reason in CHANGES.md.
+trace of the first run its benchmark checks (304 to ~38k events), the
+verdict tables of the two sweep workloads, and the repr of the parsed
+scenario of each workload and reference scenario.  A change that is
+meant to keep traces unchanged (a refactor, a deletion, a speed-up) must
+leave every digest as it is.  A change that alters a trace on purpose,
+such as making the acceptance tests take read locks, updates the digests
+here and gives the reason in CHANGES.md.
 """
 
 import hashlib
@@ -70,6 +71,13 @@ COMPETITIVE_AUDIT_DIGEST = \
 
 CRASH_SWEEP_DIGEST = \
     "ac3aa3e917fd1c2e884584fbd9e07f903716df0a78ba54c4aa14de0f5b8155d7"
+
+# verdict tables of the benchmark's two sweep workloads generated at seed
+# 1: nested_seeds over seeds 0-9, crash_sweep at its benchmark stride
+SWEEP_TABLE_DIGESTS = {
+    "nested_seeds": "7caabfa2f4021ca263dcce8602248a9ad8e922b560e7937d8ed7dc806e810006",
+    "crash_sweep": "c00969246df284d03969606f656313f6769972453caeb1e24980b07fe7e94116",
+}
 
 # the run each workload's benchmark audits first: contended_2pc's one run,
 # crash_sweep's fault-free run and nested_seeds' run at seed 0
@@ -150,3 +158,15 @@ def test_golden_workload_traces_and_parses():
     }
     assert {name: sha256(sim.run().trace_text())
             for name, sim in runs.items()} == WORKLOAD_TRACE_DIGESTS
+
+
+def test_golden_sweep_tables():
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    nested = parse_scenario(workloads["nested_seeds"](1))
+    crash = parse_scenario(workloads["crash_sweep"](1))
+    assert {
+        "nested_seeds": sha256(sweep.render_rows(
+            sweep.seed_sweep(nested, 0, 9))),
+        "crash_sweep": sha256(sweep.render_rows(sweep.crash_sweep(
+            crash, stride=workloads["CRASH_STRIDE"]))),
+    } == SWEEP_TABLE_DIGESTS

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from casim import sweep
+from casim import audit, sweep, trace
 from casim.engine import Simulator
+from casim.errors import MalformedTrace
 from casim.scenario import Fault, load_scenario, parse_scenario
 from casim.sweep import crash_sweep, render_rows, seed_sweep
 
@@ -40,6 +41,59 @@ def test_render_rows_table():
     lines = table.strip().split("\n")
     assert lines[0].startswith("seed\t")
     assert len(lines) == 3
+
+
+def test_sweeps_audit_the_events_each_run_emitted(monkeypatch):
+    """Every sweep audit parses through its run's own line index, so each
+    event it reads is one the run emitted and no line is parsed anew."""
+    audited = []
+    real = audit.audit_trace
+
+    def recording(text, all_nodes=None, index=None):
+        events, _ = trace.parse(text, index)
+        emitted = list(index.values())
+        audited.append(len(events) == len(emitted) > 0 and
+                       all(a is b for a, b in zip(events, emitted)))
+        return real(text, all_nodes=all_nodes, index=index)
+
+    monkeypatch.setattr(audit, "audit_trace", recording)
+    sc = load_scenario(str(SCENARIO_DIR / "crash_recover.scn"))
+    rows = crash_sweep(sc, stride=5) + seed_sweep(sc, 0, 4)
+    assert all(r["ok"] for r in rows)
+    assert len(audited) > 5 and all(audited)
+
+
+@pytest.mark.parametrize("run_sweep", [
+    lambda sc: seed_sweep(sc, sc.seed, sc.seed + 2),
+    lambda sc: crash_sweep(sc, stride=7)], ids=["seeds", "crash"])
+def test_sweep_format_guard_rejects_lines_that_do_not_parse_back(
+        monkeypatch, run_sweep):
+    """If a rendered line no longer parses back into its event (here a
+    detail value rendered with a space), the indexed audits would not
+    see it, so each sweep's full parse of a first run rejects it: the seed
+    sweep's first seed, the crash sweep's fault-free run."""
+    real = trace.Event.line
+
+    def spaced(ev):
+        if "mode" not in ev.detail:
+            return real(ev)
+        return real(replace(ev, detail={**ev.detail,
+                                        "mode": ev.detail["mode"] + " x=1"}))
+
+    sc = load_scenario(str(SCENARIO_DIR / "flat_transfer.scn"))
+    run_sweep(sc)
+    monkeypatch.setattr(trace.Event, "line", spaced)
+    res = Simulator(sc).run()
+    text = res.trace_text()
+    events, _ = trace.parse(text)
+    at = next(i for i, ev in enumerate(events) if ev.kind == "grant")
+    assert events[at].detail["x"] == "1"
+    assert "x" not in res.trace.events[at].detail
+    assert audit.audit_trace(text)["ok"]    # the text alone is consistent
+    with pytest.raises(MalformedTrace) as e:
+        run_sweep(sc)
+    assert str(e.value) == ("line %d: parsing this line does not give back "
+                            "the event it was rendered from" % (at + 1))
 
 
 def test_sweeps_hold_one_run_at_a_time(monkeypatch):

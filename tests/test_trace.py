@@ -347,10 +347,9 @@ _BAD_FIELDS = ["", "-", "x", "+5", "05", "1_0", "bogus", "k", "k=v k",
                "parent=x", "phase=nested", "a=1  b=2"]
 
 
-def _repetitive_text(rng):
-    """A rendered trace of up to 200 events over few distinct values, with
-    or without dumps, then possibly mutated: lines inserted, lines cut,
-    fields replaced and the line breaks swapped for other ones."""
+def _random_trace(rng):
+    """A trace of up to 200 events over few distinct values, and dumps
+    for it or None."""
     events = []
     for seq in range(rng.randint(0, 200)):
         kind = rng.choice(sorted(trace.ALL_KINDS))
@@ -368,6 +367,14 @@ def _repetitive_text(rng):
     t.events = events
     dumps = rng.choice([None, {"initial": ["n1\tx\t0\t31"],
                                "stable": ["n1\tx\t1\t32"], "volatile": []}])
+    return t, dumps
+
+
+def _repetitive_text(rng):
+    """A rendered `_random_trace`, then possibly mutated: lines inserted,
+    lines cut, fields replaced and the line breaks swapped for other
+    ones."""
+    t, dumps = _random_trace(rng)
     lines = t.render(dumps).split("\n")
     for _ in range(rng.randint(0, 3)):
         if not lines:
@@ -467,105 +474,145 @@ def test_emit_shares_the_string_of_each_int():
     assert t.lines()[-1].endswith("ok=True th=1")
 
 
-# --- parsing with `reuse`: events of an earlier parse's lines ---
+# --- parsing through a render's line index ---
 
-def _event_lines(text):
-    lines = text.splitlines()
-    return lines[:lines.index("dump")] if "dump" in lines else lines
+def _indexed(t, dumps=None):
+    """`t` rendered with its line index: (text, index)."""
+    index = {}
+    return t.render(dumps, index), index
 
 
-def _crash_sweep_texts(scenario, **kw):
-    """Every audited text of crash_sweep(scenario), in sweep order."""
-    texts = []
+def _assert_indexed_parse_is_plain(text, index, emitted):
+    """An indexed parse of `text` returns the `emitted` events themselves,
+    equals a plain parse and leaves `index` as it was."""
+    before = dict(index)
+    events, dumps = trace.parse(text, index)
+    assert len(events) == len(emitted)
+    assert all(a is b for a, b in zip(events, emitted))
+    assert (events, dumps) == trace.parse(text)
+    assert index == before
+    assert all(index[ln] is ev for ln, ev in before.items())
 
-    def record(res, *args, **kw):
-        texts.append(res.trace_text())
+
+def _assert_sweep_forks_parse_plain(scenario, **kw):
+    """Every run that crash_sweep(scenario) audits parses through its own
+    render's index as a plain parse does; returns the number of runs."""
+    runs = []
+
+    def check(res, *args, **kw):
+        text, index = _indexed(res.trace, res.dumps())
+        _assert_indexed_parse_is_plain(text, index, res.trace.events)
+        runs.append(len(index))
         return True, []
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep, "_audit_run", record)
+        mp.setattr(sweep, "_audit_run", check)
         sweep.crash_sweep(scenario, **kw)
-    return texts
+    assert all(runs)
+    return len(runs)
 
 
-@pytest.fixture(scope="module")
-def sweep_texts():
-    texts = []
-    for path in sorted((ROOT / "scenarios").glob("*.scn")):
-        for stride in (1, 3):
-            texts += _crash_sweep_texts(load_scenario(str(path)),
-                                        stride=stride)
+def test_indexed_parse_matches_a_plain_parse():
+    """Over reference runs under every strategy and seed 0-4, every crash
+    sweep fork of crash_recover.scn and of the crash_sweep workload, and
+    nested_seeds at seeds 0-4, the indexed parse of each run's text gives
+    the run's emitted events, equal to what a plain parse rebuilds."""
+    paths = sorted((ROOT / "scenarios").glob("*.scn"))
     workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
-    texts += _crash_sweep_texts(parse_scenario(workloads["crash_sweep"](1)),
-                                stride=workloads["CRASH_STRIDE"])
-    return texts
+    nested = parse_scenario(workloads["nested_seeds"](1))
+    runs = [Simulator(load_scenario(str(path)), seed=seed,
+                      strategy=strategy).run()
+            for path in paths for strategy in (None, "flatten", "nested")
+            for seed in range(5)]
+    runs += [Simulator(nested, seed=seed).run() for seed in range(5)]
+    assert len(runs) == len(paths) * 15 + 5
+    for res in runs:
+        text, index = _indexed(res.trace, res.dumps())
+        assert text == res.trace_text()
+        _assert_indexed_parse_is_plain(text, index, res.trace.events)
+    crash_recover = load_scenario(str(ROOT / "scenarios" /
+                                      "crash_recover.scn"))
+    assert _assert_sweep_forks_parse_plain(crash_recover) == 76
+    crash = parse_scenario(workloads["crash_sweep"](1))
+    assert _assert_sweep_forks_parse_plain(
+        crash, stride=workloads["CRASH_STRIDE"]) == 608
 
 
-def test_parse_with_reuse_matches_a_fresh_parse(sweep_texts):
-    """Crash-sweep texts, parsed in sweep order through one dict, give what
-    a fresh parse of each gives, and the dict then holds exactly that
-    text's event lines and events."""
-    reuse = {}
-    reused = total = 0
-    for text in sweep_texts:
-        prev = dict(reuse)
-        events, dumps = trace.parse(text, reuse)
-        assert (events, dumps) == trace.parse(text)
-        lines = _event_lines(text)
-        assert list(reuse) == lines
-        assert all(a is b for a, b in zip(reuse.values(), events))
-        reused += sum(prev.get(ln) is ev for ln, ev in zip(lines, events))
-        total += len(events)
-    assert len(sweep_texts) > 1000
-    assert reused > 0.8 * total
+def _swappable():
+    t = trace.Trace()
+    t.emit(0, "begin", txn=0, parent="-")
+    t.emit(0, "grant", txn=0, obj="x", mode="w")
+    return _indexed(t)
 
 
-SWAPPABLE = "0\t0\tbegin\t0\t-\tparent=-\n1\t0\tgrant\t0\tx\tmode=w\n"
-
-
-def _reuse_of(text):
-    reuse = {}
-    trace.parse(text, reuse)
-    return reuse
-
-
-def _assert_raises_leaving_reuse(text, reuse, line, message):
-    before = dict(reuse)
+def _assert_raises_leaving_index(text, index, line, message):
+    before = dict(index)
     with pytest.raises(MalformedTrace) as e:
-        trace.parse(text, reuse)
+        trace.parse(text, index)
     assert str(e.value) == "line %d: %s" % (line, message)
     assert e.value.line == line
-    assert reuse == before
-    assert all(reuse[ln] is ev for ln, ev in before.items())
+    assert index == before
+    assert all(index[ln] is ev for ln, ev in before.items())
 
 
 def test_reused_lines_still_check_their_seq():
-    reuse = _reuse_of(SWAPPABLE)
-    first, second = SWAPPABLE.splitlines()
-    _assert_raises_leaving_reuse(second + "\n" + first + "\n", reuse, 1,
+    text, index = _swappable()
+    first, second = text.splitlines()
+    _assert_raises_leaving_index(second + "\n" + first + "\n", index, 1,
                                  "seq 1 out of order")
-    _assert_raises_leaving_reuse(first + "\n" + first + "\n", reuse, 2,
+    _assert_raises_leaving_index(first + "\n" + first + "\n", index, 2,
                                  "seq 0 out of order")
 
 
+def test_indexed_events_still_need_their_required_detail():
+    """The event a line indexes is checked as the line's parse would be:
+    one that lost a required detail key after render is rejected."""
+    t = trace.Trace()
+    t.emit(0, "begin", txn=0, parent="-")
+    grant = t.emit(0, "grant", txn=0, obj="x", mode="w")
+    nested = t.emit(1, "commit2", txn=0, phase="nested", parent="3")
+    text, index = _indexed(t)
+    _assert_indexed_parse_is_plain(text, index, t.events)
+    del grant.detail["mode"]
+    _assert_raises_leaving_index(text, index, 2,
+                                 "grant event lacks detail key 'mode'")
+    grant.detail["mode"] = "w"
+    nested.detail["parent"] = "x"
+    _assert_raises_leaving_index(text, index, 3, "non-integer parent 'x'")
+
+
 def test_a_malformed_line_after_reused_lines_names_its_own_line():
-    reuse = _reuse_of(SWAPPABLE)
+    """A line not in the index, added or edited after render, is parsed
+    and checked in full, and rejected at its own line."""
+    text, index = _swappable()
     for bad, message in [
             ("2\t0\tfrobnicate\t-\t-\t-", "unknown event kind 'frobnicate'"),
             ("2\t0\tgrant\t0\tx\t-", "grant event lacks detail key 'mode'"),
             ("5\t0\tabort\t0\t-\t-", "seq 5 out of order")]:
-        text = "\n" + SWAPPABLE + bad + "\n"
-        _assert_raises_leaving_reuse(text, reuse, 4, message)
-        assert _outcome(lambda t: trace.parse(t, dict(reuse)), text) == \
-            _outcome(_reference_parse, text)
+        added = "\n" + text + bad + "\n"
+        _assert_raises_leaving_index(added, index, 4, message)
+        assert _outcome(lambda t: trace.parse(t, index), added) == \
+            _outcome(_reference_parse, added)
+    first, second = text.splitlines()
+    for edited, message in [
+            (second.replace("mode=w", "-"),
+             "grant event lacks detail key 'mode'"),
+            (second.replace("mode=w", "mode"), "bad detail token 'mode'"),
+            (second.replace("grant", "grnt"), "unknown event kind 'grnt'"),
+            (second.replace("\t0\tx", "\tx"),
+             "expected 6 tab-separated fields")]:
+        assert edited not in index
+        _assert_raises_leaving_index(first + "\n" + edited + "\n", index, 2,
+                                     message)
 
 
 def test_dump_lines_are_never_reused():
-    """A dump record that equals an event line parses as a record."""
-    reuse = _reuse_of(SWAPPABLE)
-    first = SWAPPABLE.splitlines()[0]
+    """A dump record that equals an indexed event line parses as a
+    record."""
+    text, index = _swappable()
+    first = text.splitlines()[0]
     with pytest.raises(MalformedTrace) as e:
-        trace.parse(SWAPPABLE + "dump\n[initial]\n" + first + "\n", reuse)
+        trace.parse(text + "dump\n[initial]\n" + first + "\n", index)
     assert e.value.line == 5
     assert "expected 4 tab-separated fields in a dump record" in str(e.value)
 
@@ -594,20 +641,18 @@ def _variant(rng, lines):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32))
-def test_parse_with_reuse_matches_reference(seed):
-    """Texts that share most of their lines, parsed in turn through one
-    dict, parse as the reference parses each one alone; a text that is
-    rejected leaves the dict as it was."""
+def test_indexed_parse_matches_reference(seed):
+    """Variants of a rendered text (lines cut, swapped, repeated or
+    replaced), parsed through that render's index, parse as the reference
+    parses them, and leave the index as it was."""
     rng = random.Random(seed)
-    lines = _repetitive_text(rng).splitlines()
-    reuse = {}
+    t, dumps = _random_trace(rng)
+    text, index = _indexed(t, dumps)
+    _assert_indexed_parse_is_plain(text, index, t.events)
+    lines = text.splitlines()
     for _ in range(5):
-        text = _variant(rng, lines)
-        before = dict(reuse)
-        got = _outcome(lambda t: trace.parse(t, reuse), text)
-        assert got == _outcome(_reference_parse, text)
-        if got[0] == "MalformedTrace":
-            assert reuse == before
-        else:
-            assert list(reuse) == [ln for ln in _event_lines(text)
-                                   if ln.strip()]
+        variant = _variant(rng, lines)
+        before = dict(index)
+        assert _outcome(lambda t: trace.parse(t, index), variant) == \
+            _outcome(_reference_parse, variant)
+        assert index == before
