@@ -11,6 +11,7 @@ statically.
 
 from dataclasses import dataclass, field
 
+from . import dag as dagmod
 from .errors import CyclicConstraint, MalformedTrace, ModeViolation, ValidationError
 from .exprs import Expr
 
@@ -82,12 +83,14 @@ ABORTED = "aborted"
 
 class CAActionInstance:
     """One live run of a definition: registered participants, bound
-    transaction (its undo log is the recovery line) and operation DAG."""
+    transaction (its undo log is the recovery line) and its run's trace,
+    which `dag` reads; the trace holds no instance, so no cycle forms."""
 
     def __init__(self, defn: CAActionDef, key: str, origin_node: str,
-                 strategy: str, parent=None):
+                 strategy: str, trace, parent=None):
         self.defn = defn
         self.key = key
+        self.trace = trace
         self.origin_node = origin_node  # coordinator: first registrant's node
         self.strategy = strategy        # flatten | nested, the root's choice
         self.parent = parent            # CAActionInstance | None
@@ -97,36 +100,36 @@ class CAActionInstance:
         self.txn_id: int | None = None
         self.savepoint = None           # flatten-strategy region marker
         self.arrived: set[int] = set()
-        self.signals: dict[str, int] = {}       # signal -> emitting DAG node
+        self.signals: set[str] = set()          # signals emitted so far
         self.sync_waiters: dict[str, list[int]] = {}
         self.order_waiters: dict[str, list[int]] = {}  # nested name -> tids
         # nested name -> child's key, in creation order; the key, not the
         # child, so no cycle: the child is looked up in Simulator.instances
         self.nested: dict[str, str] = {}
-        self.boundary_nid: int | None = None    # node in parent's DAG
-        self.last_nid: dict[int, int] = {}      # thread id -> last DAG node
-        self.dag = None                 # OperationDAG, made at the start
 
     @property
     def terminal(self) -> bool:
         return self.status in (COMMITTED, ABORTED)
 
-    def copy(self, parent) -> "CAActionInstance":
-        """This instance for a fork of its run, under `parent`, the fork's
-        copy of this one's parent."""
+    @property
+    def dag(self):   # None until the instance starts
+        return None if self.txn_id is None else dagmod.from_trace(
+            self.trace.events, self.key, self.defn)
+
+    def copy(self, parent, trace) -> "CAActionInstance":
+        """This instance for a fork with trace `trace`, under `parent`, the
+        fork's copy of this one's parent."""
         inst = object.__new__(CAActionInstance)
         inst.__dict__.update(self.__dict__)
         inst.parent = parent
+        inst.trace = trace
         inst.registered = dict(self.registered)
         inst.arrived = set(self.arrived)
-        inst.signals = dict(self.signals)
+        inst.signals = set(self.signals)
         inst.sync_waiters = {k: list(v) for k, v in self.sync_waiters.items()}
         inst.order_waiters = {k: list(v)
                               for k, v in self.order_waiters.items()}
         inst.nested = dict(self.nested)
-        inst.last_nid = dict(self.last_nid)
-        if self.dag is not None:
-            inst.dag = self.dag.copy()
         return inst
 
 

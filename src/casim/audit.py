@@ -21,6 +21,7 @@ import heapq
 from collections import defaultdict
 
 from . import trace as trace_mod
+from .errors import MalformedTrace
 from .gcpause import pause_cyclic_gc
 from .locks import WRITE, conflicts
 
@@ -277,10 +278,11 @@ def _parse_dump_lines(lines):
     return out
 
 
-def scan_atomicity(events, dumps):
+def scan_atomicity(events, dumps, up_nodes):
     """Replay the trace's committed effects over the initial dump and
     compare with the final stable dump; also require the final volatile
-    image of every up node to match stable."""
+    image of each node in `up_nodes` to hold exactly its stable records,
+    and that of every other node to hold none."""
     view = TxnView(events)
     problems = []
     # last surviving write value per (top txn, obj), before its decision
@@ -316,12 +318,15 @@ def scan_atomicity(events, dumps):
             problems.append("stable mismatch at %s/%s: replay %s, dump %s"
                             % (key[0], key[1], state.get(key),
                                actual.get(key)))
-    stable_by_key = actual
-    for ln in dumps.get("volatile", []):
-        node, name, version, value = ln.split("\t")
-        if stable_by_key.get((node, name)) != (int(version), value):
+    volatile = _parse_dump_lines(dumps.get("volatile", []))
+    for key in sorted(set(actual) | set(volatile)):
+        if key[0] not in up_nodes:
+            if key in volatile:
+                problems.append("volatile record at %s/%s of a down node"
+                                % key)
+        elif volatile.get(key) != actual.get(key):
             problems.append("volatile/stable divergence at %s/%s after "
-                            "quiescence" % (node, name))
+                            "quiescence" % key)
     return not problems, problems
 
 
@@ -411,18 +416,22 @@ def verify_lock_rule(events):
 def audit_trace(text: str, all_nodes=None, index=None):
     """Run every audit over a rendered trace file.  Returns a dict of
     check name -> (ok, info); key "ok" aggregates.  Raises MalformedTrace
-    on schema violations.  `index` is passed to `trace.parse`, so the
-    passes may read a run's emitted events; they never change one."""
+    on schema violations and when a dump section is missing.  `index` is
+    passed to `trace.parse`, so the passes may read a run's emitted
+    events; they never change one."""
     events, dumps = trace_mod.parse(text, index)
+    for section in trace_mod.DUMP_SECTIONS:
+        if section not in dumps:
+            raise MalformedTrace("trace has no [%s] dump section" % section)
     if all_nodes is None:
-        all_nodes = {ln.split("\t")[0] for ln in dumps.get("initial", [])}
+        all_nodes = {ln.split("\t")[0] for ln in dumps["initial"]}
+    up_nodes = final_up_nodes(events, all_nodes)
     report = {
         "serializability": audit_serializability(events),
         "smuggling": scan_smuggling(events),
         "bracketing": scan_bracketing(events),
-        "atomicity": scan_atomicity(events, dumps),
-        "durability": check_durability(events,
-                                       final_up_nodes(events, all_nodes)),
+        "atomicity": scan_atomicity(events, dumps, up_nodes),
+        "durability": check_durability(events, up_nodes),
         "lock_rule": verify_lock_rule(events),
     }
     report["ok"] = all(ok for ok, _ in report.values())

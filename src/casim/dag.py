@@ -7,7 +7,7 @@ edges from completed emit/await pairs, and declared ordering constraints
 between nested-action boundary nodes.  Under flatten the whole tree runs
 in one transaction and executes one linearization of the DAG; under
 nested each nested action gets a child transaction and every linear
-extension stays admissible.
+extension stays admissible.  `from_trace` builds it from a run's events.
 """
 
 from dataclasses import dataclass
@@ -47,14 +47,6 @@ class OperationDAG:
         self.edges.append((src, dst, etype))
         self._succ.setdefault(src, []).append(dst)
 
-    def copy(self) -> "OperationDAG":
-        """A DAG to extend apart from this one; the nodes are shared."""
-        dag = OperationDAG()
-        dag.nodes = list(self.nodes)
-        dag.edges = list(self.edges)
-        dag._succ = {nid: list(s) for nid, s in self._succ.items()}
-        return dag
-
     def successors(self, nid: int):
         return self._succ.get(nid, [])
 
@@ -82,6 +74,55 @@ class OperationDAG:
             return total
 
         return rec()
+
+
+def from_trace(events, key, defn) -> OperationDAG:
+    """Instance `key` of `defn`'s DAG from its run's events: its threads'
+    read, write and sync events but a write step's operand reads, and a
+    boundary node per started child, after its registrants' last nodes."""
+    dag = OperationDAG()
+    at = {}         # registrant -> [its role's steps, index of its next step]
+    # thread -> its last node, signal -> its last emit, child -> its node
+    last, emits, boundary = {}, {}, {}
+    kids = {"%s/%s" % (key, name): [] for name in defn.nested}  # registrants
+    for ev in events:
+        d, kind = ev.detail, ev.kind
+        inst = d.get("inst")
+        if kind == "register" and d.get("ok") == "1":
+            if inst == key:
+                at[d["th"]] = [defn.roles[d["role"]].steps, 0]
+            elif inst in kids:
+                kids[inst].append(d["th"])
+            continue
+        if kind == "line_recovery" and inst in kids:
+            name = inst[len(key) + 1:]
+            nid = boundary[name] = dag.add_node(-1, -1, "nested", name).nid
+            threads = kids[inst]
+        elif inst == key and kind in ("read", "write", "sync_emit",
+                                      "sync_await", "step"):
+            pos = at[d["th"]]
+            if kind == "read" and pos[0][pos[1]].kind != "read":
+                continue    # an operand of a write step
+            pos[1] += 1
+            if kind == "step":
+                continue
+            nid = dag.add_node(int(d["th"]), pos[1] - 1, kind, ev.obj).nid
+            threads = (d["th"],)
+        else:
+            continue
+        for th in threads:
+            if th in last:
+                dag.add_edge(last[th], nid, PROG)
+            last[th] = nid
+        if kind == "sync_emit":
+            emits[d["signal"]] = nid
+        elif kind == "sync_await":
+            dag.add_edge(emits[d["signal"]], nid, SYNC)
+        elif kind == "line_recovery":
+            for a, b in defn.order:
+                if name in (a, b) and a in boundary and b in boundary:
+                    dag.add_edge(boundary[a], boundary[b], CONSTRAINT)
+    return dag
 
 
 def strategy_select(has_nested: bool, configured: str | None) -> str:

@@ -197,10 +197,11 @@ class Simulator:
     def fork(self) -> "Simulator":
         """An independent copy of this simulator, paused where it is.  Only
         mutable state is copied; the scenario and everything it holds,
-        and every emitted event, log record, lock request, DAG node and
-        savepoint are shared, as nothing changes them once made.  So are
-        the rendered lines of the events so far (`Trace.copy`): the forks
-        of one paused run render its prefix once between them."""
+        and every emitted event, log record, lock request and savepoint are
+        shared, as nothing changes them once made.  So are the rendered
+        lines of the events so far (`Trace.copy`): the forks of one paused
+        run render its prefix once between them.  No DAG is copied: each
+        instance copy reads its DAG from the fork's trace."""
         sim = object.__new__(type(self))
         sim.__dict__.update(self.__dict__)
         sim.rng = random.Random.__new__(random.Random)  # state set at once
@@ -213,7 +214,8 @@ class Simulator:
         sim.instances = insts = {}
         for key, inst in self.instances.items():
             insts[key] = inst.copy(
-                None if inst.parent is None else insts[inst.parent.key])
+                None if inst.parent is None else insts[inst.parent.key],
+                sim.trace)
         sim.threads = {tid: th.copy(insts) for tid, th in self.threads.items()}
         sim.inflight = {t: st.copy() for t, st in self.inflight.items()}
         sim.rejections = list(self.rejections)
@@ -332,7 +334,8 @@ class Simulator:
                                               self.strategy_cfg)
         else:
             strategy = parent.strategy
-        inst = act.CAActionInstance(defn, key, th.node, strategy, parent)
+        inst = act.CAActionInstance(defn, key, th.node, strategy,
+                                    self.trace, parent)
         if parent is not None:
             parent.nested[defn.name] = key
         self.instances[key] = inst
@@ -389,34 +392,11 @@ class Simulator:
         else:
             inst.txn_id = inst.parent.txn_id
             inst.savepoint = self.txns.savepoint(inst.txn_id)
-        inst.dag = dagmod.OperationDAG()
-        if inst.parent is not None:
-            self._add_boundary(inst)
         for tid in inst.registered.values():
             th = self.threads[tid]
             if th.status == GATHERING:
                 th.status = RUNNABLE
                 self._schedule_step(th)
-
-    def _add_boundary(self, inst):
-        parent = inst.parent
-        nid = parent.dag.add_node(-1, -1, "nested", inst.defn.name).nid
-        inst.boundary_nid = nid
-        for tid in inst.registered.values():
-            prev = parent.last_nid.get(tid)
-            if prev is not None:
-                parent.dag.add_edge(prev, nid, dagmod.PROG)
-            parent.last_nid[tid] = nid
-        # an order edge joins two boundaries, so it is added once: when the
-        # later of the two children it names starts
-        name = inst.defn.name
-        for a, b in parent.defn.order:
-            ia, ib = self._child(parent, a), self._child(parent, b)
-            if name in (a, b) and ia is not None and ib is not None \
-                    and ia.boundary_nid is not None \
-                    and ib.boundary_nid is not None:
-                parent.dag.add_edge(ia.boundary_nid, ib.boundary_nid,
-                                    dagmod.CONSTRAINT)
 
     def _child(self, inst, name):
         """inst's nested instance of action `name`, or None."""
@@ -482,19 +462,10 @@ class Simulator:
             inst = inst.parent
         return inst
 
-    def _dag_op(self, inst, th, frame, kind, obj):
-        nid = inst.dag.add_node(th.tid, frame.pc, kind, obj).nid
-        prev = inst.last_nid.get(th.tid)
-        if prev is not None:
-            inst.dag.add_edge(prev, nid, dagmod.PROG)
-        inst.last_nid[th.tid] = nid
-        return nid
-
     def _step_read(self, th, inst, frame, step):
         if not self._acquire_for(th, inst, [(step.obj, "r")]):
             return
         self.txns.read(inst.txn_id, step.obj, th=th.tid, inst=inst.key)
-        self._dag_op(inst, th, frame, "read", step.obj)
         frame.pc += 1
         self._schedule_step(th)
 
@@ -516,14 +487,12 @@ class Simulator:
                                   th=th.tid, inst=inst.key)
         if granted:
             self._apply_grants(granted)
-        self._dag_op(inst, th, frame, "write", step.obj)
         frame.pc += 1
         self._schedule_step(th)
 
     def _step_sync(self, th, inst, frame, step):
         if step.sync_op == "emit":
-            nid = self._dag_op(inst, th, frame, "sync_emit", None)
-            inst.signals[step.signal] = nid
+            inst.signals.add(step.signal)
             self.trace.emit(self.now, "sync_emit", inst=inst.key, th=th.tid,
                             signal=step.signal)
             for tid in inst.sync_waiters.pop(step.signal, []):
@@ -532,8 +501,6 @@ class Simulator:
             self._schedule_step(th)
         else:
             if step.signal in inst.signals:
-                nid = self._dag_op(inst, th, frame, "sync_await", None)
-                inst.dag.add_edge(inst.signals[step.signal], nid, dagmod.SYNC)
                 self.trace.emit(self.now, "sync_await", inst=inst.key,
                                 th=th.tid, signal=step.signal)
                 frame.pc += 1

@@ -348,8 +348,42 @@ def test_atomicity_replay_matches_run():
     res = run_text(TRANSFER)
     import casim.trace as trace_mod
     events, dumps = trace_mod.parse(res.trace_text())
-    ok, problems = audit.scan_atomicity(events, dumps)
+    ok, problems = audit.scan_atomicity(events, dumps, {"alpha", "beta"})
     assert ok, problems
+
+
+def _crash_recover_text(recover=True):
+    sc = load_scenario(str(SCENARIOS / "crash_recover.scn"))
+    if not recover:     # beta stays down to the end
+        sc = replace(sc, faults=[f for f in sc.faults if f.op == "crash"])
+    return Simulator(sc).run().trace_text()
+
+
+def test_atomicity_flags_a_dropped_volatile_record():
+    text = _crash_recover_text()
+    assert audit.audit_trace(text)["ok"]
+    lines = text.splitlines()
+    at = lines.index("[volatile]") + 1
+    node, obj = lines[at].split("\t")[:2]
+    report = audit.audit_trace("\n".join(lines[:at] + lines[at + 1:]) + "\n")
+    assert report["atomicity"] == (False, [
+        "volatile/stable divergence at %s/%s after quiescence" % (node, obj)])
+    assert not report["ok"]
+
+
+def test_atomicity_flags_a_volatile_record_of_a_down_node():
+    text = _crash_recover_text(recover=False)
+    assert audit.audit_trace(text)["ok"]
+    lines = text.splitlines()
+    beta = [ln for ln in lines[lines.index("[stable]"):]
+            if ln.startswith("beta\t")]
+    assert beta and not any(ln.startswith("beta\t") for ln in
+                            lines[lines.index("[volatile]"):])
+    text = "\n".join(lines + beta[:1]) + "\n"
+    report = audit.audit_trace(text)
+    obj = beta[0].split("\t")[1]
+    assert report["atomicity"] == (False, [
+        "volatile record at beta/%s of a down node" % obj])
 
 
 def test_atomicity_flags_tampered_dump():
@@ -377,7 +411,7 @@ def test_durability_failure_detected():
 
 def test_atomicity_flags_apply_of_an_object_with_no_home():
     text = ("0\t0\tcommit2\t0\t-\tnode=n1 objs=zz phase=apply\n"
-            "dump\n[initial]\nn1\tx\t0\t31\n")
+            "dump\n[initial]\nn1\tx\t0\t31\n[stable]\n[volatile]\n")
     report = audit.audit_trace(text)
     ok, problems = report["atomicity"]
     assert not ok and not report["ok"]
@@ -453,6 +487,16 @@ def test_audit_trace_rejects_a_shadowing_dump_section():
 def test_audit_trace_propagates_malformed():
     with pytest.raises(MalformedTrace):
         audit.audit_trace("0\t0\tnonsense\t-\t-\t-\n")
+
+
+def test_audit_trace_rejects_a_trace_without_a_dump_section():
+    text = _crash_recover_text()
+    cut = text[:text.index("dump\n")]
+    for bad, missing in [("", "initial"), (cut, "initial"),
+                         (text[:text.index("[volatile]")], "volatile")]:
+        with pytest.raises(MalformedTrace) as e:
+            audit.audit_trace(bad)
+        assert str(e.value) == "trace has no [%s] dump section" % missing
 
 
 def test_durability_problem_names_the_decision_seq():

@@ -232,9 +232,14 @@ def test_inconsistent_fault_exits_two(tmp_path, capsys, monkeypatch, faults,
      "line 5: repeated dump section 'stable'"),
     ("dump\n[stable]\nn1\tx\t0\t31\nn1\tx\t1\t32\n",
      "line 4: repeated dump record n1/x in [stable]"),
+    ("", "error: trace has no [initial] dump section"),
+    ("0\t0\tbegin\t0\t-\tparent=-\n",
+     "error: trace has no [initial] dump section"),
+    ("dump\n[initial]\nn1\tx\t0\t31\n[stable]\nn1\tx\t0\t31\n",
+     "error: trace has no [volatile] dump section"),
 ], ids=["txn", "outcome_without_inst", "decision_without_outcome",
         "begin_parent", "dump_fields", "dump_version", "dump_section_twice",
-        "dump_record_twice"])
+        "dump_record_twice", "empty", "no_dump", "no_volatile"])
 def test_rejected_trace_exits_two(tmp_path, capsys, text, message):
     path = tmp_path / "t.trace"
     path.write_text(text)

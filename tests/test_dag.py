@@ -1,8 +1,18 @@
+from pathlib import Path
+
 import pytest
 
+import casim.cli as cli
+from casim import trace
 from casim.dag import (FLATTEN, NESTED, PROG, SYNC, OperationDAG,
-                       count_admissible_orders, strategy_select)
+                       count_admissible_orders, from_trace, strategy_select)
+from casim.engine import Simulator
 from casim.errors import CyclicConstraint
+from casim.scenario import load_scenario
+
+from conftest import run_text
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def two_chain_dag():
@@ -52,3 +62,66 @@ def test_strategy_select_default_and_override():
     assert strategy_select(True, FLATTEN) == FLATTEN
     assert strategy_select(False, NESTED) == NESTED
 
+
+
+@pytest.mark.parametrize("strategy", [None, FLATTEN, NESTED])
+@pytest.mark.parametrize("name", sorted(p.stem
+                                        for p in SCENARIOS.glob("*.scn")))
+def test_dag_comes_from_the_trace_file_alone(tmp_path, capsys, name,
+                                             strategy):
+    path = tmp_path / "t.trace"
+    scn = str(SCENARIOS / (name + ".scn"))
+    argv = ["run", scn, "--trace", str(path)]
+    assert cli.main(argv + (["--strategy", strategy] if strategy else [])) \
+        == 0
+    capsys.readouterr()
+    events, _dumps = trace.parse(path.read_text())
+    sim = Simulator(load_scenario(scn), strategy=strategy).run()
+    started = 0
+    for key, inst in sim.instances.items():
+        got, dag = from_trace(events, key, inst.defn), inst.dag
+        if dag is None:     # never started: no operation of its own
+            assert got.nodes == got.edges == []
+        else:
+            assert (got.nodes, got.edges) == (dag.nodes, dag.edges)
+            started += 1
+    assert started
+
+
+EVAL_ERROR_CHILD = """
+node n1
+object x n1 0
+action child
+  footprint x
+  role r
+    read x
+    write x 1 // x
+    exit
+end
+action parent
+  footprint x
+  role r
+    enter child r
+    exit
+  nested child
+end
+client c1 n1 0 parent r
+"""
+
+
+def test_a_write_that_fails_to_evaluate_is_no_node():
+    sim = run_text(EVAL_ERROR_CHILD, strategy=FLATTEN)
+    child = sim.instances["parent/child"]
+    assert child.abort_cause == "eval_error"
+    # the write step read its operand before its value failed to evaluate
+    reads = [(ev.obj, ev.detail["th"]) for ev in sim.trace.events
+             if ev.kind == "read" and ev.detail["inst"] == "parent/child"]
+    assert reads == [("x", "0"), ("x", "0")]
+    assert not any(ev.kind == "write" for ev in sim.trace.events)
+    dag = child.dag
+    assert [(n.thread, n.step, n.kind, n.obj) for n in dag.nodes] \
+        == [(0, 0, "read", "x")]
+    assert dag.edges == []
+    parent = sim.instances["parent"].dag
+    assert [(n.thread, n.step, n.kind, n.obj) for n in parent.nodes] \
+        == [(-1, -1, "nested", "child")]

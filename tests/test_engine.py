@@ -266,10 +266,12 @@ def test_order_edge_is_added_once_when_its_later_child_starts():
     for strategy in ("nested", "flatten"):
         res = run_text(text, strategy=strategy)
         assert res.outcomes["parent/third"] == "committed"
-        first, second, third = (res.instances["parent/" + n].boundary_nid
+        dag = res.instances["parent"].dag
+        first, second, third = ([node.nid for node in dag.nodes
+                                 if node.kind == "nested" and node.obj == n][0]
                                 for n in ("first", "second", "third"))
         assert third > max(first, second)
-        assert [e for e in res.instances["parent"].dag.edges
+        assert [e for e in dag.edges
                 if e[2] == CONSTRAINT] == [(first, second, CONSTRAINT)]
 
 

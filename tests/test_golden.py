@@ -9,11 +9,12 @@ frontier edge list is left out).  It also pins, for each benchmark
 workload generated at seed 1 (`bench/workloads.py`, read only), the
 trace of the first run its benchmark checks (304 to ~38k events), the
 verdict tables of the two sweep workloads, and the repr of the parsed
-scenario of each workload and reference scenario.  A change that is
-meant to keep traces unchanged (a refactor, a deletion, a speed-up) must
-leave every digest as it is.  A change that alters a trace on purpose,
-such as making the acceptance tests take read locks, updates the digests
-here and gives the reason in CHANGES.md.
+scenario of each workload and reference scenario, and the operation
+DAG of every started instance of a corpus of runs (`dag_corpus`).  A
+change that is meant to keep traces unchanged (a refactor, a deletion, a
+speed-up) must leave every digest as it is.  A change that alters a trace
+on purpose, such as making the acceptance tests take read locks, updates
+the digests here and gives the reason in CHANGES.md.
 """
 
 import hashlib
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from casim import audit, sweep
 from casim.engine import Simulator
-from casim.scenario import load_scenario, parse_scenario
+from casim.scenario import Fault, load_scenario, parse_scenario
 
 from conftest import random_competitive_scenario
 
@@ -98,6 +99,10 @@ PARSE_REPR_DIGESTS = {
     "nested_seeds": "befb2f2836758b5b8a6ce3f99a41f747ce4052ca637e02cbb3528ac7fb283b9e",
 }
 
+# the operation DAG of every started instance of every run of dag_corpus
+DAG_DIGEST = \
+    "8b1401602a99498b943643f26576558f46e8ce5260e9191c8c41b0f84b862004"
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -170,3 +175,52 @@ def test_golden_sweep_tables():
         "crash_sweep": sha256(sweep.render_rows(sweep.crash_sweep(
             crash, stride=workloads["CRASH_STRIDE"]))),
     } == SWEEP_TABLE_DIGESTS
+
+
+def dag_corpus():
+    """Runs whose instance DAGs the golden DAG digest covers: each
+    reference scenario under each strategy at seeds 0-9, a crash of each
+    node right after each event of its fault-free run under each strategy
+    (recovered 7 ticks later), nested_seeds at seeds 0-19 under its own
+    strategy and flatten, and crash_sweep and contended_2pc at their own
+    seeds, all generated at seed 1."""
+    strategies = (None, "flatten", "nested")
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        sc = load_scenario(str(path))
+        for strategy in strategies:
+            for seed in range(10):
+                yield Simulator(sc, seed=seed, strategy=strategy).run()
+        free = replace(sc, faults=[])
+        for strategy in strategies:
+            n_events = len(Simulator(free, strategy=strategy).run()
+                           .trace.events)
+            for node in sc.nodes:
+                for k in range(n_events):
+                    crash = replace(sc, faults=[Fault("index", k, "crash",
+                                                      node)])
+                    yield Simulator(crash, strategy=strategy,
+                                    auto_recover_after=7).run()
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    nested = parse_scenario(workloads["nested_seeds"](1))
+    for strategy in (None, "flatten"):
+        for seed in range(20):
+            yield Simulator(nested, seed=seed, strategy=strategy).run()
+    for name in ("crash_sweep", "contended_2pc"):
+        yield Simulator(parse_scenario(workloads[name](1))).run()
+
+
+def dag_rows(sim):
+    """One line per started instance: its key, nodes and edges."""
+    for key, inst in sim.instances.items():
+        dag = inst.dag
+        if dag is not None:
+            yield repr((key, [(n.nid, n.thread, n.step, n.kind, n.obj)
+                              for n in dag.nodes], dag.edges))
+
+
+def test_golden_dag_digest():
+    digest = hashlib.sha256()
+    for sim in dag_corpus():
+        for row in dag_rows(sim):
+            digest.update(row.encode() + b"\n")
+    assert digest.hexdigest() == DAG_DIGEST

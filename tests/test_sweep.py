@@ -222,6 +222,37 @@ def test_forked_sweep_matches_reexecution_on_the_crash_workload(monkeypatch):
     assert len(rows) == 608 and all(r["ok"] for r in rows)
 
 
+def _dags(sim):
+    dags = {key: inst.dag for key, inst in sim.instances.items()}
+    return {key: (dag.nodes, dag.edges) for key, dag in dags.items()
+            if dag is not None}
+
+
+def test_crash_sweep_forks_have_the_dags_of_fresh_runs(monkeypatch):
+    """Each fork's instances build their DAGs as a run that simulates its
+    whole trace with the same `fault index` crash does."""
+    sc = load_scenario(str(SCENARIO_DIR / "nested_audit.scn"))
+    forks = []
+    audit_run = sweep._audit_run
+
+    def recording(res, *args, **kw):
+        forks.append(_dags(res))
+        return audit_run(res, *args, **kw)
+
+    monkeypatch.setattr(sweep, "_audit_run", recording)
+    rows = crash_sweep(sc, recover_after=7)
+    assert len(forks) == len(rows) > 0
+    horizon = sc.horizon + 7 + 200
+    for row, dags in zip(rows, forks):
+        crash = replace(sc, faults=[Fault("index", row["index"], "crash",
+                                          row["node"])])
+        fresh = Simulator(crash, horizon=horizon, auto_recover_after=7).run()
+        assert dags == _dags(fresh), (row["node"], row["index"])
+    assert any(node.kind == "nested"
+               for dags in forks for nodes, _edges in dags.values()
+               for node in nodes)
+
+
 def test_run_to_past_the_end_of_a_run():
     sc = parse_scenario(TRANSFER)
     fresh = Simulator(sc).run()
