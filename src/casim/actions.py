@@ -1,5 +1,4 @@
-"""Coordinated-action definitions, instances, static validation, and
-post-run concurrency classification.
+"""Coordinated-action definitions, instances and static validation.
 
 A definition names its roles (each an ordered program of steps), the
 declared object footprint its recovery line covers, a set of acceptance
@@ -12,7 +11,7 @@ statically.
 from dataclasses import dataclass, field
 
 from . import dag as dagmod
-from .errors import CyclicConstraint, MalformedTrace, ModeViolation, ValidationError
+from .errors import CyclicConstraint, ModeViolation, ValidationError
 from .exprs import Expr
 
 # concurrency-model modes
@@ -236,45 +235,3 @@ def _validate_step(action, role, idx, step, d, defs, known_objects, line):
         raise ValidationError("action %s role %s step %d: %s"
                               % (action, role, idx, problem), line)
 
-
-# --- post-run concurrency classification (trace-level) ---
-
-INDEPENDENT = "independent"
-COMPETITIVE = "competitive"
-COOPERATIVE = "cooperative"
-
-
-def classify_concurrency(events) -> dict:
-    """Label every pair of logical threads from a completed trace.
-
-    Co-participants of some action instance are cooperative; threads
-    sharing objects without a common instance are competitive; threads
-    with disjoint object sets and no shared instance are independent.
-    """
-    objs: dict[int, set] = {}
-    insts: dict[int, set] = {}
-    for ev in events:
-        th = ev.detail.get("th")
-        if th is None:
-            continue
-        th = int(th)
-        objs.setdefault(th, set())
-        insts.setdefault(th, set())
-        if ev.kind in ("read", "write") and ev.obj:
-            objs[th].add(ev.obj)
-        if ev.kind == "register" and ev.detail.get("ok", "1") == "1":
-            inst = ev.detail.get("inst")
-            if inst is None:
-                raise MalformedTrace("register event without inst field")
-            insts[th].add(inst)
-    out = {}
-    threads = sorted(objs)
-    for i, a in enumerate(threads):
-        for b in threads[i + 1:]:
-            if insts[a] & insts[b]:
-                out[(a, b)] = COOPERATIVE
-            elif objs[a] & objs[b]:
-                out[(a, b)] = COMPETITIVE
-            else:
-                out[(a, b)] = INDEPENDENT
-    return out

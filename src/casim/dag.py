@@ -12,7 +12,7 @@ extension stays admissible.  `from_trace` builds it from a run's events.
 
 from dataclasses import dataclass
 
-from .errors import CyclicConstraint
+from .errors import CyclicConstraint, MalformedTrace
 
 PROG = "prog"
 SYNC = "sync"
@@ -55,25 +55,27 @@ class OperationDAG:
         indeg = {n.nid: 0 for n in self.nodes}
         for _s, d, _t in self.edges:
             indeg[d] += 1
-        placed = set()
+        return _count_orders(self, indeg, set())
 
-        def rec():
-            ready = [nid for nid in indeg if indeg[nid] == 0
-                     and nid not in placed]
-            if not ready:
-                return 1 if len(placed) == len(self.nodes) else 0
-            total = 0
-            for nid in ready:
-                placed.add(nid)
-                for s in self.successors(nid):
-                    indeg[s] -= 1
-                total += rec()
-                for s in self.successors(nid):
-                    indeg[s] += 1
-                placed.discard(nid)
-            return total
 
-        return rec()
+def _count_orders(dag, indeg, placed):
+    """Topological orders of the nodes not in `placed`, `indeg` holding
+    each node's count of in-edges from those nodes (a module function: a
+    nested recursive closure would be a reference cycle left for the GC
+    on every call)."""
+    ready = [nid for nid in indeg if indeg[nid] == 0 and nid not in placed]
+    if not ready:
+        return 1 if len(placed) == len(dag.nodes) else 0
+    total = 0
+    for nid in ready:
+        placed.add(nid)
+        for s in dag.successors(nid):
+            indeg[s] -= 1
+        total += _count_orders(dag, indeg, placed)
+        for s in dag.successors(nid):
+            indeg[s] += 1
+        placed.discard(nid)
+    return total
 
 
 def from_trace(events, key, defn) -> OperationDAG:
@@ -90,7 +92,11 @@ def from_trace(events, key, defn) -> OperationDAG:
         inst = d.get("inst")
         if kind == "register" and d.get("ok") == "1":
             if inst == key:
-                at[d["th"]] = [defn.roles[d["role"]].steps, 0]
+                role = defn.roles.get(d["role"])
+                if role is None:
+                    raise MalformedTrace("seq %d: %s has no role %s"
+                                         % (ev.seq, key, d["role"]))
+                at[d["th"]] = [role.steps, 0]
             elif inst in kids:
                 kids[inst].append(d["th"])
             continue
@@ -100,7 +106,12 @@ def from_trace(events, key, defn) -> OperationDAG:
             threads = kids[inst]
         elif inst == key and kind in ("read", "write", "sync_emit",
                                       "sync_await", "step"):
-            pos = at[d["th"]]
+            pos = at.get(d["th"])
+            # a role with no `exit` step still emits an exit step event
+            if pos is None or pos[1] >= len(pos[0]) + (kind == "step"):
+                raise MalformedTrace("seq %d: thread %s has no step of %s "
+                                     "left for this %s"
+                                     % (ev.seq, d["th"], key, kind))
             if kind == "read" and pos[0][pos[1]].kind != "read":
                 continue    # an operand of a write step
             pos[1] += 1
@@ -117,6 +128,9 @@ def from_trace(events, key, defn) -> OperationDAG:
         if kind == "sync_emit":
             emits[d["signal"]] = nid
         elif kind == "sync_await":
+            if d["signal"] not in emits:
+                raise MalformedTrace("seq %d: await of %s before any emit "
+                                     "of it" % (ev.seq, d["signal"]))
             dag.add_edge(emits[d["signal"]], nid, SYNC)
         elif kind == "line_recovery":
             for a, b in defn.order:

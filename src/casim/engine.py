@@ -16,8 +16,10 @@ The run loop itself fires index faults: after each handler (and after
 each quiesce pass) it schedules every `fault index K` whose K-th event has
 been emitted, so the trace stays a plain log that calls nothing back.
 `run_to` pauses a run at the same points, and `fork` copies a paused run's
-mutable state, so a crash sweep crashes a node in a fork of one fault-free
-run instead of simulating the shared prefix again for every crash point.
+mutable state.  A crash sweep gives each fork of one fault-free run its
+crash as a `fault index` in `indexed_faults`, which the fork fires before
+any other work when it runs on, instead of simulating the shared prefix
+again for every crash point.
 
 Ownership runs one way.  The parts of a simulator never point back at it
 or at their owner: the clock lives on the trace (`Trace.now`) that every
@@ -137,10 +139,10 @@ class Simulator:
         self.inflight: dict[int, TwoPC] = {}
         self.rejections: list = []
         self.crash_checks: list = []  # (node, time, stable_ok, vol_cleared)
-        # (K, op, node) of each `fault index K`, by K, then in file order
+        # each `fault index K`, by K, then in file order
         self.indexed_faults = sorted(
-            ((f.when, f.op, f.node) for f in scenario.faults
-             if f.when_kind == "index"), key=lambda f: f[0])
+            (f for f in scenario.faults if f.when_kind == "index"),
+            key=lambda f: f.when)
         self.initial_dump: list = []
         self._nested_only = {n for d in scenario.defs.values() for n in d.nested}
         self._started = False
@@ -171,7 +173,7 @@ class Simulator:
         self._qseq += 1
         heapq.heappush(self._q, (time, prio, self._qseq, fn, args))
 
-    def inject_fault(self, time, op, node, prio=None):
+    def _inject_fault(self, time, op, node, prio=None):
         self.schedule(time, Simulator._crash if op == "crash"
                       else Simulator._recover, node, prio=prio)
 
@@ -235,7 +237,7 @@ class Simulator:
                 self.schedule(c.time, Simulator._do_submit, c)
         for f in self.sc.faults:
             if f.when_kind == "time":
-                self.inject_fault(f.when, f.op, f.node)
+                self._inject_fault(f.when, f.op, f.node)
 
     def _advance(self, pause) -> bool:
         """The run loop: True once the trace holds more than `pause`
@@ -244,7 +246,8 @@ class Simulator:
             self._start()
         trace, q = self.trace, self._q
         events = trace.events
-        if pause is not None and pause < len(events):
+        # a fault given to a paused run (a sweep fork's crash) fires first
+        if self._checkpoint(pause):
             return True
         while True:
             check = self._next_check(pause)
@@ -269,7 +272,7 @@ class Simulator:
         faults = self.indexed_faults
         if not faults:
             return pause
-        return faults[0][0] if pause is None else min(faults[0][0], pause)
+        return faults[0].when if pause is None else min(faults[0].when, pause)
 
     def _checkpoint(self, pause) -> bool:
         self._fire_indexed()
@@ -279,9 +282,9 @@ class Simulator:
         """Schedule, ahead of all other work at this time, each indexed
         fault whose event has been emitted."""
         faults, emitted = self.indexed_faults, len(self.trace.events)
-        while faults and faults[0][0] < emitted:
-            _k, op, node = faults.pop(0)
-            self.inject_fault(self.now, op, node, prio=-1.0)
+        while faults and faults[0].when < emitted:
+            f = faults.pop(0)
+            self._inject_fault(self.now, f.op, f.node, prio=-1.0)
 
     def _quiesce(self) -> bool:
         """Resolve stuck coordination at an empty queue; True if progress

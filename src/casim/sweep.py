@@ -4,8 +4,10 @@ The crash sweep crashes a node once per (node, trace-event index), right
 after that event, recovers it a fixed interval later, and audits every
 run.  Each node's crash runs fork from one fault-free run that pauses at
 each crash point in turn, so the prefix they share is simulated once per
-node, not once per crash point.  The seed sweep reruns the scenario
-across a seed range.  Both return one verdict row per run.
+node, not once per crash point.  Each fork crashes through the
+`fault index` it is given, as a run of the scenario with that fault
+would.  The seed sweep reruns the scenario across a seed range.  Both
+return one verdict row per run.
 
 Each run's audit reads its whole trace text, but through the line index
 its render fills (`trace.parse`), so the audited events are the ones the
@@ -21,7 +23,7 @@ from dataclasses import replace
 from . import audit, trace
 from .engine import Simulator
 from .errors import MalformedTrace
-from .scenario import Scenario
+from .scenario import Fault, Scenario
 
 
 def _audit_run(res, all_nodes, round_trip=False):
@@ -46,8 +48,7 @@ def _check_round_trip(text, emitted):
                              "event it was rendered from", at + 1)
 
 
-def crash_sweep(scenario: Scenario, nodes=None, recover_after=100,
-                stride=1) -> list:
+def crash_sweep(scenario: Scenario, recover_after=100, stride=1) -> list:
     """One row per injected crash point: {node, index, time, outcomes,
     ok, failures, stable_unchanged, volatile_cleared}."""
     fault_free = replace(scenario, faults=[])
@@ -58,14 +59,14 @@ def crash_sweep(scenario: Scenario, nodes=None, recover_after=100,
     del free
     horizon = scenario.horizon + recover_after + 200
     rows = []
-    for node in (nodes or scenario.nodes):
+    for node in scenario.nodes:
         base = Simulator(fault_free, horizon=horizon,
                          auto_recover_after=recover_after)
         for index in range(0, n_events, stride):
-            reached = base.run_to(index)
+            base.run_to(index)
             res = base.fork()
-            if reached:     # as the run loop fires `fault index <index>`
-                res.inject_fault(res.now, "crash", node, prio=-1.0)
+            # fired before any other work if the base reached `index`
+            res.indexed_faults = [Fault("index", index, "crash", node)]
             res.run()
             ok, failures = _audit_run(res, scenario.nodes, not rows)
             stable_ok = all(c[2] for c in res.crash_checks)

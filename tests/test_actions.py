@@ -1,12 +1,9 @@
 import pytest
 
 from casim.actions import (AcceptanceTest, CAActionDef, Role, Step,
-                           classify_concurrency, validate_defs,
-                           COMPETITIVE, COOPERATIVE, INDEPENDENT,
-                           READ, WRITE, ENTER, EXIT)
+                           validate_defs, READ, WRITE, ENTER, EXIT)
 from casim.errors import CyclicConstraint, ModeViolation, ValidationError
 from casim.exprs import Expr
-from casim.trace import Trace
 
 
 def leaf(name, obj="x", roles=1):
@@ -99,21 +96,3 @@ def test_acceptance_test_container():
     t = AcceptanceTest("conserved", Expr("x + y == 10"))
     assert t.expr.eval({"x": 4, "y": 6})
 
-
-def test_classify_concurrency_three_way():
-    tr = Trace()
-    # threads 0,1 cooperate in inst a; thread 2 competes on object x;
-    # thread 3 touches only z
-    tr.emit(0, "register", inst="a", role="r1", th=0, ok=1)
-    tr.emit(0, "register", inst="a", role="r2", th=1, ok=1)
-    tr.emit(1, "read", txn=0, obj="x", th=0, inst="a")
-    tr.emit(1, "write", txn=0, obj="y", th=1, val="31", inst="a")
-    tr.emit(2, "register", inst="b", role="r", th=2, ok=1)
-    tr.emit(3, "write", txn=1, obj="x", th=2, val="32", inst="b")
-    tr.emit(4, "register", inst="c", role="r", th=3, ok=1)
-    tr.emit(5, "read", txn=2, obj="z", th=3, inst="c")
-    labels = classify_concurrency(tr.events)
-    assert labels[(0, 1)] == COOPERATIVE
-    assert labels[(0, 2)] == COMPETITIVE
-    assert labels[(0, 3)] == INDEPENDENT
-    assert labels[(1, 3)] == INDEPENDENT

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from casim import actions as act, audit, sweep
 from casim.engine import Simulator
 from casim.errors import MalformedTrace
-from casim.scenario import load_scenario
+from casim.scenario import Fault, load_scenario
 from casim.trace import Trace, parse
 
 from conftest import TRANSFER, run_text
@@ -425,7 +425,7 @@ def _crash_fork(scenario, node, index):
                      horizon=scenario.horizon + 300, auto_recover_after=100)
     assert base.run_to(index)
     res = base.fork()
-    res.inject_fault(res.now, "crash", node, prio=-1.0)
+    res.indexed_faults = [Fault("index", index, "crash", node)]
     return res.run()
 
 

@@ -7,7 +7,7 @@ from casim import trace
 from casim.dag import (FLATTEN, NESTED, PROG, SYNC, OperationDAG,
                        count_admissible_orders, from_trace, strategy_select)
 from casim.engine import Simulator
-from casim.errors import CyclicConstraint
+from casim.errors import CyclicConstraint, MalformedTrace
 from casim.scenario import load_scenario
 
 from conftest import run_text
@@ -86,6 +86,46 @@ def test_dag_comes_from_the_trace_file_alone(tmp_path, capsys, name,
             assert (got.nodes, got.edges) == (dag.nodes, dag.edges)
             started += 1
     assert started
+
+
+def _edited_transfer_trace(edit):
+    """flat_transfer.scn's trace with its event lines changed by `edit` and
+    renumbered, so that `trace.parse` accepts it; its events and the
+    scenario."""
+    sc = load_scenario(str(SCENARIOS / "flat_transfer.scn"))
+    text = Simulator(sc).run().trace_text()
+    body, dump = text.split("dump\n", 1)
+    lines = edit(body.splitlines())
+    body = "".join("%d\t%s\n" % (seq, line.split("\t", 1)[1])
+                   for seq, line in enumerate(lines))
+    return trace.parse(body + "dump\n" + dump)[0], sc
+
+
+def _without_emit(lines):
+    return [ln for ln in lines if "\tsync_emit\t" not in ln]
+
+
+def _read_after_exit(lines):
+    """Thread 1's read of acct_b repeated after its exit step."""
+    read = next(ln for ln in lines
+                if "\tread\t" in ln and "acct_b" in ln and "th=1" in ln)
+    at = next(i for i, ln in enumerate(lines)
+              if "op=exit th=1" in ln)
+    return lines[:at + 1] + [read] + lines[at + 1:]
+
+
+def _unknown_role(lines):
+    return [ln.replace("role=credit th=1", "role=payee th=1")
+            if "\tregister\t" in ln else ln for ln in lines]
+
+
+@pytest.mark.parametrize("edit,seq", [(_without_emit, 12),
+                                      (_read_after_exit, 18),
+                                      (_unknown_role, 3)])
+def test_a_trace_off_its_roles_is_malformed(edit, seq):
+    events, sc = _edited_transfer_trace(edit)
+    with pytest.raises(MalformedTrace, match="^seq %d: " % seq):
+        from_trace(events, "transfer", sc.defs["transfer"])
 
 
 EVAL_ERROR_CHILD = """

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from casim import audit, sweep
-from casim.dag import CONSTRAINT
+from casim.dag import CONSTRAINT, NESTED, count_admissible_orders
 from casim.engine import Simulator
 from casim.errors import InconsistentFault, MalformedTrace
 from casim.scenario import (Contribution, Fault, load_scenario,
@@ -544,11 +544,12 @@ def test_a_fork_and_its_base_run_apart():
         run = Simulator(sc).run()
         fresh = run.trace_text()
         base = Simulator(sc)
-        assert base.run_to(len(run.trace.events) // 2)
+        index = len(run.trace.events) // 2
+        assert base.run_to(index)
         forks = [base.fork(), base.fork()]
         texts = []
         for fork in forks:      # each runs to its end before the next
-            fork.inject_fault(fork.now, "crash", sc.nodes[0], prio=-1.0)
+            fork.indexed_faults = [Fault("index", index, "crash", sc.nodes[0])]
             texts.append(fork.run().trace_text())
             assert fork.crash_checks and fork.crash_checks[0][0] == sc.nodes[0]
         assert texts[0] == texts[1] != fresh, path.name
@@ -556,11 +557,11 @@ def test_a_fork_and_its_base_run_apart():
         assert base.run().trace_text() == fresh, path.name
 
 
-def _crash_fork(base, node):
-    """A fork of `base` that crashes `node` where the base is paused, as the
-    crash sweep does."""
+def _crash_fork(base, index, node):
+    """A fork of `base`, paused at `index`, that crashes `node` there as the
+    crash sweep does: through `fault index <index> crash <node>`."""
     fork = base.fork()
-    fork.inject_fault(fork.now, "crash", node, prio=-1.0)
+    fork.indexed_faults = [Fault("index", index, "crash", node)]
     return fork
 
 
@@ -580,7 +581,7 @@ def test_forks_render_apart_from_their_base_moving_on():
         base, forks = Simulator(sc), []
         for k in (n // 3, 2 * n // 3):
             assert base.run_to(k)
-            forks.append((k, _crash_fork(base, node)))
+            forks.append((k, _crash_fork(base, k, node)))
         for k, fork in forks:
             assert fork.run().trace_text() == _crash_text(sc, k, node), \
                 (path.name, k)
@@ -594,11 +595,11 @@ def test_a_fork_of_a_fork_renders_like_a_fresh_run():
         k1, k2 = n // 3, 2 * n // 3
         base = Simulator(sc)
         assert base.run_to(k1)
-        crashed = _crash_fork(base, node)
+        crashed = _crash_fork(base, k1, node)
         crashed.run_to(k2)
         again = crashed.fork()  # its prefix is the base's, then its own
         assert base.run_to(k2)
-        later = _crash_fork(base, node)
+        later = _crash_fork(base, k2, node)
         expected = _crash_text(sc, k1, node)
         assert again.run().trace_text() == expected, path.name
         assert crashed.run().trace_text() == expected, path.name
@@ -731,6 +732,24 @@ def test_a_finished_run_is_freed_by_reference_counting(monkeypatch):
     assert len(refs) == n_reference + 1 + len(crash_recover.nodes) \
         + len(rows) + 50 + len(texts)
     assert alive == []
+    assert garbage == 0
+
+
+def test_counting_admissible_orders_leaves_no_cycle():
+    dags = []
+    for path in sorted(SCENARIO_DIR.glob("*.scn")):
+        sim = Simulator(load_scenario(str(path))).run()
+        dags += [inst.dag for inst in sim.instances.values()
+                 if inst.txn_id is not None]
+    assert dags
+    gc.collect()
+    gc.disable()
+    try:
+        for dag in dags:
+            count_admissible_orders(dag, NESTED)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
     assert garbage == 0
 
 

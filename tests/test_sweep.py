@@ -263,7 +263,11 @@ def test_run_to_past_the_end_of_a_run():
     assert not base.run_to(n)
     assert not base.run_to(n)   # an ended run stays ended
     assert len(base.trace.events) == n
-    fork = base.fork()   # a crash sweep injects no crash into this fork
-    assert fork.run().trace_text() == fresh.trace_text()
-    assert fork.crash_checks == []
+    # a fork of the ended run, and one given a crash sweep's crash at an
+    # index the run never reached: that fault never fires
+    for faults in ([], [Fault("index", n, "crash", sc.nodes[0])]):
+        fork = base.fork()
+        fork.indexed_faults = faults
+        assert fork.run().trace_text() == fresh.trace_text()
+        assert fork.crash_checks == []
     assert base.run().trace_text() == fresh.trace_text()
