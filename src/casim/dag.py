@@ -78,6 +78,15 @@ def _count_orders(dag, indeg, placed):
     return total
 
 
+def _detail(ev, key):
+    """`ev`'s detail value for `key`; MalformedTrace if it has none."""
+    try:
+        return ev.detail[key]
+    except KeyError:
+        raise MalformedTrace("seq %d: %s event lacks detail key %r"
+                             % (ev.seq, ev.kind, key)) from None
+
+
 def from_trace(events, key, defn) -> OperationDAG:
     """Instance `key` of `defn`'s DAG from its run's events: its threads'
     read, write and sync events but a write step's operand reads, and a
@@ -92,13 +101,13 @@ def from_trace(events, key, defn) -> OperationDAG:
         inst = d.get("inst")
         if kind == "register" and d.get("ok") == "1":
             if inst == key:
-                role = defn.roles.get(d["role"])
+                role = defn.roles.get(_detail(ev, "role"))
                 if role is None:
                     raise MalformedTrace("seq %d: %s has no role %s"
                                          % (ev.seq, key, d["role"]))
-                at[d["th"]] = [role.steps, 0]
+                at[_detail(ev, "th")] = [role.steps, 0]
             elif inst in kids:
-                kids[inst].append(d["th"])
+                kids[inst].append(_detail(ev, "th"))
             continue
         if kind == "line_recovery" and inst in kids:
             name = inst[len(key) + 1:]
@@ -106,19 +115,20 @@ def from_trace(events, key, defn) -> OperationDAG:
             threads = kids[inst]
         elif inst == key and kind in ("read", "write", "sync_emit",
                                       "sync_await", "step"):
-            pos = at.get(d["th"])
+            th = _detail(ev, "th")
+            pos = at.get(th)
             # a role with no `exit` step still emits an exit step event
             if pos is None or pos[1] >= len(pos[0]) + (kind == "step"):
                 raise MalformedTrace("seq %d: thread %s has no step of %s "
                                      "left for this %s"
-                                     % (ev.seq, d["th"], key, kind))
+                                     % (ev.seq, th, key, kind))
             if kind == "read" and pos[0][pos[1]].kind != "read":
                 continue    # an operand of a write step
             pos[1] += 1
             if kind == "step":
                 continue
-            nid = dag.add_node(int(d["th"]), pos[1] - 1, kind, ev.obj).nid
-            threads = (d["th"],)
+            nid = dag.add_node(int(th), pos[1] - 1, kind, ev.obj).nid
+            threads = (th,)
         else:
             continue
         for th in threads:
@@ -126,12 +136,13 @@ def from_trace(events, key, defn) -> OperationDAG:
                 dag.add_edge(last[th], nid, PROG)
             last[th] = nid
         if kind == "sync_emit":
-            emits[d["signal"]] = nid
+            emits[_detail(ev, "signal")] = nid
         elif kind == "sync_await":
-            if d["signal"] not in emits:
+            signal = _detail(ev, "signal")
+            if signal not in emits:
                 raise MalformedTrace("seq %d: await of %s before any emit "
-                                     "of it" % (ev.seq, d["signal"]))
-            dag.add_edge(emits[d["signal"]], nid, SYNC)
+                                     "of it" % (ev.seq, signal))
+            dag.add_edge(emits[signal], nid, SYNC)
         elif kind == "line_recovery":
             for a, b in defn.order:
                 if name in (a, b) and a in boundary and b in boundary:

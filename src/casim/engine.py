@@ -12,10 +12,11 @@ prio, seq, fn, args)` with `fn` a plain `Simulator` function, called as
 `fn(sim, *args)`, and `args` only ids, keys, node names and immutable
 scenario values, never a simulator, thread, instance or commit.  So the
 queue can be inspected, and a fork (`Simulator.fork`) shares its entries.
-The run loop itself fires index faults: after each handler (and after
-each quiesce pass) it schedules every `fault index K` whose K-th event has
-been emitted, so the trace stays a plain log that calls nothing back.
-`run_to` pauses a run at the same points, and `fork` copies a paused run's
+The run loop reads its position (the number of events emitted) and its
+clock from the trace alone.  Before each handler and each quiesce pass it
+schedules every `fault index K` whose K-th event has been emitted, so the
+trace stays a plain log that calls nothing back, and then `run_to` pauses
+the run if the trace has passed its index.  `fork` copies a paused run's
 mutable state.  A crash sweep gives each fork of one fault-free run its
 crash as a `fault index` in `indexed_faults`, which the fork fires before
 any other work when it runs on, instead of simulating the shared prefix
@@ -191,7 +192,7 @@ class Simulator:
     @pause_cyclic_gc
     def run_to(self, index) -> bool:
         """Advance until the trace holds more than `index` events, checked
-        where indexed faults are: after each handler and after each
+        just after indexed faults are: before each handler and each
         quiesce pass.  True if that point was reached; False if the run
         ended first, unfinished (`run` finishes it)."""
         return self._advance(index)
@@ -241,50 +242,30 @@ class Simulator:
 
     def _advance(self, pause) -> bool:
         """The run loop: True once the trace holds more than `pause`
-        events (never, for None), False when the run ends."""
+        events (never, for None), False when the run ends.  Before each
+        handler and each quiesce pass it schedules, ahead of all other
+        work at this time, each indexed fault whose event has been
+        emitted, and then pauses if the trace has passed `pause`.  So a
+        fault given to a paused run (a sweep fork's crash) fires first."""
         if not self._started:
             self._start()
-        trace, q = self.trace, self._q
+        trace, q, faults = self.trace, self._q, self.indexed_faults
         events = trace.events
-        # a fault given to a paused run (a sweep fork's crash) fires first
-        if self._checkpoint(pause):
-            return True
         while True:
-            check = self._next_check(pause)
-            while q:
-                if q[0][0] > self.horizon:
+            while faults and faults[0].when < len(events):
+                f = faults.pop(0)
+                self._inject_fault(trace.now, f.op, f.node, prio=-1.0)
+            if pause is not None and pause < len(events):
+                return True
+            if not q:
+                if not self._quiesce():
                     return False
+            elif q[0][0] > self.horizon:
+                return False
+            else:
                 t, _p, _s, fn, args = heapq.heappop(q)
                 trace.now = max(trace.now, t)
                 fn(self, *args)
-                if check is not None and check < len(events):
-                    if self._checkpoint(pause):
-                        return True
-                    check = self._next_check(pause)
-            if not self._quiesce():
-                return False
-            if self._checkpoint(pause):
-                return True
-
-    def _next_check(self, pause):
-        """The least event index that, once emitted, makes the loop stop at
-        its next check point (to fire a fault or to pause), or None."""
-        faults = self.indexed_faults
-        if not faults:
-            return pause
-        return faults[0].when if pause is None else min(faults[0].when, pause)
-
-    def _checkpoint(self, pause) -> bool:
-        self._fire_indexed()
-        return pause is not None and pause < len(self.trace.events)
-
-    def _fire_indexed(self):
-        """Schedule, ahead of all other work at this time, each indexed
-        fault whose event has been emitted."""
-        faults, emitted = self.indexed_faults, len(self.trace.events)
-        while faults and faults[0].when < emitted:
-            f = faults.pop(0)
-            self._inject_fault(self.now, f.op, f.node, prio=-1.0)
 
     def _quiesce(self) -> bool:
         """Resolve stuck coordination at an empty queue; True if progress
@@ -316,7 +297,7 @@ class Simulator:
     # submission and registration
 
     def _do_submit(self, c):
-        self.trace.emit(self.now, "submit", client=c.client, node=c.node,
+        self.trace.emit("submit", client=c.client, node=c.node,
                         action=c.action_key, role=c.role)
         if not self.store.node_up(c.node):
             return  # registration from a crashed node never occurs
@@ -327,7 +308,7 @@ class Simulator:
 
     def _reject(self, key, role, th, err):
         self.rejections.append((err, key, role, th.tid))
-        self.trace.emit(self.now, "register", inst=key, role=role, th=th.tid,
+        self.trace.emit("register", inst=key, role=role, th=th.tid,
                         ok=0, err=err)
 
     def _new_instance(self, defn, key, th, parent=None):
@@ -364,7 +345,7 @@ class Simulator:
         inst.registered[role] = th.tid
         th.frames.append(Frame(inst, inst.defn.roles[role].steps))
         th.status = GATHERING
-        self.trace.emit(self.now, "register", inst=inst.key, role=role,
+        self.trace.emit("register", inst=inst.key, role=role,
                         th=th.tid, node=th.node, ok=1)
         if set(inst.registered) == set(inst.defn.roles):
             self._start_instance(inst)
@@ -384,7 +365,7 @@ class Simulator:
             if not self.store.node_up(self.store.homes[name]):
                 self.coordinated_abort(inst, "node_down")
                 return
-        self.trace.emit(self.now, "line_recovery", inst=inst.key,
+        self.trace.emit("line_recovery", inst=inst.key,
                         label="%s@%d" % (inst.key, self.now))
         if inst.parent is None:
             txn = self.txns.begin()
@@ -496,7 +477,7 @@ class Simulator:
     def _step_sync(self, th, inst, frame, step):
         if step.sync_op == "emit":
             inst.signals.add(step.signal)
-            self.trace.emit(self.now, "sync_emit", inst=inst.key, th=th.tid,
+            self.trace.emit("sync_emit", inst=inst.key, th=th.tid,
                             signal=step.signal)
             for tid in inst.sync_waiters.pop(step.signal, []):
                 self._wake(self.threads[tid])
@@ -504,7 +485,7 @@ class Simulator:
             self._schedule_step(th)
         else:
             if step.signal in inst.signals:
-                self.trace.emit(self.now, "sync_await", inst=inst.key,
+                self.trace.emit("sync_await", inst=inst.key,
                                 th=th.tid, signal=step.signal)
                 frame.pc += 1
                 self._schedule_step(th)
@@ -528,7 +509,7 @@ class Simulator:
             self._reject(step.action, step.role, th, "RoleTaken")
             self.coordinated_abort(inst, "roletaken")
             return
-        self.trace.emit(self.now, "step", inst=inst.key, th=th.tid,
+        self.trace.emit("step", inst=inst.key, th=th.tid,
                         op="enter", target=step.action)
         self._register(sub, th, step.role)
 
@@ -538,8 +519,7 @@ class Simulator:
     def _arrive(self, th):
         inst = th.frame.instance
         if th.tid not in inst.arrived:
-            self.trace.emit(self.now, "step", inst=inst.key, th=th.tid,
-                            op="exit")
+            self.trace.emit("step", inst=inst.key, th=th.tid, op="exit")
         th.status = AT_BARRIER
         inst.arrived.add(th.tid)
         alive = {tid for tid in inst.registered.values()
@@ -570,7 +550,7 @@ class Simulator:
         except ZeroDivisionError:
             self.coordinated_abort(inst, "eval_error")
             return
-        self.trace.emit(self.now, "test_line", inst=inst.key,
+        self.trace.emit("test_line", inst=inst.key,
                         result="fail" if failed else "pass",
                         failed=",".join(failed) or "-")
         if failed:
@@ -590,7 +570,7 @@ class Simulator:
             th = self.threads[tid]
             if th.status in (DEAD, DONE):
                 continue
-            self.trace.emit(self.now, "outcome", inst=inst.key, th=tid,
+            self.trace.emit("outcome", inst=inst.key, th=tid,
                             role=role, outcome=inst.status)
             # children delivered first, so inst's frame is on top
             th.frames.pop()
@@ -623,7 +603,7 @@ class Simulator:
             if self.store.node_up(st.coordinator):
                 self.store.append_log(st.coordinator,
                                       LogRecord("abort", st.txn))
-            self.trace.emit(self.now, "commit2", txn=st.txn,
+            self.trace.emit("commit2", txn=st.txn,
                             phase="decision", outcome="abort")
         if inst.savepoint is not None:  # a region of its parent's txn
             self.txns.rollback_to(inst.savepoint)
@@ -663,7 +643,7 @@ class Simulator:
         self.store.append_log(p, LogRecord("prepare", st.txn,
                                            coordinator=st.coordinator,
                                            redo=redo))
-        self.trace.emit(self.now, "commit1", txn=st.txn, node=p)
+        self.trace.emit("commit1", txn=st.txn, node=p)
         self._send(p, st.coordinator, "ack", Simulator._on_ack, txn, p)
 
     def _on_ack(self, txn, p):
@@ -674,7 +654,7 @@ class Simulator:
 
     def _decide_commit(self, st):
         self.store.append_log(st.coordinator, LogRecord("commit", st.txn))
-        self.trace.emit(self.now, "commit2", txn=st.txn, phase="decision",
+        self.trace.emit("commit2", txn=st.txn, phase="decision",
                         outcome="commit", parts=",".join(st.parts) or "-")
         written = set(self.txns.txns[st.txn].writes)
         other = [o for o, _m in self.txns.locktable.locks_of(st.txn)
@@ -697,7 +677,7 @@ class Simulator:
             self.store.apply_commit(name, value, version)
             names.append(name)
         st.applied.add(p)
-        self.trace.emit(self.now, "commit2", txn=st.txn, phase="apply",
+        self.trace.emit("commit2", txn=st.txn, phase="apply",
                         node=p, objs=",".join(names))
         self._apply_grants(self.txns.locktable.release_objects(st.txn, names))
         if st.applied == set(st.parts) \
@@ -719,7 +699,7 @@ class Simulator:
     def _send(self, src, dst, mkind, fn, *args):
         # src is up: every send runs in a handler on its own node
         self._mid += 1
-        self.trace.emit(self.now, "msg_send", **{"from": src},
+        self.trace.emit("msg_send", **{"from": src},
                         to=dst, mtype=mkind, mid=self._mid)
         latency = self.rng.randint(*MSG_LATENCY)
         self.schedule(self.now + latency, Simulator._deliver,
@@ -727,10 +707,10 @@ class Simulator:
 
     def _deliver(self, src, dst, mkind, mid, fn, args):
         if not self.store.node_up(dst):
-            self.trace.emit(self.now, "drop", **{"from": src},
+            self.trace.emit("drop", **{"from": src},
                             to=dst, mtype=mkind, mid=mid)
             return
-        self.trace.emit(self.now, "msg_recv", **{"from": src},
+        self.trace.emit("msg_recv", **{"from": src},
                         to=dst, mtype=mkind, mid=mid)
         fn(self, *args)
 
@@ -745,7 +725,7 @@ class Simulator:
         stable_ok = before == self.store.dump_stable()
         vol_cleared = not self.store.nodes[node].volatile
         self.crash_checks.append((node, self.now, stable_ok, vol_cleared))
-        self.trace.emit(self.now, "crash", node=node)
+        self.trace.emit("crash", node=node)
         if self.auto_recover_after is not None:
             self.schedule(self.now + self.auto_recover_after,
                           Simulator._auto_recover, node)
@@ -768,7 +748,7 @@ class Simulator:
         if self.store.node_up(node):
             raise InconsistentFault("recover of up node %s" % node)
         self.store.recover_node(node)
-        self.trace.emit(self.now, "recover", node=node)
+        self.trace.emit("recover", node=node)
         self._resolve_participant(node)
         self._resolve_coordinator(node)
 

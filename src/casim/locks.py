@@ -3,9 +3,9 @@
 A request is granted iff every holder of a conflicting lock on the object
 is a proper ancestor of the requester; otherwise the request joins a FIFO
 queue.  Wait-die applies only at request time: a requester younger than
-any conflicting non-ancestor holder is killed instead of queued.  Locks
-are held until commit or abort; a committing child's locks transfer to
-its parent.
+any conflicting non-ancestor holder is killed instead of queued, a lower
+txn id being older.  Locks are held until commit or abort; a committing
+child's locks transfer to its parent.
 """
 
 from collections import deque
@@ -30,10 +30,9 @@ class Request:
 
 
 class LockTable:
-    def __init__(self, is_ancestor, ordinal):
+    def __init__(self, is_ancestor):
         # is_ancestor(a, b): txn a is a proper ancestor of txn b
         self._is_ancestor = is_ancestor
-        self._ordinal = ordinal
         self.holders: dict[str, dict[int, str]] = {}  # obj -> txn -> mode
         self.queue: dict[str, deque[Request]] = {}
 
@@ -62,9 +61,8 @@ class LockTable:
             self.holders.setdefault(obj, {})[txn] = mode
             return "granted"
         # wait-die: wait only if older than every conflicting non-ancestor
-        my = self._ordinal(txn)
         for h in self._conflicting(obj, txn, mode):
-            if not self._is_ancestor(h, txn) and self._ordinal(h) < my:
+            if not self._is_ancestor(h, txn) and h < txn:
                 raise DeadlockVictim((txn, obj, mode))
         self.queue.setdefault(obj, deque()).append(Request(txn, obj, mode, tag))
         return "queued"

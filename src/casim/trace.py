@@ -7,10 +7,12 @@ sections in the object-store dump format: one record per line,
 section appears at most once and holds at most one record per (node,
 name), so no record can shadow another.
 
-Detail values are strings from the moment an event is emitted (`emit`
-converts any other value with `str`), so an emitted event and the same
-event parsed back from its line are equal.  Some kinds must carry detail
-keys that the audits read directly (`REQUIRED_DETAIL`): `begin` a
+`Trace.emit` stamps each event with the trace's clock, `Trace.now`, which
+the run loop sets before each handler; no emitter passes a time.  Detail
+values are strings from the moment an event is emitted (`emit` converts
+any other value with `str`), so an emitted event and the same event
+parsed back from its line are equal.  Some kinds must carry detail keys
+that the audits read directly (`REQUIRED_DETAIL`): `begin` a
 `parent` (an integer or `-`), `grant` a `mode`, `write` a `val`,
 `register` an `inst`, `outcome` an `inst` and an `outcome`, `crash` and
 `recover` a `node`; a `commit2` with `phase=decision` an `outcome`, with
@@ -104,7 +106,8 @@ class Trace:
         self._int_text = {}   # int detail value -> its one string
         self._lines = []      # lines of the first events; filled by copy()
 
-    def emit(self, time: int, kind: str, txn=None, obj=None, **detail) -> Event:
+    def emit(self, kind: str, txn=None, obj=None, **detail) -> Event:
+        """Append an event stamped with `now`."""
         assert kind in ALL_KINDS, kind
         for k, v in detail.items():
             if type(v) is int:    # exact: True == 1 must stay "True"
@@ -114,7 +117,7 @@ class Trace:
                 detail[k] = text
             elif type(v) is not str:
                 detail[k] = str(v)
-        ev = Event(len(self.events), time, kind, txn, obj, detail)
+        ev = Event(len(self.events), self.now, kind, txn, obj, detail)
         self.events.append(ev)
         return ev
 

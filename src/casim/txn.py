@@ -51,9 +51,6 @@ class TxnTable(dict):
 
 
 class TransactionManager:
-    """Events are stamped with `trace.now`, the clock of the run that owns
-    the trace."""
-
     def __init__(self, store: ObjectStore, trace: Trace,
                  unsafe_early_release=False):
         self.store = store
@@ -62,7 +59,7 @@ class TransactionManager:
         self.txns = TxnTable()
         self._next = 0
         # the table's bound method: the lock table never reaches the manager
-        self.locktable = locks.LockTable(self.txns.is_ancestor, lambda t: t)
+        self.locktable = locks.LockTable(self.txns.is_ancestor)
 
     def copy(self, store: ObjectStore, trace: Trace) -> "TransactionManager":
         """This manager for a fork whose store and trace are the given
@@ -80,7 +77,7 @@ class TransactionManager:
         txn = Txn(self._next, parent)
         self._next += 1
         self.txns[txn.id] = txn
-        self.trace.emit(self.trace.now, "begin", txn=txn.id,
+        self.trace.emit("begin", txn=txn.id,
                         parent="-" if parent is None else parent)
         return txn
 
@@ -92,20 +89,18 @@ class TransactionManager:
             return "granted"
         status = self.locktable.acquire(txn_id, obj, mode, tag)
         kind = "grant" if status == "granted" else "queue"
-        self.trace.emit(self.trace.now, kind, txn=txn_id, obj=obj, mode=mode)
+        self.trace.emit(kind, txn=txn_id, obj=obj, mode=mode)
         return status
 
     def emit_grants(self, granted):
         for req in granted:
-            self.trace.emit(self.trace.now, "grant", txn=req.txn, obj=req.obj,
-                            mode=req.mode)
+            self.trace.emit("grant", txn=req.txn, obj=req.obj, mode=req.mode)
 
     # --- reads and writes (locks must already be held by caller) ---
 
     def read(self, txn_id: int, name: str, **ctx) -> bytes:
         value = self.store.read_volatile(name)
-        self.trace.emit(self.trace.now, "read", txn=txn_id, obj=name,
-                        val=value.hex(), **ctx)
+        self.trace.emit("read", txn=txn_id, obj=name, val=value.hex(), **ctx)
         return value
 
     def write(self, txn_id: int, name: str, value: bytes, **ctx):
@@ -114,8 +109,7 @@ class TransactionManager:
         txn.undo.append((name, old))
         txn.writes[name] = value
         self.store.write_volatile(name, value)
-        self.trace.emit(self.trace.now, "write", txn=txn_id, obj=name,
-                        val=value.hex(), **ctx)
+        self.trace.emit("write", txn=txn_id, obj=name, val=value.hex(), **ctx)
         if self.unsafe_early_release:
             # deliberately broken variant: strictness violation for
             # mutation testing of the smuggling audit
@@ -132,7 +126,7 @@ class TransactionManager:
         parent.undo.extend(txn.undo)
         parent.writes.update(txn.writes)
         granted = self.locktable.transfer(txn_id, parent.id)
-        self.trace.emit(self.trace.now, "commit2", txn=txn_id, phase="nested",
+        self.trace.emit("commit2", txn=txn_id, phase="nested",
                         parent=parent.id)
         return granted
 
@@ -141,7 +135,7 @@ class TransactionManager:
         writes newest-first and release its locks.  Returns promoted lock
         requests."""
         self._undo_to(self.txns[txn_id], 0)
-        self.trace.emit(self.trace.now, "abort", txn=txn_id, cause=cause)
+        self.trace.emit("abort", txn=txn_id, cause=cause)
         return self.locktable.release_all(txn_id)
 
     # --- savepoints (flatten-strategy nested regions) ---

@@ -262,8 +262,7 @@ def test_criterion_6_strategy_equivalence_and_interleavings():
 def test_criterion_7_lock_rule_oracle_10000_requests():
     rng = random.Random(42)
     parent = {}
-    table = LockTable(
-        lambda a, b: _is_anc(parent, a, b), lambda t: t)
+    table = LockTable(lambda a, b: _is_anc(parent, a, b))
     txns = []
     divergence = 0
     next_id = 0

@@ -30,14 +30,14 @@ def test_clean_run_passes_every_audit():
 
 def test_serializability_witness_on_serial_history():
     t = Trace()
-    t.emit(0, "begin", txn=0, parent="-")
-    t.emit(1, "grant", txn=0, obj="x", mode="w")
-    t.emit(1, "write", txn=0, obj="x", val="31")
-    t.emit(2, "commit2", txn=0, phase="decision", outcome="commit", parts="n1")
-    t.emit(3, "begin", txn=1, parent="-")
-    t.emit(4, "grant", txn=1, obj="x", mode="r")
-    t.emit(4, "read", txn=1, obj="x", val="31")
-    t.emit(5, "commit2", txn=1, phase="decision", outcome="commit", parts="-")
+    t.emit("begin", txn=0, parent="-")
+    t.emit("grant", txn=0, obj="x", mode="w")
+    t.emit("write", txn=0, obj="x", val="31")
+    t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="n1")
+    t.emit("begin", txn=1, parent="-")
+    t.emit("grant", txn=1, obj="x", mode="r")
+    t.emit("read", txn=1, obj="x", val="31")
+    t.emit("commit2", txn=1, phase="decision", outcome="commit", parts="-")
     ok, info = audit.audit_serializability(t.events)
     assert ok
     assert info["witness"] == [0, 1]
@@ -45,14 +45,14 @@ def test_serializability_witness_on_serial_history():
 
 def test_serializability_detects_conflict_cycle():
     t = Trace()
-    t.emit(0, "begin", txn=0, parent="-")
-    t.emit(0, "begin", txn=1, parent="-")
-    t.emit(1, "read", txn=0, obj="x", val="31")
-    t.emit(1, "write", txn=1, obj="y", val="32")
-    t.emit(2, "write", txn=1, obj="x", val="33")
-    t.emit(2, "write", txn=0, obj="y", val="34")
-    t.emit(3, "commit2", txn=0, phase="decision", outcome="commit", parts="-")
-    t.emit(3, "commit2", txn=1, phase="decision", outcome="commit", parts="-")
+    t.emit("begin", txn=0, parent="-")
+    t.emit("begin", txn=1, parent="-")
+    t.emit("read", txn=0, obj="x", val="31")
+    t.emit("write", txn=1, obj="y", val="32")
+    t.emit("write", txn=1, obj="x", val="33")
+    t.emit("write", txn=0, obj="y", val="34")
+    t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="-")
+    t.emit("commit2", txn=1, phase="decision", outcome="commit", parts="-")
     ok, info = audit.audit_serializability(t.events)
     assert not ok
     assert set(info["cycle"]) == {0, 1}
@@ -61,14 +61,14 @@ def test_serializability_detects_conflict_cycle():
 def test_serializability_cycle_leaves_out_downstream_transactions():
     t = Trace()
     for txn in (0, 1, 2):
-        t.emit(0, "begin", txn=txn, parent="-")
-    t.emit(1, "read", txn=0, obj="x", val="31")     # seq 3
-    t.emit(2, "write", txn=1, obj="x", val="33")    # seq 4
-    t.emit(2, "write", txn=1, obj="y", val="32")    # seq 5
-    t.emit(3, "write", txn=0, obj="y", val="34")    # seq 6
-    t.emit(4, "read", txn=2, obj="x", val="33")     # seq 7: after 1
+        t.emit("begin", txn=txn, parent="-")
+    t.emit("read", txn=0, obj="x", val="31")     # seq 3
+    t.emit("write", txn=1, obj="x", val="33")    # seq 4
+    t.emit("write", txn=1, obj="y", val="32")    # seq 5
+    t.emit("write", txn=0, obj="y", val="34")    # seq 6
+    t.emit("read", txn=2, obj="x", val="33")     # seq 7: after 1
     for txn in (0, 1, 2):
-        t.emit(5, "commit2", txn=txn, phase="decision", outcome="commit",
+        t.emit("commit2", txn=txn, phase="decision", outcome="commit",
                parts="-")
     ok, info = audit.audit_serializability(t.events)
     assert not ok
@@ -81,9 +81,9 @@ def test_serializability_keeps_only_frontier_edges():
     n = 30
     t = Trace()
     for txn in range(n):
-        t.emit(txn, "begin", txn=txn, parent="-")
-        t.emit(txn, "write", txn=txn, obj="x", val=str(txn))
-        t.emit(txn, "commit2", txn=txn, phase="decision", outcome="commit",
+        t.emit("begin", txn=txn, parent="-")
+        t.emit("write", txn=txn, obj="x", val=str(txn))
+        t.emit("commit2", txn=txn, phase="decision", outcome="commit",
                parts="-")
     ok, info = audit.audit_serializability(t.events)
     assert ok and info["witness"] == list(range(n))
@@ -136,26 +136,26 @@ def random_histories(draw):
     txns = []
     for _ in range(draw(st.integers(1, 4))):
         tid = len(txns)
-        t.emit(0, "begin", txn=tid, parent="-")
+        t.emit("begin", txn=tid, parent="-")
         txns.append(tid)
         for _ in range(draw(st.integers(0, 2))):
             parent = draw(st.sampled_from(txns[txns.index(tid):]))
-            t.emit(0, "begin", txn=len(txns), parent=parent)
+            t.emit("begin", txn=len(txns), parent=parent)
             txns.append(len(txns))
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from(["read", "write"]))
-        t.emit(1, kind, txn=draw(st.sampled_from(txns)),
+        t.emit(kind, txn=draw(st.sampled_from(txns)),
                obj=draw(st.sampled_from(objs)), val="0")
     for tid in txns:
         if draw(st.integers(0, 5)) == 0:
-            t.emit(2, "abort", txn=tid, cause="deadlock")
+            t.emit("abort", txn=tid, cause="deadlock")
     view = audit.TxnView(t.events)
     for tid in txns:
         if view.parents[tid] is None:
             outcome = draw(st.sampled_from(["commit", "commit", "abort",
                                             None]))
             if outcome:
-                t.emit(3, "commit2", txn=tid, phase="decision",
+                t.emit("commit2", txn=tid, phase="decision",
                        outcome=outcome, parts="-")
     return t.events
 
@@ -186,67 +186,67 @@ def test_frontier_graph_matches_pairwise_reference(events):
 
 def test_serializability_ignores_aborted_transactions():
     t = Trace()
-    t.emit(0, "begin", txn=0, parent="-")
-    t.emit(0, "begin", txn=1, parent="-")
-    t.emit(1, "read", txn=0, obj="x", val="31")
-    t.emit(1, "write", txn=1, obj="y", val="32")
-    t.emit(2, "write", txn=1, obj="x", val="33")
-    t.emit(2, "write", txn=0, obj="y", val="34")
-    t.emit(3, "abort", txn=1, cause="deadlock")
-    t.emit(3, "commit2", txn=0, phase="decision", outcome="commit", parts="-")
+    t.emit("begin", txn=0, parent="-")
+    t.emit("begin", txn=1, parent="-")
+    t.emit("read", txn=0, obj="x", val="31")
+    t.emit("write", txn=1, obj="y", val="32")
+    t.emit("write", txn=1, obj="x", val="33")
+    t.emit("write", txn=0, obj="y", val="34")
+    t.emit("abort", txn=1, cause="deadlock")
+    t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="-")
     ok, _ = audit.audit_serializability(t.events)
     assert ok
 
 
 def test_smuggling_detects_dirty_read():
     t = Trace()
-    t.emit(0, "begin", txn=0, parent="-")
-    t.emit(0, "begin", txn=1, parent="-")
-    t.emit(1, "write", txn=0, obj="x", val="39")
-    t.emit(2, "read", txn=1, obj="x", val="39")  # pre-commit leak
-    t.emit(3, "commit2", txn=0, phase="decision", outcome="commit", parts="-")
+    t.emit("begin", txn=0, parent="-")
+    t.emit("begin", txn=1, parent="-")
+    t.emit("write", txn=0, obj="x", val="39")
+    t.emit("read", txn=1, obj="x", val="39")  # pre-commit leak
+    t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="-")
     ok, problems = audit.scan_smuggling(t.events)
     assert not ok and "txn 1 read x" in problems[0]
 
 
 def test_smuggling_allows_reads_after_writer_resolves():
     t = Trace()
-    t.emit(0, "begin", txn=0, parent="-")
-    t.emit(0, "begin", txn=1, parent="-")
-    t.emit(1, "write", txn=0, obj="x", val="39")
-    t.emit(2, "abort", txn=0, cause="deadlock")
-    t.emit(3, "read", txn=1, obj="x", val="31")
+    t.emit("begin", txn=0, parent="-")
+    t.emit("begin", txn=1, parent="-")
+    t.emit("write", txn=0, obj="x", val="39")
+    t.emit("abort", txn=0, cause="deadlock")
+    t.emit("read", txn=1, obj="x", val="31")
     ok, _ = audit.scan_smuggling(t.events)
     assert ok
 
 
 def test_smuggling_tracks_anti_inheritance():
     t = Trace()
-    t.emit(0, "begin", txn=0, parent="-")
-    t.emit(0, "begin", txn=1, parent=0)
-    t.emit(1, "write", txn=1, obj="x", val="39")
-    t.emit(2, "commit2", txn=1, phase="nested", parent=0)
-    t.emit(3, "begin", txn=2, parent="-")
-    t.emit(4, "read", txn=2, obj="x", val="39")  # now dirty under txn 0
+    t.emit("begin", txn=0, parent="-")
+    t.emit("begin", txn=1, parent=0)
+    t.emit("write", txn=1, obj="x", val="39")
+    t.emit("commit2", txn=1, phase="nested", parent=0)
+    t.emit("begin", txn=2, parent="-")
+    t.emit("read", txn=2, obj="x", val="39")  # now dirty under txn 0
     ok, problems = audit.scan_smuggling(t.events)
     assert not ok
 
 
 def test_bracketing_flags_event_outside_action_span():
     t = Trace()
-    t.emit(0, "register", inst="a", role="r", th=0, ok=1)
-    t.emit(1, "read", txn=0, obj="x", val="31", inst="a", th=0)
-    t.emit(2, "outcome", inst="a", th=0, role="r", outcome="committed")
-    t.emit(3, "write", txn=0, obj="x", val="32", inst="a", th=0)  # too late
+    t.emit("register", inst="a", role="r", th=0, ok=1)
+    t.emit("read", txn=0, obj="x", val="31", inst="a", th=0)
+    t.emit("outcome", inst="a", th=0, role="r", outcome="committed")
+    t.emit("write", txn=0, obj="x", val="32", inst="a", th=0)  # too late
     ok, problems = audit.scan_bracketing(t.events)
     assert not ok and "after a outcome" in problems[0]
 
 
 def _txn_trace(*events):
-    """A trace of (kind, txn, detail) events, one tick apart."""
+    """A trace of (kind, txn, detail) events."""
     t = Trace()
-    for time, (kind, txn, detail) in enumerate(events):
-        t.emit(time, kind, txn=txn, **detail)
+    for kind, txn, detail in events:
+        t.emit(kind, txn=txn, **detail)
     return t.events
 
 
@@ -323,23 +323,23 @@ def test_bracketing_flags_a_double_abort_on_every_crash_sweep(monkeypatch):
 
 def test_lock_rule_flags_non_ancestor_coexistence():
     t = Trace()
-    t.emit(0, "begin", txn=0, parent="-")
-    t.emit(0, "begin", txn=1, parent="-")
-    t.emit(1, "grant", txn=0, obj="x", mode="w")
-    t.emit(2, "grant", txn=1, obj="x", mode="w")  # illegal: unrelated txns
+    t.emit("begin", txn=0, parent="-")
+    t.emit("begin", txn=1, parent="-")
+    t.emit("grant", txn=0, obj="x", mode="w")
+    t.emit("grant", txn=1, obj="x", mode="w")  # illegal: unrelated txns
     ok, problems = audit.verify_lock_rule(t.events)
     assert not ok and "non-ancestor" in problems[0]
 
 
 def test_lock_rule_accepts_ancestor_and_transfer():
     t = Trace()
-    t.emit(0, "begin", txn=0, parent="-")
-    t.emit(0, "begin", txn=1, parent=0)
-    t.emit(1, "grant", txn=0, obj="x", mode="r")
-    t.emit(2, "grant", txn=1, obj="x", mode="w")  # parent is ancestor: fine
-    t.emit(3, "commit2", txn=1, phase="nested", parent=0)
-    t.emit(4, "begin", txn=2, parent=0)
-    t.emit(5, "grant", txn=2, obj="x", mode="w")  # holder 0 is ancestor
+    t.emit("begin", txn=0, parent="-")
+    t.emit("begin", txn=1, parent=0)
+    t.emit("grant", txn=0, obj="x", mode="r")
+    t.emit("grant", txn=1, obj="x", mode="w")  # parent is ancestor: fine
+    t.emit("commit2", txn=1, phase="nested", parent=0)
+    t.emit("begin", txn=2, parent=0)
+    t.emit("grant", txn=2, obj="x", mode="w")  # holder 0 is ancestor
     ok, problems = audit.verify_lock_rule(t.events)
     assert ok, problems
 
@@ -398,10 +398,10 @@ def test_atomicity_flags_tampered_dump():
 
 def test_durability_failure_detected():
     t = Trace()
-    t.emit(0, "begin", txn=0, parent="-")
-    t.emit(1, "commit2", txn=0, phase="decision", outcome="commit",
+    t.emit("begin", txn=0, parent="-")
+    t.emit("commit2", txn=0, phase="decision", outcome="commit",
            parts="n1,n2")
-    t.emit(2, "commit2", txn=0, phase="apply", node="n1", objs="x")
+    t.emit("commit2", txn=0, phase="apply", node="n1", objs="x")
     ok, problems = audit.check_durability(t.events, up_nodes={"n1", "n2"})
     assert not ok and "never applied at up node n2" in problems[0]
     # a still-down participant is not a durability violation
@@ -501,12 +501,12 @@ def test_audit_trace_rejects_a_trace_without_a_dump_section():
 
 def test_durability_problem_names_the_decision_seq():
     t = Trace()
-    t.emit(0, "begin", txn=0, parent="-")
-    t.emit(1, "grant", txn=0, obj="x", mode="w")
-    t.emit(1, "write", txn=0, obj="x", val="31")
-    t.emit(2, "commit2", txn=0, phase="decision", outcome="commit",
+    t.emit("begin", txn=0, parent="-")
+    t.emit("grant", txn=0, obj="x", mode="w")
+    t.emit("write", txn=0, obj="x", val="31")
+    t.emit("commit2", txn=0, phase="decision", outcome="commit",
            parts="n1,n2")
-    t.emit(3, "commit2", txn=0, phase="apply", node="n1", objs="x")
+    t.emit("commit2", txn=0, phase="apply", node="n1", objs="x")
     events, _ = parse(t.render())
     ok, problems = audit.check_durability(events, up_nodes={"n1", "n2"})
     assert not ok

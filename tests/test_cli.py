@@ -279,14 +279,14 @@ def test_division_by_zero_aborts_the_instance(tmp_path, capsys, monkeypatch,
 
 def test_failed_serializability_prints_cycle_and_conflicts(capsys):
     t = Trace()
-    t.emit(0, "begin", txn=0, parent="-")
-    t.emit(0, "begin", txn=1, parent="-")
-    t.emit(1, "read", txn=0, obj="x", val="31")     # seq 2
-    t.emit(2, "write", txn=1, obj="x", val="33")    # seq 3
-    t.emit(2, "write", txn=1, obj="y", val="32")    # seq 4
-    t.emit(3, "write", txn=0, obj="y", val="34")    # seq 5
+    t.emit("begin", txn=0, parent="-")
+    t.emit("begin", txn=1, parent="-")
+    t.emit("read", txn=0, obj="x", val="31")     # seq 2
+    t.emit("write", txn=1, obj="x", val="33")    # seq 3
+    t.emit("write", txn=1, obj="y", val="32")    # seq 4
+    t.emit("write", txn=0, obj="y", val="34")    # seq 5
     for txn in (0, 1):
-        t.emit(4, "commit2", txn=txn, phase="decision", outcome="commit",
+        t.emit("commit2", txn=txn, phase="decision", outcome="commit",
                parts="-")
     report = {"serializability": audit.audit_serializability(t.events),
               "ok": False}

@@ -119,9 +119,22 @@ def _unknown_role(lines):
             if "\tregister\t" in ln else ln for ln in lines]
 
 
+def _cut(seq, token):
+    """An edit that cuts `token` from the line of event `seq`."""
+    def edit(lines):
+        return [ln.replace(token, "", 1) if i == seq else ln
+                for i, ln in enumerate(lines)]
+    return edit
+
+
 @pytest.mark.parametrize("edit,seq", [(_without_emit, 12),
                                       (_read_after_exit, 18),
-                                      (_unknown_role, 3)])
+                                      (_unknown_role, 3),
+                                      (_cut(7, " th=0"), 7),
+                                      (_cut(1, " role=debit"), 1),
+                                      (_cut(3, " th=1"), 3),
+                                      (_cut(11, "signal=moved "), 11),
+                                      (_cut(13, "signal=moved "), 13)])
 def test_a_trace_off_its_roles_is_malformed(edit, seq):
     events, sc = _edited_transfer_trace(edit)
     with pytest.raises(MalformedTrace, match="^seq %d: " % seq):

@@ -571,6 +571,27 @@ def _crash_text(sc, index, node) -> str:
     return Simulator(sc).run().trace_text()
 
 
+def test_a_pause_inside_a_quiesce_pass_forks_like_a_fresh_run():
+    """Without its emit, TRANSFER's await is never matched, and the
+    quiesce pass at the empty queue emits the abort and both outcomes.
+    A fork paused at each point, those three included, crashes each node
+    there, as a fresh run with that `fault index` does."""
+    sc = parse_scenario(TRANSFER.replace("    sync moved emit\n", ""))
+    run = Simulator(sc).run()
+    n = len(run.trace.events)
+    assert run.trace.events[n - 3].detail == {"cause": "unmatched_await"}
+    base, quiesced = Simulator(sc), []
+    for k in range(n):
+        assert base.run_to(k)
+        if not base._q:
+            quiesced.append(k)
+        for node in sc.nodes:
+            fork = _crash_fork(base, k, node).run()
+            assert fork.crash_checks, (k, node)
+            assert fork.trace_text() == _crash_text(sc, k, node), (k, node)
+    assert quiesced == [n - 3, n - 2, n - 1]
+
+
 def test_forks_render_apart_from_their_base_moving_on():
     # each fork runs and renders only after its base has moved on and
     # been forked again, which the crash sweep never does

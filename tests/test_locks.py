@@ -24,7 +24,7 @@ class Tree:
 
 def make():
     tree = Tree()
-    table = LockTable(tree.is_ancestor, lambda t: t)
+    table = LockTable(tree.is_ancestor)
     return tree, table
 
 

@@ -15,9 +15,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def make_trace():
     t = trace.Trace()
-    t.emit(0, "begin", txn=0, parent="-")
-    t.emit(1, "grant", txn=0, obj="x", mode="w")
-    t.emit(1, "write", txn=0, obj="x", val="32", th=0, inst="a")
+    t.emit("begin", txn=0, parent="-")
+    t.now = 1
+    t.emit("grant", txn=0, obj="x", mode="w")
+    t.emit("write", txn=0, obj="x", val="32", th=0, inst="a")
     return t
 
 
@@ -27,9 +28,13 @@ def test_line_format_is_six_tab_fields():
         assert len(ln.split("\t")) == 6
 
 
+def test_emit_stamps_the_trace_clock():
+    assert [ev.time for ev in make_trace().events] == [0, 1, 1]
+
+
 def test_detail_keys_sorted():
     t = trace.Trace()
-    t.emit(0, "write", txn=1, obj="x", val="aa", inst="k", th=3)
+    t.emit("write", txn=1, obj="x", val="aa", inst="k", th=3)
     det = t.lines()[0].split("\t")[5]
     assert det == "inst=k th=3 val=aa"
 
@@ -116,7 +121,7 @@ def test_parse_keeps_one_record_per_section():
 def test_emit_asserts_known_kind():
     t = trace.Trace()
     with pytest.raises(AssertionError):
-        t.emit(0, "nonsense")
+        t.emit("nonsense")
 
 
 def test_parse_rejects_non_integer_txn():
@@ -206,8 +211,9 @@ def test_only_a_copied_trace_keeps_rendered_lines():
     # the source renders its events once and the copy takes its own list
     assert t._lines == c._lines == text.splitlines()
     assert c._lines is not t._lines
-    c.emit(2, "commit1", txn=0)
-    t.emit(2, "abort", txn=0)
+    c.now = t.now = 2
+    c.emit("commit1", txn=0)
+    t.emit("abort", txn=0)
     assert c.render() == text + "3\t2\tcommit1\t0\t-\t-\n"
     assert t.render() == text + "3\t2\tabort\t0\t-\t-\n"
     assert len(t._lines) == len(c._lines) == 3
@@ -453,8 +459,9 @@ def test_parse_shares_repeated_values():
     assert len({id(ev.detail) for ev in events}) == len(events)
     # ints above the interpreter's small-int cache, repeated
     t = trace.Trace()
+    t.now = 5000
     for _ in range(3):
-        t.emit(5000, "begin", txn=7000, obj="acct_a", parent="-")
+        t.emit("begin", txn=7000, obj="acct_a", parent="-")
     events, _ = trace.parse(t.render())
     assert events[0].time is events[1].time is events[2].time
     assert events[0].txn is events[1].txn is events[2].txn
@@ -465,11 +472,11 @@ def test_parse_shares_repeated_values():
 def test_emit_shares_the_string_of_each_int():
     t = trace.Trace()
     for th in (3, 1234):
-        a = t.emit(0, "step", th=th)
-        b = t.emit(1, "step", th=th)
+        a = t.emit("step", th=th)
+        b = t.emit("step", th=th)
         assert a.detail["th"] == str(th)
         assert a.detail["th"] is b.detail["th"]
-    ev = t.emit(2, "step", th=1, ok=True)
+    ev = t.emit("step", th=1, ok=True)
     assert ev.detail == {"th": "1", "ok": "True"}
     assert t.lines()[-1].endswith("ok=True th=1")
 
@@ -540,8 +547,8 @@ def test_indexed_parse_matches_a_plain_parse():
 
 def _swappable():
     t = trace.Trace()
-    t.emit(0, "begin", txn=0, parent="-")
-    t.emit(0, "grant", txn=0, obj="x", mode="w")
+    t.emit("begin", txn=0, parent="-")
+    t.emit("grant", txn=0, obj="x", mode="w")
     return _indexed(t)
 
 
@@ -568,9 +575,9 @@ def test_indexed_events_still_need_their_required_detail():
     """The event a line indexes is checked as the line's parse would be:
     one that lost a required detail key after render is rejected."""
     t = trace.Trace()
-    t.emit(0, "begin", txn=0, parent="-")
-    grant = t.emit(0, "grant", txn=0, obj="x", mode="w")
-    nested = t.emit(1, "commit2", txn=0, phase="nested", parent="3")
+    t.emit("begin", txn=0, parent="-")
+    grant = t.emit("grant", txn=0, obj="x", mode="w")
+    nested = t.emit("commit2", txn=0, phase="nested", parent="3")
     text, index = _indexed(t)
     _assert_indexed_parse_is_plain(text, index, t.events)
     del grant.detail["mode"]
