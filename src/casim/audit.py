@@ -413,13 +413,13 @@ def verify_lock_rule(events):
 
 
 @pause_cyclic_gc
-def audit_trace(text: str, all_nodes=None, index=None):
+def audit_trace(text: str, all_nodes=None, record=None):
     """Run every audit over a rendered trace file.  Returns a dict of
     check name -> (ok, info); key "ok" aggregates.  Raises MalformedTrace
-    on schema violations and when a dump section is missing.  `index` is
-    passed to `trace.parse`, so the passes may read a run's emitted
-    events; they never change one."""
-    events, dumps = trace_mod.parse(text, index)
+    on schema violations and when a dump section is missing.  `record`,
+    what the render of `text` kept, is passed to `trace.parse`, so the
+    passes may read a run's emitted events; they never change one."""
+    events, dumps = trace_mod.parse(text, record)
     for section in trace_mod.DUMP_SECTIONS:
         if section not in dumps:
             raise MalformedTrace("trace has no [%s] dump section" % section)

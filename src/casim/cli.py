@@ -106,8 +106,8 @@ def _cmd_run(args) -> int:
                     horizon=args.horizon).run()
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     trace_path = args.trace or _out_path(stem + ".trace")
-    index = {}      # the audit reads the emitted events through it
-    text = res.trace_text(index)
+    record = trace.Rendered()   # the audit reads the emitted events
+    text = res.trace_text(record)
     with open(trace_path, "w") as f:
         f.write(text)
     if args.dump:
@@ -122,7 +122,7 @@ def _cmd_run(args) -> int:
     for err, key, role, tid in res.rejections:
         print("rejected\t%s\t%s\t%s" % (key, role, err))
     print("trace\t%s\t%d events" % (trace_path, len(res.trace.events)))
-    report = audit.audit_trace(text, all_nodes=sc.nodes, index=index)
+    report = audit.audit_trace(text, all_nodes=sc.nodes, record=record)
     return _print_report(report)
 
 

@@ -127,7 +127,12 @@ def from_trace(events, key, defn) -> OperationDAG:
             pos[1] += 1
             if kind == "step":
                 continue
-            nid = dag.add_node(int(th), pos[1] - 1, kind, ev.obj).nid
+            try:
+                tid = int(th)
+            except ValueError:
+                raise MalformedTrace("seq %d: non-integer th %r"
+                                     % (ev.seq, th)) from None
+            nid = dag.add_node(tid, pos[1] - 1, kind, ev.obj).nid
             threads = (th,)
         else:
             continue

@@ -52,7 +52,7 @@ from .errors import DeadlockVictim, InconsistentFault, NodeDown
 from .gcpause import pause_cyclic_gc
 from .scenario import Scenario
 from .store import LogRecord, ObjectStore, encode_value, decode_value
-from .trace import Trace
+from .trace import Rendered, Trace
 from .txn import TransactionManager
 
 MSG_LATENCY = (1, 3)
@@ -158,8 +158,8 @@ class Simulator:
                 "stable": self.store.dump_stable(),
                 "volatile": self.store.dump_volatile()}
 
-    def trace_text(self, index: dict | None = None) -> str:
-        return self.trace.render(self.dumps(), index)
+    def trace_text(self, record: Rendered | None = None) -> str:
+        return self.trace.render(self.dumps(), record)
 
     @property
     def now(self) -> int:
@@ -720,9 +720,9 @@ class Simulator:
     def _crash(self, node):
         if not self.store.node_up(node):
             raise InconsistentFault("crash of down node %s" % node)
-        before = self.store.dump_stable()
+        before = [dict(ns.stable) for ns in self.store.nodes.values()]
         self.store.crash_node(node)
-        stable_ok = before == self.store.dump_stable()
+        stable_ok = before == [ns.stable for ns in self.store.nodes.values()]
         vol_cleared = not self.store.nodes[node].volatile
         self.crash_checks.append((node, self.now, stable_ok, vol_cleared))
         self.trace.emit("crash", node=node)

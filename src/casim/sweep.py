@@ -9,13 +9,18 @@ node, not once per crash point.  Each fork crashes through the
 would.  The seed sweep reruns the scenario across a seed range.  Both
 return one verdict row per run.
 
-Each run's audit reads its whole trace text, but through the line index
-its render fills (`trace.parse`), so the audited events are the ones the
-run emitted and no line is parsed into a second copy of its event.  That
-holds only while parsing a line rebuilds the event it was rendered from,
-so each sweep parses its first run's text in full as well, and the crash
-sweep its fault-free run's, and raises MalformedTrace if those events
-differ from the emitted ones.
+Each run's audit is given its whole trace text and the record its render
+kept (`trace.Rendered`).  The text is the one recorded, so `trace.parse`
+hands the audit the events the run emitted and the dump records it
+wrote, and splits no line of the text.  That holds only while parsing a
+rendered line rebuilds the event or dump record it was rendered from, so
+each sweep parses its first run's text in full as well, and the crash
+sweep its fault-free run's, and raises MalformedTrace if that parse
+fails or does not give back the emitted events and the dump records.
+
+Both sweeps pause the cyclic collector throughout.  Every run is freed
+by reference counting before the next one starts, so a collection
+during a sweep would walk live objects and free nothing.
 """
 
 from dataclasses import replace
@@ -23,40 +28,56 @@ from dataclasses import replace
 from . import audit, trace
 from .engine import Simulator
 from .errors import MalformedTrace
+from .gcpause import pause_cyclic_gc
 from .scenario import Fault, Scenario
 
 
 def _audit_run(res, all_nodes, round_trip=False):
-    index = {}
-    text = res.trace_text(index)
+    record = trace.Rendered()
+    text = res.trace_text(record)
     if round_trip:
-        _check_round_trip(text, res.trace.events)
-    report = audit.audit_trace(text, all_nodes=all_nodes, index=index)
+        _check_round_trip(text, record)
+    report = audit.audit_trace(text, all_nodes=all_nodes, record=record)
     failures = [name for name, v in report.items()
                 if name != "ok" and not v[0]]
     return report["ok"], failures
 
 
-def _check_round_trip(text, emitted):
-    """Raise MalformedTrace, at the first event line that differs, unless
-    a plain parse of `text` gives back the `emitted` events."""
-    parsed, _ = trace.parse(text)
-    if parsed != emitted:
-        at = next((i for i, (a, b) in enumerate(zip(parsed, emitted))
-                   if a != b), min(len(parsed), len(emitted)))
+def _first_difference(a, b) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                min(len(a), len(b)))
+
+
+def _check_round_trip(text, record):
+    """Raise MalformedTrace, at the first line that differs, unless a plain
+    parse of `text` gives back the events and the dump records `record`
+    holds."""
+    parsed, dumps = trace.parse(text)
+    if parsed != record.events:
         raise MalformedTrace("parsing this line does not give back the "
-                             "event it was rendered from", at + 1)
+                             "event it was rendered from",
+                             _first_difference(parsed, record.events) + 1)
+    line = len(parsed) + 1      # the `dump` line
+    for section, rendered in record.dumps.items():
+        got = dumps.get(section, [])
+        if got != rendered:
+            raise MalformedTrace("parsing this line does not give back the "
+                                 "[%s] record it was rendered from" % section,
+                                 line + 2 + _first_difference(got, rendered))
+        line += 1 + len(rendered)
 
 
+@pause_cyclic_gc
 def crash_sweep(scenario: Scenario, recover_after=100, stride=1) -> list:
     """One row per injected crash point: {node, index, time, outcomes,
     ok, failures, stable_unchanged, volatile_cleared}."""
     fault_free = replace(scenario, faults=[])
     free = Simulator(fault_free).run()
     # a first fork that crashes early emits few kinds of event
-    _check_round_trip(free.trace_text(), free.trace.events)
+    record = trace.Rendered()
+    _check_round_trip(free.trace_text(record), record)
     n_events = len(free.trace.events)
-    del free
+    del free, record
     horizon = scenario.horizon + recover_after + 200
     rows = []
     for node in scenario.nodes:
@@ -85,6 +106,7 @@ def crash_sweep(scenario: Scenario, recover_after=100, stride=1) -> list:
     return rows
 
 
+@pause_cyclic_gc
 def seed_sweep(scenario: Scenario, start: int, stop: int) -> list:
     """Inclusive seed range; one audited run per seed."""
     rows = []

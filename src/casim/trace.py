@@ -25,16 +25,20 @@ detail key and detail value, each (key, value) token pair and each int
 of the time and txn fields across the events it returns, so equal values
 of two events may be one object.  Only immutable strings and ints are
 shared within one call; each event it returns has its own `detail` dict.
-`render(dumps, index)` also fills `index` with each event line it
-renders, mapped to the event it was rendered from, and `parse(text,
-index)` takes a line found there as that event, `detail` dict included,
-so it may return a run's own emitted events and no reader of parsed
-events may change one.  The sweeps audit each run this way, so no event
-of a run is built a second time from its line.  The parser reads its
-text in chunks of about `CHUNK_CHARS` characters, each ending just after
-a newline, so it never holds a list of every line; lines and line
-numbers are those of `str.splitlines`.  `Trace.emit` gives equal int
-detail values one string per trace.
+The parser reads its text in chunks of about `CHUNK_CHARS` characters,
+each ending just after a newline, so it never holds a list of every
+line; lines and line numbers are those of `str.splitlines`.
+`Trace.emit` gives equal int detail values one string per trace.
+
+`render(dumps, record)` also keeps in `record` (a `Rendered`) the text it
+returned, the events it rendered and the dump sections it wrote.
+`parse(text, record)` of that same text splits no line: it returns the
+recorded events themselves, `detail` dicts included, after checking each
+one's seq and required detail keys at the line it was rendered to.  So a
+parse may return a run's own emitted events, and no reader of parsed
+events may change one.  That is sound only while parsing each rendered
+line gives back what it was rendered from, which each sweep checks by
+parsing one run's text in full.  Any other text is parsed in full.
 
 A trace and its copies share rendered lines.  `copy` first renders the
 source's events past its cache of rendered lines, and the new trace
@@ -95,6 +99,14 @@ class Event:
             " ".join(["%s=%s" % (k, d[k]) for k in sorted(d)]) if d else "-")
 
 
+class Rendered:
+    """What one `Trace.render` call returned and what it rendered from:
+    `text`, the `events` (a list of its own) and the `dumps` sections it
+    wrote (each a list of its own; empty if it wrote no dump)."""
+
+    __slots__ = ("text", "events", "dumps")
+
+
 class Trace:
     """Append-only event log that calls nothing back, and the simulated
     clock of the run that owns it: every part that emits holds the trace,
@@ -140,17 +152,22 @@ class Trace:
         return done + new if done else new
 
     def render(self, dumps: dict | None = None,
-               index: dict | None = None) -> str:
+               record: Rendered | None = None) -> str:
         out = self.lines()
-        if index is not None:   # each event line -> its event, for parse
-            index.update(zip(out, self.events))
         if dumps is not None:
             out.append("dump")
             for section in DUMP_SECTIONS:
                 out.append("[%s]" % section)
                 out.extend(dumps.get(section, []))
         out.append("")  # the final newline, without copying the text again
-        return "\n".join(out) or "\n"
+        text = "\n".join(out) or "\n"
+        if record is not None:
+            record.text = text
+            record.events = list(self.events)
+            record.dumps = {} if dumps is None else {
+                section: list(dumps.get(section, []))
+                for section in DUMP_SECTIONS}
+        return text
 
 
 def _check_detail(kind, detail, need, lineno):
@@ -167,6 +184,21 @@ def _check_detail(kind, detail, need, lineno):
         except ValueError:
             raise MalformedTrace("non-integer parent %r" % detail["parent"],
                                  lineno)
+
+
+def _recorded(record: Rendered):
+    """The events and dump records `record` kept, in new lists, checked as
+    parsing their lines would check them now: event k, at line k + 1,
+    must have seq k and its kind's required detail keys."""
+    events = list(record.events)
+    for seq, ev in enumerate(events):
+        if ev.seq != seq:
+            raise MalformedTrace("seq %d out of order" % ev.seq, seq + 1)
+        need = REQUIRED_DETAIL.get(ev.kind)
+        if need is not None:
+            _check_detail(ev.kind, ev.detail, need, seq + 1)
+    return events, {section: list(lines)
+                    for section, lines in record.dumps.items()}
 
 
 def _lines(text: str):
@@ -188,19 +220,22 @@ def _pair(tok: str, strings: dict, lineno: int) -> tuple:
     return strings.setdefault(k, k), strings.setdefault(v, v)
 
 
-def parse(text: str, index: dict | None = None):
+def parse(text: str, record: Rendered | None = None):
     """Parse a trace file into (events, dump_sections).
 
     dump_sections maps section name to its list of raw record lines.
     Raises MalformedTrace with a line number on schema violations.
 
-    `index`, if given, maps event lines to events, as `Trace.render`
-    fills it.  An event line found there yields that event once its seq
-    is the one expected here and it carries its kind's required detail
-    keys; every other check depends on the line alone, which rendering
-    that event made.  Any other line is parsed and checked in full.
-    `index` is only read.
+    `record`, if given, is what `Trace.render` kept of a render.  If
+    `text` equals the text it rendered (at once if it is that object),
+    the result is new lists of the recorded events and dump records,
+    once each event has the seq and the required detail keys expected at
+    its line; every other check depends on the line alone, which
+    rendering that event made.  Any other text is parsed and checked in
+    full.  `record` is only read.
     """
+    if record is not None and text == record.text:
+        return _recorded(record)
     events = []
     dumps = {}
     section = None
@@ -249,18 +284,6 @@ def parse(text: str, index: dict | None = None):
         if raw == "dump":
             in_dump = True
             continue
-        if index is not None:
-            ev = index.get(raw)
-            if ev is not None:
-                if ev.seq != expect_seq:
-                    raise MalformedTrace("seq %d out of order" % ev.seq,
-                                         lineno)
-                expect_seq += 1
-                need = REQUIRED_DETAIL.get(ev.kind)
-                if need is not None:
-                    _check_detail(ev.kind, ev.detail, need, lineno)
-                events.append(ev)
-                continue
         parts = raw.split("\t")
         if len(parts) != 6:
             raise MalformedTrace("expected 6 tab-separated fields", lineno)

@@ -8,7 +8,7 @@ from casim import actions as act, audit, sweep
 from casim.engine import Simulator
 from casim.errors import MalformedTrace
 from casim.scenario import Fault, load_scenario
-from casim.trace import Trace, parse
+from casim.trace import Rendered, Trace, parse
 
 from conftest import TRANSFER, run_text
 
@@ -430,7 +430,7 @@ def _crash_fork(scenario, node, index):
 
 
 def test_audits_change_no_event(monkeypatch):
-    """Through its render's index an audit reads the run's own emitted
+    """Through its render's record an audit reads the run's own emitted
     events, which the run and its forks share, so no audit pass may
     change an event or its detail dict."""
     runs = [Simulator(load_scenario(str(path))).run()
@@ -441,17 +441,17 @@ def test_audits_change_no_event(monkeypatch):
     parsed = []     # the events each audit reads
     real_parse = audit.trace_mod.parse
 
-    def recording(text, index=None):
-        events, dumps = real_parse(text, index)
+    def recording(text, record=None):
+        events, dumps = real_parse(text, record)
         parsed.append(events)
         return events, dumps
 
     monkeypatch.setattr(audit.trace_mod, "parse", recording)
     for res in runs:
-        index = {}
-        text = res.trace_text(index)
+        record = Rendered()
+        text = res.trace_text(record)
         fresh, _ = real_parse(text)
-        audit.audit_trace(text, index=index)
+        audit.audit_trace(text, record=record)
         audited = parsed.pop()
         assert len(audited) == len(fresh) > 0
         for a, emitted, b in zip(audited, res.trace.events, fresh):

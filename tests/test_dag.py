@@ -119,6 +119,11 @@ def _unknown_role(lines):
             if "\tregister\t" in ln else ln for ln in lines]
 
 
+def _thread_x(lines):
+    """Thread 0 named `x`, in its registration and in each of its events."""
+    return [ln.replace("th=0", "th=x") for ln in lines]
+
+
 def _cut(seq, token):
     """An edit that cuts `token` from the line of event `seq`."""
     def edit(lines):
@@ -130,6 +135,7 @@ def _cut(seq, token):
 @pytest.mark.parametrize("edit,seq", [(_without_emit, 12),
                                       (_read_after_exit, 18),
                                       (_unknown_role, 3),
+                                      (_thread_x, 7),
                                       (_cut(7, " th=0"), 7),
                                       (_cut(1, " role=debit"), 1),
                                       (_cut(3, " th=1"), 3),

@@ -15,7 +15,7 @@ from casim.engine import Simulator
 from casim.errors import InconsistentFault, MalformedTrace
 from casim.scenario import (Contribution, Fault, load_scenario,
                             parse_scenario)
-from casim.store import decode_value
+from casim.store import ObjectStore, decode_value
 
 from conftest import TRANSFER, random_competitive_scenario, run_text
 
@@ -285,6 +285,24 @@ def test_crash_of_participant_node_aborts_action():
     assert stable_value(res, "acct_b") == 40
     node, _t, stable_ok, vol_cleared = res.crash_checks[0]
     assert node == "beta" and stable_ok and vol_cleared
+
+
+def test_a_crash_that_changes_stable_storage_is_reported(monkeypatch):
+    """The crash check compares every node's stable records before and
+    after the crash, so a crash that bumps one version fails it."""
+    real = ObjectStore.crash_node
+
+    def bumping(store, node):
+        real(store, node)
+        stable = store.nodes[node].stable
+        name = min(stable)
+        value, version = stable[name]
+        stable[name] = (value, version + 1)
+
+    monkeypatch.setattr(ObjectStore, "crash_node", bumping)
+    rows = sweep.crash_sweep(parse_scenario(TRANSFER), stride=8)
+    assert rows and all(row["volatile_cleared"] for row in rows)
+    assert not any(row["stable_unchanged"] or row["ok"] for row in rows)
 
 
 def test_coordinator_crash_resolves_to_presumed_abort():
@@ -784,13 +802,17 @@ def _on_stack(codes) -> bool:
 
 
 def test_runs_and_audits_start_no_collection():
-    # they build no cycle, so they pause the cyclic collector
+    # they build no cycle, so they pause the cyclic collector, and so do
+    # the sweeps, whose every run is freed before the next one
     bodies = {Simulator.run.__wrapped__.__code__,
               Simulator.run_to.__wrapped__.__code__,
-              audit.audit_trace.__wrapped__.__code__}
-    starts = []     # per collection started: inside a run or an audit?
+              audit.audit_trace.__wrapped__.__code__,
+              sweep.crash_sweep.__wrapped__.__code__,
+              sweep.seed_sweep.__wrapped__.__code__}
+    starts = []     # per collection started: inside a run, audit or sweep?
     workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
     crash_text = workloads["crash_sweep"](1)
+    nested = parse_scenario(workloads["nested_seeds"](1))
     del workloads
 
     def hook(phase, _info):
@@ -815,9 +837,10 @@ def test_runs_and_audits_start_no_collection():
         assert index == 304
         rows = sweep.crash_sweep(
             load_scenario(str(SCENARIO_DIR / "crash_recover.scn")))
+        rows += sweep.seed_sweep(nested, 0, 4)
     finally:
         gc.callbacks.remove(hook)
-    assert all(row["ok"] for row in rows)
+    assert len(rows) == 76 + 5 and all(row["ok"] for row in rows)
     assert starts and not any(starts)
 
 

@@ -10,6 +10,7 @@ from casim import audit, sweep, trace
 from casim.engine import Simulator
 from casim.errors import MalformedTrace
 from casim.scenario import Fault, load_scenario, parse_scenario
+from casim.store import ObjectStore
 from casim.sweep import crash_sweep, render_rows, seed_sweep
 
 from conftest import TRANSFER, random_competitive_scenario
@@ -44,23 +45,42 @@ def test_render_rows_table():
 
 
 def test_sweeps_audit_the_events_each_run_emitted(monkeypatch):
-    """Every sweep audit parses through its run's own line index, so each
-    event it reads is one the run emitted and no line is parsed anew."""
+    """Every sweep audit is given the text its run's render recorded, so
+    each event it reads is one the run emitted, and no line of an audited
+    text is split: only each sweep's format guard parses a text in full,
+    the crash sweep's fault-free run and first fork and the seed sweep's
+    first seed."""
+    emitted = []    # each run's events, as it finished
     audited = []
-    real = audit.audit_trace
+    split = []      # each text the parser split into lines
+    real_audit, real_lines = audit.audit_trace, trace._lines
 
-    def recording(text, all_nodes=None, index=None):
-        events, _ = trace.parse(text, index)
-        emitted = list(index.values())
-        audited.append(len(events) == len(emitted) > 0 and
-                       all(a is b for a, b in zip(events, emitted)))
-        return real(text, all_nodes=all_nodes, index=index)
+    class Recording(Simulator):
+        def run(self):
+            emitted.append(super().run().trace.events)
+            return self
 
+    def recording(text, all_nodes=None, record=None):
+        events, _ = trace.parse(text, record)
+        audited.append(text is record.text and
+                       len(events) == len(emitted[-1]) > 0 and
+                       all(a is b for a, b in zip(events, emitted[-1])))
+        return real_audit(text, all_nodes=all_nodes, record=record)
+
+    def lines(text):
+        split.append(text)
+        return real_lines(text)
+
+    monkeypatch.setattr(sweep, "Simulator", Recording)
     monkeypatch.setattr(audit, "audit_trace", recording)
+    monkeypatch.setattr(trace, "_lines", lines)
     sc = load_scenario(str(SCENARIO_DIR / "crash_recover.scn"))
-    rows = crash_sweep(sc, stride=5) + seed_sweep(sc, 0, 4)
+    rows = crash_sweep(sc, stride=5)
+    assert len(split) == 2
+    rows += seed_sweep(sc, 0, 4)
+    assert len(split) == 3
     assert all(r["ok"] for r in rows)
-    assert len(audited) > 5 and all(audited)
+    assert len(audited) == len(rows) > 5 and all(audited)
 
 
 @pytest.mark.parametrize("run_sweep", [
@@ -69,9 +89,10 @@ def test_sweeps_audit_the_events_each_run_emitted(monkeypatch):
 def test_sweep_format_guard_rejects_lines_that_do_not_parse_back(
         monkeypatch, run_sweep):
     """If a rendered line no longer parses back into its event (here a
-    detail value rendered with a space), the indexed audits would not
-    see it, so each sweep's full parse of a first run rejects it: the seed
-    sweep's first seed, the crash sweep's fault-free run."""
+    detail value rendered with a space), the audits, which read the
+    recorded events, would not see it, so each sweep's full parse of a
+    first run rejects it: the seed sweep's first seed, the crash sweep's
+    fault-free run."""
     real = trace.Event.line
 
     def spaced(ev):
@@ -94,6 +115,43 @@ def test_sweep_format_guard_rejects_lines_that_do_not_parse_back(
         run_sweep(sc)
     assert str(e.value) == ("line %d: parsing this line does not give back "
                             "the event it was rendered from" % (at + 1))
+
+
+def _three_fields(lines):
+    return [lines[0].rsplit("\t", 1)[0]] + lines[1:]
+
+
+def _two_records_in_one(lines):
+    """The first record followed, inside its own line, by a well-formed
+    record of an object no node holds."""
+    node, name, rest = lines[0].split("\t", 2)
+    return ["%s\n%s\t%s_2\t%s" % (lines[0], node, name, rest)] + lines[1:]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_three_fields, "expected 4 tab-separated fields in a dump record"),
+    (_two_records_in_one, "parsing this line does not give back the "
+                          "[initial] record it was rendered from")],
+    ids=["three_fields", "two_records_in_one"])
+@pytest.mark.parametrize("run_sweep", [
+    lambda sc: seed_sweep(sc, sc.seed, sc.seed + 2),
+    lambda sc: crash_sweep(sc, stride=7)], ids=["seeds", "crash"])
+def test_sweep_format_guard_rejects_dump_records_that_do_not_parse_back(
+        monkeypatch, run_sweep, edit, message):
+    """The audits read the dump records each run's render kept, not the
+    text's, so each sweep's full parse of a first run also checks that
+    the text's dump records are the rendered ones, and stops at the first
+    line that is not."""
+    real = ObjectStore.dump_stable
+    monkeypatch.setattr(ObjectStore, "dump_stable",
+                        lambda store: edit(real(store)))
+    sc = load_scenario(str(SCENARIO_DIR / "flat_transfer.scn"))
+    # the first line of the first record, where the text stops matching
+    bad = edit(real(Simulator(sc).store))[0].split("\n")[0]
+    line = Simulator(sc).run().trace_text().split("\n").index(bad) + 1
+    with pytest.raises(MalformedTrace) as e:
+        run_sweep(sc)
+    assert str(e.value) == "line %d: %s" % (line, message)
 
 
 def test_sweeps_hold_one_run_at_a_time(monkeypatch):

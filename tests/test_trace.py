@@ -481,35 +481,52 @@ def test_emit_shares_the_string_of_each_int():
     assert t.lines()[-1].endswith("ok=True th=1")
 
 
-# --- parsing through a render's line index ---
+# --- parsing through a render's record ---
 
-def _indexed(t, dumps=None):
-    """`t` rendered with its line index: (text, index)."""
-    index = {}
-    return t.render(dumps, index), index
+def _recorded(t, dumps=None):
+    """`t` rendered with its record: (text, record)."""
+    record = trace.Rendered()
+    return t.render(dumps, record), record
 
 
-def _assert_indexed_parse_is_plain(text, index, emitted):
-    """An indexed parse of `text` returns the `emitted` events themselves,
-    equals a plain parse and leaves `index` as it was."""
-    before = dict(index)
-    events, dumps = trace.parse(text, index)
+def _kept(record):
+    """What `record` holds: its text, its events and copies of its dump
+    lists, to compare with after a parse that must only read it."""
+    return (record.text, list(record.events),
+            {section: list(lines) for section, lines in record.dumps.items()})
+
+
+def _assert_unchanged(record, kept):
+    text, events, dumps = kept
+    assert record.text is text
+    assert len(record.events) == len(events)
+    assert all(a is b for a, b in zip(record.events, events))
+    assert record.dumps == dumps
+
+
+def _assert_recorded_parse_is_plain(text, record, emitted):
+    """A parse of `text` through its render's record returns the `emitted`
+    events themselves in lists of its own, equals a plain parse and leaves
+    `record` as it was."""
+    kept = _kept(record)
+    events, dumps = trace.parse(text, record)
     assert len(events) == len(emitted)
     assert all(a is b for a, b in zip(events, emitted))
     assert (events, dumps) == trace.parse(text)
-    assert index == before
-    assert all(index[ln] is ev for ln, ev in before.items())
+    assert events is not record.events
+    assert all(dumps[s] is not record.dumps[s] for s in dumps)
+    _assert_unchanged(record, kept)
 
 
 def _assert_sweep_forks_parse_plain(scenario, **kw):
     """Every run that crash_sweep(scenario) audits parses through its own
-    render's index as a plain parse does; returns the number of runs."""
+    render's record as a plain parse does; returns the number of runs."""
     runs = []
 
     def check(res, *args, **kw):
-        text, index = _indexed(res.trace, res.dumps())
-        _assert_indexed_parse_is_plain(text, index, res.trace.events)
-        runs.append(len(index))
+        text, record = _recorded(res.trace, res.dumps())
+        _assert_recorded_parse_is_plain(text, record, res.trace.events)
+        runs.append(len(record.events))
         return True, []
 
     with pytest.MonkeyPatch.context() as mp:
@@ -519,11 +536,12 @@ def _assert_sweep_forks_parse_plain(scenario, **kw):
     return len(runs)
 
 
-def test_indexed_parse_matches_a_plain_parse():
+def test_recorded_parse_matches_a_plain_parse():
     """Over reference runs under every strategy and seed 0-4, every crash
     sweep fork of crash_recover.scn and of the crash_sweep workload, and
-    nested_seeds at seeds 0-4, the indexed parse of each run's text gives
-    the run's emitted events, equal to what a plain parse rebuilds."""
+    nested_seeds at seeds 0-4, the parse of each run's text through its
+    render's record gives the run's emitted events, equal to what a plain
+    parse rebuilds."""
     paths = sorted((ROOT / "scenarios").glob("*.scn"))
     workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
     nested = parse_scenario(workloads["nested_seeds"](1))
@@ -534,9 +552,9 @@ def test_indexed_parse_matches_a_plain_parse():
     runs += [Simulator(nested, seed=seed).run() for seed in range(5)]
     assert len(runs) == len(paths) * 15 + 5
     for res in runs:
-        text, index = _indexed(res.trace, res.dumps())
+        text, record = _recorded(res.trace, res.dumps())
         assert text == res.trace_text()
-        _assert_indexed_parse_is_plain(text, index, res.trace.events)
+        _assert_recorded_parse_is_plain(text, record, res.trace.events)
     crash_recover = load_scenario(str(ROOT / "scenarios" /
                                       "crash_recover.scn"))
     assert _assert_sweep_forks_parse_plain(crash_recover) == 76
@@ -545,61 +563,73 @@ def test_indexed_parse_matches_a_plain_parse():
         crash, stride=workloads["CRASH_STRIDE"]) == 608
 
 
-def _swappable():
+def _two_events():
     t = trace.Trace()
     t.emit("begin", txn=0, parent="-")
     t.emit("grant", txn=0, obj="x", mode="w")
-    return _indexed(t)
+    return t, *_recorded(t)
 
 
-def _assert_raises_leaving_index(text, index, line, message):
-    before = dict(index)
+def _assert_raises_leaving_record(text, record, line, message):
+    kept = _kept(record)
     with pytest.raises(MalformedTrace) as e:
-        trace.parse(text, index)
+        trace.parse(text, record)
     assert str(e.value) == "line %d: %s" % (line, message)
     assert e.value.line == line
-    assert index == before
-    assert all(index[ln] is ev for ln, ev in before.items())
+    _assert_unchanged(record, kept)
+
+
+def _assert_parses_in_full(text, record, line, message):
+    """`text`, not the recorded one, is rejected at `line` as a plain parse
+    and the reference reject it."""
+    _assert_raises_leaving_record(text, record, line, message)
+    assert _outcome(lambda t: trace.parse(t, record), text) == \
+        _outcome(_reference_parse, text)
 
 
 def test_reused_lines_still_check_their_seq():
-    text, index = _swappable()
+    """Recorded lines moved after render make another text, parsed in
+    full; a recorded event renumbered after render is rejected at its
+    line, as parsing that line would reject the seq it carries now."""
+    t, text, record = _two_events()
     first, second = text.splitlines()
-    _assert_raises_leaving_index(second + "\n" + first + "\n", index, 1,
-                                 "seq 1 out of order")
-    _assert_raises_leaving_index(first + "\n" + first + "\n", index, 2,
-                                 "seq 0 out of order")
+    _assert_parses_in_full(second + "\n" + first + "\n", record, 1,
+                           "seq 1 out of order")
+    _assert_parses_in_full(first + "\n" + first + "\n", record, 2,
+                           "seq 0 out of order")
+    t.events[1].seq = 5
+    _assert_raises_leaving_record(text, record, 2, "seq 5 out of order")
+    t.events[1].seq = 1
+    t.events[0].seq = 1
+    _assert_raises_leaving_record(text, record, 1, "seq 1 out of order")
 
 
-def test_indexed_events_still_need_their_required_detail():
-    """The event a line indexes is checked as the line's parse would be:
-    one that lost a required detail key after render is rejected."""
+def test_recorded_events_still_need_their_required_detail():
+    """A recorded event is checked as its line's parse would be: one that
+    lost a required detail key after render is rejected."""
     t = trace.Trace()
     t.emit("begin", txn=0, parent="-")
     grant = t.emit("grant", txn=0, obj="x", mode="w")
     nested = t.emit("commit2", txn=0, phase="nested", parent="3")
-    text, index = _indexed(t)
-    _assert_indexed_parse_is_plain(text, index, t.events)
+    text, record = _recorded(t)
+    _assert_recorded_parse_is_plain(text, record, t.events)
     del grant.detail["mode"]
-    _assert_raises_leaving_index(text, index, 2,
-                                 "grant event lacks detail key 'mode'")
+    _assert_raises_leaving_record(text, record, 2,
+                                  "grant event lacks detail key 'mode'")
     grant.detail["mode"] = "w"
     nested.detail["parent"] = "x"
-    _assert_raises_leaving_index(text, index, 3, "non-integer parent 'x'")
+    _assert_raises_leaving_record(text, record, 3, "non-integer parent 'x'")
 
 
 def test_a_malformed_line_after_reused_lines_names_its_own_line():
-    """A line not in the index, added or edited after render, is parsed
-    and checked in full, and rejected at its own line."""
-    text, index = _swappable()
+    """A line added or edited after render makes another text, which is
+    parsed and checked in full and rejected at that line."""
+    _, text, record = _two_events()
     for bad, message in [
             ("2\t0\tfrobnicate\t-\t-\t-", "unknown event kind 'frobnicate'"),
             ("2\t0\tgrant\t0\tx\t-", "grant event lacks detail key 'mode'"),
             ("5\t0\tabort\t0\t-\t-", "seq 5 out of order")]:
-        added = "\n" + text + bad + "\n"
-        _assert_raises_leaving_index(added, index, 4, message)
-        assert _outcome(lambda t: trace.parse(t, index), added) == \
-            _outcome(_reference_parse, added)
+        _assert_parses_in_full("\n" + text + bad + "\n", record, 4, message)
     first, second = text.splitlines()
     for edited, message in [
             (second.replace("mode=w", "-"),
@@ -608,20 +638,18 @@ def test_a_malformed_line_after_reused_lines_names_its_own_line():
             (second.replace("grant", "grnt"), "unknown event kind 'grnt'"),
             (second.replace("\t0\tx", "\tx"),
              "expected 6 tab-separated fields")]:
-        assert edited not in index
-        _assert_raises_leaving_index(first + "\n" + edited + "\n", index, 2,
-                                     message)
+        _assert_parses_in_full(first + "\n" + edited + "\n", record, 2,
+                               message)
 
 
 def test_dump_lines_are_never_reused():
-    """A dump record that equals an indexed event line parses as a
-    record."""
-    text, index = _swappable()
+    """A dump record appended after render, even one that equals a
+    recorded event line, parses as a record."""
+    _, text, record = _two_events()
     first = text.splitlines()[0]
-    with pytest.raises(MalformedTrace) as e:
-        trace.parse(text + "dump\n[initial]\n" + first + "\n", index)
-    assert e.value.line == 5
-    assert "expected 4 tab-separated fields in a dump record" in str(e.value)
+    _assert_parses_in_full(text + "dump\n[initial]\n" + first + "\n",
+                           record, 5, "expected 4 tab-separated fields in a "
+                                      "dump record")
 
 
 def _variant(rng, lines):
@@ -648,18 +676,20 @@ def _variant(rng, lines):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32))
-def test_indexed_parse_matches_reference(seed):
-    """Variants of a rendered text (lines cut, swapped, repeated or
-    replaced), parsed through that render's index, parse as the reference
-    parses them, and leave the index as it was."""
+def test_recorded_parse_matches_reference(seed):
+    """The recorded text parses to the emitted events.  Its variants
+    (lines cut, swapped, repeated or replaced), parsed through the same
+    record, parse or raise exactly as a plain parse and the reference do,
+    and leave the record as it was."""
     rng = random.Random(seed)
     t, dumps = _random_trace(rng)
-    text, index = _indexed(t, dumps)
-    _assert_indexed_parse_is_plain(text, index, t.events)
+    text, record = _recorded(t, dumps)
+    _assert_recorded_parse_is_plain(text, record, t.events)
+    kept = _kept(record)
     lines = text.splitlines()
     for _ in range(5):
         variant = _variant(rng, lines)
-        before = dict(index)
-        assert _outcome(lambda t: trace.parse(t, index), variant) == \
-            _outcome(_reference_parse, variant)
-        assert index == before
+        outcome = _outcome(lambda t: trace.parse(t, record), variant)
+        assert outcome == _outcome(trace.parse, variant)
+        assert outcome == _outcome(_reference_parse, variant)
+        _assert_unchanged(record, kept)
