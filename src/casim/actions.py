@@ -112,8 +112,8 @@ class CAActionInstance:
 
     @property
     def dag(self):   # None until the instance starts
-        return None if self.txn_id is None else dagmod.from_trace(
-            self.trace.events, self.key, self.defn)
+        return None if self.txn_id is None else dagmod.instance_dag(
+            self.trace, self.key, self.defn)
 
     def copy(self, parent, trace) -> "CAActionInstance":
         """This instance for a fork with trace `trace`, under `parent`, the

@@ -7,7 +7,8 @@ edges from completed emit/await pairs, and declared ordering constraints
 between nested-action boundary nodes.  Under flatten the whole tree runs
 in one transaction and executes one linearization of the DAG; under
 nested each nested action gets a child transaction and every linear
-extension stays admissible.  `from_trace` builds it from a run's events.
+extension stays admissible.  `from_trace` builds it from a run's events,
+and `instance_dag` from the part of a trace that one instance reads.
 """
 
 from dataclasses import dataclass
@@ -153,6 +154,34 @@ def from_trace(events, key, defn) -> OperationDAG:
                 if name in (a, b) and a in boundary and b in boundary:
                     dag.add_edge(boundary[a], boundary[b], CONSTRAINT)
     return dag
+
+
+def instance_dag(trace, key, defn) -> OperationDAG:
+    """`from_trace` of instance `key` from the events of `trace` that it
+    reads.  They are grouped for every instance in one pass, which the
+    trace keeps until it grows; a copy of the trace starts with none."""
+    n = len(trace.events)
+    if trace.by_instance is None or trace.by_instance[0] != n:
+        trace.by_instance = (n, _by_instance(trace.events))
+    return from_trace(trace.by_instance[1].get(key, ()), key, defn)
+
+
+def _by_instance(events) -> dict:
+    """inst -> the events `from_trace` reads for that key, in order: each
+    event whose `inst` it is, and the `register` and `line_recovery`
+    events of its children, whose keys add `/name` to it (no action name
+    has a `/`)."""
+    groups = {}
+    for ev in events:
+        inst = ev.detail.get("inst")
+        if inst is None:
+            continue
+        groups.setdefault(inst, []).append(ev)
+        if ev.kind in ("register", "line_recovery"):
+            cut = inst.rfind("/")
+            if cut >= 0:
+                groups.setdefault(inst[:cut], []).append(ev)
+    return groups
 
 
 def strategy_select(has_nested: bool, configured: str | None) -> str:

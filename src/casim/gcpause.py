@@ -1,12 +1,12 @@
 """Pausing the cyclic garbage collector around work that builds no cycles.
 
-A simulator run and a trace audit allocate tens of thousands of objects,
-and each collection they trigger walks the live ones and frees nothing:
-reference counting alone reclaims their memory, so the pause defers no
-garbage.  The crash and seed sweeps pause it from start to end: between
-the paused runs and audits they render each run's trace, and each run is
-freed before the next starts, so what they leave for the collector is
-their rows.
+A scenario parse, a simulator run and a trace audit allocate tens of
+thousands of objects, and each collection they trigger walks the live
+ones and frees nothing: reference counting alone reclaims their memory,
+so the pause defers no garbage.  The crash and seed sweeps pause it from
+start to end: between the paused runs and audits they render each run's
+trace, and each run is freed before the next starts, so what they leave
+for the collector is their rows.
 """
 
 import functools

@@ -65,6 +65,7 @@ from .actions import (CAActionDef, AcceptanceTest, Role, Step,
                       READ, WRITE, SYNC, ENTER, EXIT)
 from .errors import ValidationError
 from .exprs import Expr
+from .gcpause import pause_cyclic_gc
 
 
 @dataclass
@@ -108,6 +109,7 @@ def _int(tok, lineno, what):
                               lineno)
 
 
+@pause_cyclic_gc
 def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
     cur_action = None

@@ -40,8 +40,17 @@ events may change one.  That is sound only while parsing each rendered
 line gives back what it was rendered from, which each sweep checks by
 parsing one run's text in full.  Any other text is parsed in full.
 
-A trace and its copies share rendered lines.  `copy` first renders the
-source's events past its cache of rendered lines, and the new trace
+Each event's line is formatted from one template per event shape, the
+kind followed by the detail keys in the order of its `detail` dict: a
+format string with the kind and the sorted keys written in (`%` escaped)
+and a getter of the detail values in sorted-key order, built the first
+time a trace formats that shape.  The memo of templates belongs to the trace,
+holds one entry per distinct shape it has formatted, and is shared with
+every copy of the trace, so the forks of one paused run build each
+template once between them.
+
+A trace and its copies also share rendered lines.  `copy` first renders
+the source's events past its cache of rendered lines, and the new trace
 starts with its own copy of that list; `lines` and `render` format only
 the events past the cache, so the copies of one paused run format their
 common prefix once between them.  Emitted events are shared between a
@@ -52,6 +61,7 @@ no lines after `render`.
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 
 from .errors import MalformedTrace
 
@@ -91,12 +101,26 @@ class Event:
     obj: str | None
     detail: dict
 
-    def line(self) -> str:
-        d = self.detail
-        return "%s\t%s\t%s\t%s\t%s\t%s" % (
-            self.seq, self.time, self.kind,
-            "-" if self.txn is None else self.txn, self.obj or "-",
-            " ".join(["%s=%s" % (k, d[k]) for k in sorted(d)]) if d else "-")
+
+def _no_detail(detail):
+    return ()
+
+
+def _template(shape):
+    """The format string of the lines of events of `shape`, a kind then
+    detail keys, and the getter of the tuple of their detail values in
+    sorted-key order.  The string takes seq, time, txn and obj, then
+    those values; the kind and the sorted keys are written into it with
+    `%` escaped, and `-` stands for no key."""
+    kind, keys = shape[0], sorted(shape[1:])
+    head = "%%s\t%%s\t%s\t%%s\t%%s\t" % kind.replace("%", "%%")
+    if not keys:
+        return head + "-", _no_detail
+    head += " ".join(["%s=%%s" % k.replace("%", "%%") for k in keys])
+    if len(keys) == 1:
+        key = keys[0]
+        return head, lambda detail: (detail[key],)
+    return head, itemgetter(*keys)
 
 
 class Rendered:
@@ -117,6 +141,8 @@ class Trace:
         self.now = 0
         self._int_text = {}   # int detail value -> its one string
         self._lines = []      # lines of the first events; filled by copy()
+        self._templates = {}  # shape -> _template(shape); shared by copies
+        self.by_instance = None   # kept by dag.instance_dag
 
     def emit(self, kind: str, txn=None, obj=None, **detail) -> Event:
         """Append an event stamped with `now`."""
@@ -137,18 +163,32 @@ class Trace:
         """A trace to extend apart from this one.  The events are shared,
         and so are their lines: this trace renders the events it has not
         rendered yet, and the copy starts with its own list of them."""
-        done = self._lines
-        done += [ev.line() for ev in islice(self.events, len(done), None)]
+        done = self._lines = self.lines()
         tr = Trace()
         tr.events = list(self.events)
         tr._lines = list(done)
+        tr._templates = self._templates
         tr.now = self.now
         tr._int_text = dict(self._int_text)
         return tr
 
     def lines(self):
+        """Every event's line, from the cache and then each from its
+        shape's template."""
         done = self._lines
-        new = [ev.line() for ev in islice(self.events, len(done), None)]
+        templates = self._templates
+        new = []
+        for ev in islice(self.events, len(done), None):
+            detail = ev.detail
+            shape = (ev.kind, *detail)
+            try:
+                template, values = templates[shape]
+            except KeyError:
+                template, values = templates[shape] = _template(shape)
+            txn = ev.txn
+            new.append(template % ((ev.seq, ev.time,
+                                    "-" if txn is None else txn,
+                                    ev.obj or "-") + values(detail)))
         return done + new if done else new
 
     def render(self, dumps: dict | None = None,

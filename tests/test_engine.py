@@ -736,6 +736,8 @@ def test_a_finished_run_is_freed_by_reference_counting(monkeypatch):
 
     def run_and_audit(sc, **kw):
         sim = Tracked(sc, **kw).run()
+        for inst in sim.instances.values():
+            inst.dag    # the trace keeps its events grouped by instance
         report = audit.audit_trace(sim.trace_text(), all_nodes=sc.nodes)
         assert report["ok"], report
 
@@ -804,7 +806,8 @@ def _on_stack(codes) -> bool:
 def test_runs_and_audits_start_no_collection():
     # they build no cycle, so they pause the cyclic collector, and so do
     # the sweeps, whose every run is freed before the next one
-    bodies = {Simulator.run.__wrapped__.__code__,
+    bodies = {parse_scenario.__wrapped__.__code__,
+              Simulator.run.__wrapped__.__code__,
               Simulator.run_to.__wrapped__.__code__,
               audit.audit_trace.__wrapped__.__code__,
               sweep.crash_sweep.__wrapped__.__code__,

@@ -93,17 +93,22 @@ def test_sweep_format_guard_rejects_lines_that_do_not_parse_back(
     recorded events, would not see it, so each sweep's full parse of a
     first run rejects it: the seed sweep's first seed, the crash sweep's
     fault-free run."""
-    real = trace.Event.line
+    real = trace._template
 
-    def spaced(ev):
-        if "mode" not in ev.detail:
-            return real(ev)
-        return real(replace(ev, detail={**ev.detail,
-                                        "mode": ev.detail["mode"] + " x=1"}))
+    def spaced(shape):
+        template, values = real(shape)
+        if "mode" not in shape[1:]:
+            return template, values
+        at = sorted(shape[1:]).index("mode")
+
+        def spaced_values(detail):
+            got = values(detail)
+            return got[:at] + (got[at] + " x=1",) + got[at + 1:]
+        return template, spaced_values
 
     sc = load_scenario(str(SCENARIO_DIR / "flat_transfer.scn"))
     run_sweep(sc)
-    monkeypatch.setattr(trace.Event, "line", spaced)
+    monkeypatch.setattr(trace, "_template", spaced)
     res = Simulator(sc).run()
     text = res.trace_text()
     events, _ = trace.parse(text)

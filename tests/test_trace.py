@@ -225,6 +225,61 @@ def test_render_of_no_events_is_one_newline():
         "dump\n[initial]\n[stable]\n[volatile]\n"
 
 
+def _reference_line(ev):
+    """An event's line as it was formatted before per-shape templates:
+    the detail keys sorted, one format per key."""
+    d = ev.detail
+    return "%s\t%s\t%s\t%s\t%s\t%s" % (
+        ev.seq, ev.time, ev.kind, "-" if ev.txn is None else ev.txn,
+        ev.obj or "-",
+        " ".join(["%s=%s" % (k, d[k]) for k in sorted(d)]) if d else "-")
+
+
+_NAMES = st.text("ab%s", min_size=1, max_size=3)
+
+
+@st.composite
+def _shaped_events(draw):
+    """Events of a few kinds and key sets, each event's keys inserted in
+    an order of its own, so one key set comes in several shapes."""
+    shapes = draw(st.lists(st.tuples(_NAMES, st.lists(_NAMES, unique=True,
+                                                      max_size=3)),
+                           min_size=1, max_size=4))
+    events = []
+    for seq in range(draw(st.integers(0, 12))):
+        kind, keys = draw(st.sampled_from(shapes))
+        detail = {k: draw(st.text("ab%s= ", max_size=3))
+                  for k in draw(st.permutations(keys))}
+        events.append(trace.Event(
+            seq, draw(st.integers(0, 99)), kind,
+            draw(st.sampled_from([None, 0, 7])),
+            draw(st.sampled_from([None, "", "x", "o%s"])), detail))
+    return events
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shaped_events(), st.integers(0, 12))
+@example([trace.Event(0, 0, "50%", None, None, {}),
+          trace.Event(1, 1, "%s", 0, "", {"a%s": "%"}),
+          trace.Event(2, 1, "read", 3, "x", {"th": "0", "inst": "k"}),
+          trace.Event(3, 2, "read", 3, "x", {"inst": "k", "th": "1"})], 2)
+def test_lines_match_the_per_event_formula(events, cut):
+    """Lines from the per-shape templates are those of the old formula,
+    also in a copy made after `cut` events, which shares the source's
+    templates and renders what a fresh trace of all the events does."""
+    t = trace.Trace()
+    t.events = events[:cut]
+    assert t.lines() == [_reference_line(ev) for ev in t.events]
+    fork = t.copy()
+    assert fork._templates is t._templates
+    fork.events += events[cut:]
+    fresh = trace.Trace()
+    fresh.events = list(events)
+    assert fork.render() == fresh.render() == ("".join(
+        _reference_line(ev) + "\n" for ev in events) or "\n")
+    assert len(t._templates) == len({(ev.kind, *ev.detail) for ev in events})
+
+
 # --- the parser before it shared values and streamed its lines, kept as
 # the reference the current parser must match on every input ---
 
