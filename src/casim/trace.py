@@ -15,9 +15,10 @@ parsed back from its line are equal.  Some kinds must carry detail keys
 that the audits read directly (`REQUIRED_DETAIL`): `begin` a
 `parent` (an integer or `-`), `grant` a `mode`, `write` a `val`,
 `register` an `inst`, `outcome` an `inst` and an `outcome`, `crash` and
-`recover` a `node`; a `commit2` with `phase=decision` an `outcome`, with
-`phase=apply` a `node` and with `phase=nested` an integer `parent`.  The
-parser rejects an event that lacks one.
+`recover` a `node`; a `commit2` a `phase` of `decision`, `apply` or
+`nested`, with `phase=decision` an `outcome`, with `phase=apply` a
+`node` and with `phase=nested` an integer `parent`.  The parser rejects
+an event that lacks one, and a `commit2` of any other phase.
 
 Within one trace most field values repeat, so both ends keep one object
 per distinct value.  `parse` shares the kind string, each object name,
@@ -212,7 +213,12 @@ class Trace:
 
 def _check_detail(kind, detail, need, lineno):
     if kind == "commit2":
-        need = need.get(detail.get("phase"), ())
+        phase = detail.get("phase")
+        need = need.get(phase)
+        if need is None:
+            raise MalformedTrace("commit2 event with %s" % (
+                "no phase" if phase is None else "unknown phase %r" % phase),
+                lineno)
     for key in need:
         if key not in detail:
             raise MalformedTrace("%s event lacks detail key %r" % (kind, key),

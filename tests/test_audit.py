@@ -8,7 +8,7 @@ from casim import actions as act, audit, sweep
 from casim.engine import Simulator
 from casim.errors import MalformedTrace
 from casim.scenario import Fault, load_scenario
-from casim.trace import Rendered, Trace, parse
+from casim.trace import ALL_KINDS, Rendered, Trace, parse
 
 from conftest import TRANSFER, run_text
 
@@ -407,6 +407,125 @@ def test_durability_failure_detected():
     # a still-down participant is not a durability violation
     ok, _ = audit.check_durability(t.events, up_nodes={"n1"})
     assert ok
+
+
+def _applied_write():
+    """Txn 0 writes x at n1 (version 6, value 31) to 32, commits and
+    applies it at n1; y at n2 is never written."""
+    t = Trace()
+    t.emit("begin", txn=0, parent="-")
+    t.emit("grant", txn=0, obj="x", mode="w")
+    t.emit("write", txn=0, obj="x", val="32")
+    t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="n1")
+    t.emit("commit2", txn=0, phase="apply", node="n1", objs="x")
+    return t.events
+
+
+_X, _Y = "n1\tx\t7\t32", "n2\ty\t2\t40"
+
+
+@pytest.mark.parametrize("stable, volatile, up, problems", [
+    # the records in another order, and a version written with a leading
+    # zero: the lines differ, the records do not
+    ([_Y, _X], [_X, _Y], {"n1", "n2"}, []),
+    (["n1\tx\t07\t32", _Y], [_X, _Y], {"n1", "n2"}, []),
+    (["n1\tx\t7\t33", _Y], ["n1\tx\t7\t33", _Y], {"n1", "n2"},
+     ["stable mismatch at n1/x: replay (7, '32'), dump (7, '33')"]),
+    ([_X, _Y], [_Y], {"n1", "n2"},
+     ["volatile/stable divergence at n1/x after quiescence"]),
+    ([_X, _Y], [_X, _Y], {"n1"}, ["volatile record at n2/y of a down node"]),
+])
+def test_atomicity_parses_dump_lines_only_when_they_differ(
+        monkeypatch, stable, volatile, up, problems):
+    """Dumps whose lines differ from the replay's are parsed and compared
+    record by record; dumps whose lines match it are not parsed."""
+    parsed = []
+    real = audit._parse_dump_lines
+
+    def parse_lines(lines):
+        parsed.append(list(lines))
+        return real(lines)
+
+    monkeypatch.setattr(audit, "_parse_dump_lines", parse_lines)
+    initial = ["n1\tx\t6\t31", _Y]
+    dumps = {"initial": initial, "stable": stable, "volatile": volatile}
+    assert audit.scan_atomicity(_applied_write(), dumps, up) == \
+        (not problems, problems)
+    assert parsed == [initial, stable, volatile]
+    parsed.clear()
+    volatile = [ln for ln in [_X, _Y] if ln.split("\t")[0] in up]
+    dumps = {"initial": initial, "stable": [_X, _Y], "volatile": volatile}
+    assert audit.scan_atomicity(_applied_write(), dumps, up) == (True, [])
+    assert parsed == [initial]
+
+
+_OTHER_KINDS = sorted(ALL_KINDS - audit.CORE_KINDS)
+
+
+@st.composite
+def histories_with_other_kinds(draw):
+    """A `random_histories` history with events of the kinds outside
+    CORE_KINDS between its events, each carrying a txn, an object and
+    every detail key that a pass reads from a core kind."""
+    t = Trace()
+    for ev in draw(random_histories()):
+        for _ in range(draw(st.integers(0, 2))):
+            t.emit(draw(st.sampled_from(_OTHER_KINDS)), txn=ev.txn,
+                   obj=ev.obj, inst="a", mode="w", node="n1", objs="x",
+                   outcome="commit", parent=ev.txn, parts="n1", val="9",
+                   phase=draw(st.sampled_from(["decision", "apply",
+                                               "nested"])))
+        t.emit(ev.kind, txn=ev.txn, obj=ev.obj, **ev.detail)
+    return t.events
+
+
+def _assert_core_passes_agree(events, dumps, all_nodes):
+    """Every pass that audit_trace hands `core` returns the same on the
+    whole trace as on its CORE_KINDS subsequence."""
+    core = [ev for ev in events if ev.kind in audit.CORE_KINDS]
+    up = audit.final_up_nodes(events, all_nodes)
+    assert audit.final_up_nodes(core, all_nodes) == up
+    for check in (audit.audit_serializability, audit.scan_smuggling,
+                  audit.verify_lock_rule):
+        assert check(core) == check(events)
+    assert audit.scan_atomicity(core, dumps, up) == \
+        audit.scan_atomicity(events, dumps, up)
+    assert audit.check_durability(core, up) == \
+        audit.check_durability(events, up)
+    return len(core) < len(events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(histories_with_other_kinds())
+def test_core_passes_skip_every_other_kind(events):
+    records = ["n1\tx\t0\t0", "n1\ty\t0\t0", "n2\tz\t0\t0"]
+    dumps = {"initial": records, "stable": records, "volatile": records}
+    _assert_core_passes_agree(events, dumps, {"n1", "n2"})
+
+
+def test_core_passes_skip_every_other_kind_on_reference_runs(monkeypatch):
+    """Over every reference scenario under each strategy at seeds 0-4,
+    with and without early release of write locks, and over each one's
+    crash sweep at stride 3."""
+    runs = []
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        sc = load_scenario(str(path))
+        for strategy in (None, "flatten", "nested"):
+            for seed in range(5):
+                for unsafe in (False, True):
+                    res = Simulator(sc, seed=seed, strategy=strategy,
+                                    unsafe_early_release=unsafe).run()
+                    runs.append((res.trace.events, res.dumps(), sc.nodes))
+
+    def keep(res, all_nodes, round_trip=False):
+        runs.append((list(res.trace.events), res.dumps(), all_nodes))
+        return True, []
+
+    monkeypatch.setattr(sweep, "_audit_run", keep)
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        sweep.crash_sweep(load_scenario(str(path)), stride=3)
+    assert len(runs) > 150
+    assert all([_assert_core_passes_agree(*run) for run in runs])
 
 
 def test_atomicity_flags_apply_of_an_object_with_no_home():

@@ -5,12 +5,14 @@ each strategy (the scenario's own, flatten, nested) and of the crash-sweep
 verdict table of crash_recover.scn, and the sha256 of the audit report of
 each of those runs and of 50 generated competitive scenarios (the
 serializability witness and every pass's verdict and problems; the
-frontier edge list is left out).  It also pins, for each benchmark
-workload generated at seed 1 (`bench/workloads.py`, read only), the
-trace of the first run its benchmark checks (304 to ~38k events), the
-verdict tables of the two sweep workloads, and the repr of the parsed
-scenario of each workload and reference scenario, and the operation
-DAG of every started instance of a corpus of runs (`dag_corpus`).  A
+frontier edge list is left out), and of the failing reports of every
+reference scenario run with `unsafe_early_release`.  It also pins, for
+each benchmark workload generated at seed 1 (`bench/workloads.py`, read
+only), the trace of the first run its benchmark checks (304 to ~38k
+events), the verdict tables of the two sweep workloads, and the repr of
+the parsed scenario of each workload and reference scenario, and the
+operation DAG of every started instance of a corpus of runs
+(`dag_corpus`).  A
 change that is meant to keep traces unchanged (a refactor, a deletion, a
 speed-up) must leave every digest as it is.  A change that alters a trace
 on purpose, such as making the acceptance tests take read locks, updates
@@ -69,6 +71,13 @@ AUDIT_DIGESTS = {
 
 COMPETITIVE_AUDIT_DIGEST = \
     "1a0a04c704adbcc9150c3507d2eee2576ee8489c9160409cb7e7f1c1b43ab53c"
+
+# failing reports: every reference scenario under each strategy at seeds
+# 0-9 with write locks released before the commit decision (150 runs, 18
+# of them failing, with 90 problems across smuggling, lock_rule and
+# atomicity)
+MUTANT_AUDIT_DIGEST = \
+    "86225277497f2c1facb493a18e44c6d6edf60f3db8285c5e50135f70921f26a7"
 
 CRASH_SWEEP_DIGEST = \
     "ac3aa3e917fd1c2e884584fbd9e07f903716df0a78ba54c4aa14de0f5b8155d7"
@@ -147,6 +156,22 @@ def test_golden_audit_reports():
         reports.append(audit_report_text(
             audit.audit_trace(text, all_nodes=sc.nodes)))
     assert sha256("\n\n".join(reports)) == COMPETITIVE_AUDIT_DIGEST
+
+
+def test_golden_mutant_audit_reports():
+    reports = []
+    failing = 0
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        sc = load_scenario(str(path))
+        for strategy in (None, "flatten", "nested"):
+            for seed in range(10):
+                text = Simulator(sc, seed=seed, strategy=strategy,
+                                 unsafe_early_release=True).run().trace_text()
+                report = audit.audit_trace(text, all_nodes=sc.nodes)
+                failing += not report["ok"]
+                reports.append(audit_report_text(report))
+    assert (len(reports), failing) == (150, 18)
+    assert sha256("\n\n".join(reports)) == MUTANT_AUDIT_DIGEST
 
 
 def test_golden_workload_traces_and_parses():

@@ -149,6 +149,11 @@ def test_parse_rejects_non_integer_txn():
      "commit2 event lacks detail key 'node'"),
     ("commit2\t1\t-\tphase=nested", "commit2 event lacks detail key 'parent'"),
     ("commit2\t1\t-\tparent=- phase=nested", "non-integer parent '-'"),
+    ("commit2\t0\t-\t-", "commit2 event with no phase"),
+    ("commit2\t0\t-\toutcome=commit parts=n1",
+     "commit2 event with no phase"),
+    ("commit2\t0\t-\toutcome=commit phase=bogus",
+     "commit2 event with unknown phase 'bogus'"),
 ])
 def test_parse_rejects_missing_or_bad_detail(line, message):
     text = "0\t0\tbegin\t0\t-\tparent=-\n1\t0\t%s\n" % line
@@ -158,9 +163,34 @@ def test_parse_rejects_missing_or_bad_detail(line, message):
     assert message in str(e.value)
 
 
-def test_parse_needs_no_keys_for_other_commit2_phases():
-    events, _ = trace.parse("0\t0\tcommit2\t0\t-\t-\n")
-    assert events[0].detail == {}
+@pytest.mark.parametrize("phase, message", [
+    (None, "commit2 event with no phase"),
+    ("bogus", "commit2 event with unknown phase 'bogus'"),
+])
+def test_a_commit_decision_without_its_phase_is_rejected(phase, message):
+    """A decision line whose phase is cut or changed to one no pass reads
+    would hide the decision from serializability and durability: it is
+    rejected at its line, whether the text is parsed in full or an
+    emitted event changed after render is checked through the record."""
+    res = Simulator(load_scenario(str(ROOT / "scenarios" /
+                                      "flat_transfer.scn"))).run()
+    ev = next(ev for ev in res.trace.events if ev.kind == "commit2"
+              and ev.detail["phase"] == "decision")
+    line = ev.seq + 1
+    lines = res.trace_text().split("\n")
+    assert lines[line - 1].endswith(" phase=decision")
+    lines[line - 1] = lines[line - 1].replace(
+        " phase=decision", "" if phase is None else " phase=" + phase)
+    with pytest.raises(MalformedTrace) as e:
+        trace.parse("\n".join(lines))
+    assert (e.value.line, str(e.value)) == (line, "line %d: %s"
+                                            % (line, message))
+    record = trace.Rendered()
+    text = res.trace.render(res.dumps(), record)
+    del ev.detail["phase"]
+    if phase is not None:
+        ev.detail["phase"] = phase
+    _assert_raises_leaving_record(text, record, line, message)
 
 
 _REQUIRED = {"begin": {"parent": "-"}, "grant": {"mode": "r"},
@@ -168,7 +198,7 @@ _REQUIRED = {"begin": {"parent": "-"}, "grant": {"mode": "r"},
              "outcome": {"inst": "a", "outcome": "committed"},
              "crash": {"node": "n1"}, "recover": {"node": "n1"}}
 _PHASES = {"decision": {"outcome": "commit"}, "apply": {"node": "n1"},
-           "nested": {"parent": "3"}, "other": {}}
+           "nested": {"parent": "3"}}
 _KEYS = st.sampled_from(["a", "k9", "from", "inst", "x_y", "-"])
 _VALUES = st.text("abz09_-.,#/:=", max_size=6)
 _OBJS = st.none() | st.text("abz09_-.,#/:=", min_size=2, max_size=6)
@@ -297,7 +327,12 @@ def _reference_parse_detail(text):
 
 def _reference_check_detail(kind, detail, need, lineno):
     if kind == "commit2":
-        need = need.get(detail.get("phase"), ())
+        if "phase" not in detail:
+            raise MalformedTrace("commit2 event with no phase", lineno)
+        if detail["phase"] not in need:
+            raise MalformedTrace("commit2 event with unknown phase %r"
+                                 % detail["phase"], lineno)
+        need = need[detail["phase"]]
     for key in need:
         if key not in detail:
             raise MalformedTrace("%s event lacks detail key %r" % (kind, key),
