@@ -57,19 +57,18 @@ class TxnView:
         for ev in events:
             kind = ev.kind
             if kind == "begin":
-                p = ev.detail.get("parent", "-")
+                p = ev.detail["parent"]
                 self.parents[ev.txn] = None if p == "-" else int(p)
             elif kind == "abort":
                 self.aborted.add(ev.txn)
             elif kind == "commit2":
-                phase = ev.detail.get("phase")
+                phase = ev.detail["phase"]
                 if phase == "decision":
                     self.decided[ev.txn] = ev.detail["outcome"]
                     self.decision_seq[ev.txn] = ev.seq
                 elif phase == "apply":
-                    objs = ev.detail.get("objs", "")
                     self.apply_objs.setdefault(ev.txn, set()).update(
-                        o for o in objs.split(",") if o)
+                        o for o in ev.detail["objs"].split(",") if o)
             elif kind == "outcome":
                 self.inst_outcome.setdefault(ev.detail["inst"],
                                              ev.detail["outcome"])
@@ -92,14 +91,10 @@ class TxnView:
 
     def op_counts(self, ev) -> bool:
         """Whether a read/write event contributes effects that survived:
-        its transaction never aborted and its action instance (if any)
-        did not roll back."""
-        if ev.txn in self.aborted:
-            return False
-        inst = ev.detail.get("inst")
-        if inst is not None and self.inst_outcome.get(inst) == "aborted":
-            return False
-        return True
+        its transaction never aborted and its action instance did not
+        roll back."""
+        return ev.txn not in self.aborted \
+            and self.inst_outcome.get(ev.detail["inst"]) != "aborted"
 
 
 def audit_serializability(events):
@@ -198,7 +193,7 @@ def scan_smuggling(events):
             for obj in dirtied.pop(ev.txn, ()):
                 dirty[obj].discard(ev.txn)
         elif ev.kind == "commit2":
-            phase = ev.detail.get("phase")
+            phase = ev.detail["phase"]
             if phase == "nested":
                 # anti-inheritance: the tentative write now belongs to
                 # the parent transaction
@@ -238,7 +233,7 @@ def scan_bracketing(events):
                 txn_problems.append("seq %d: %s by txn %s %s" % (
                     ev.seq, kind, t, "after its end" if t in parent
                     else "before its begin"))
-        elif kind == "register" and ev.detail.get("ok") == "1":
+        elif kind == "register" and ev.detail["ok"] == "1":
             last_register[ev.detail["inst"]] = ev.seq
         elif kind == "outcome":
             first_outcome.setdefault(ev.detail["inst"], ev.seq)
@@ -256,7 +251,7 @@ def scan_bracketing(events):
                 txn_problems.append("seq %d: txn %s begins under txn %s, "
                                     "which is not open" % (ev.seq, t, p))
         elif kind == "abort" or kind == "commit2" and (
-                ev.detail.get("phase"), ev.detail.get("outcome")) in TXN_ENDS:
+                ev.detail["phase"], ev.detail.get("outcome")) in TXN_ENDS:
             kids = open_kids.pop(t, None)
             if kids is None:
                 txn_problems.append("seq %d: txn %s ends %s" % (
@@ -272,9 +267,7 @@ def scan_bracketing(events):
     for ev in events:
         if ev.kind not in BODY_KINDS:
             continue
-        inst = ev.detail.get("inst")
-        if inst is None:
-            continue
+        inst = ev.detail["inst"]
         if inst not in last_register:
             problems.append("seq %d: body event for unregistered instance %s"
                             % (ev.seq, inst))
@@ -314,8 +307,8 @@ def scan_atomicity(events, dumps, up_nodes):
     state = _parse_dump_lines(dumps.get("initial", []))
     homes = {name: node for (node, name) in state}
     for ev in events:
-        if ev.kind == "commit2" and ev.detail.get("phase") == "apply":
-            for obj in ev.detail.get("objs", "").split(","):
+        if ev.kind == "commit2" and ev.detail["phase"] == "apply":
+            for obj in ev.detail["objs"].split(","):
                 if not obj:
                     continue
                 if obj not in homes:
@@ -361,15 +354,13 @@ def check_durability(events, up_nodes):
     participant that is up at the end of the run."""
     applied: dict[int, set] = {}
     for ev in events:
-        if ev.kind == "commit2" and ev.detail.get("phase") == "apply":
+        if ev.kind == "commit2" and ev.detail["phase"] == "apply":
             applied.setdefault(ev.txn, set()).add(ev.detail["node"])
     problems = []
     for ev in events:
-        if ev.kind != "commit2" or ev.detail.get("phase") != "decision" \
-                or ev.detail.get("outcome") != "commit":
+        if ev.kind != "commit2" or ev.detail.get("outcome") != "commit":
             continue
-        parts = [p for p in ev.detail.get("parts", "-").split(",")
-                 if p and p != "-"]
+        parts = [p for p in ev.detail["parts"].split(",") if p and p != "-"]
         for p in parts:
             if p in up_nodes and p not in applied.get(ev.txn, set()):
                 problems.append("seq %d: txn %d committed but never applied "
@@ -419,7 +410,7 @@ def verify_lock_rule(events):
         elif ev.kind == "abort":
             drop(ev.txn, set(held[ev.txn]))
         elif ev.kind == "commit2":
-            phase = ev.detail.get("phase")
+            phase = ev.detail["phase"]
             if phase == "nested":
                 parent = int(ev.detail["parent"])
                 objs = held.pop(ev.txn, set())
@@ -433,7 +424,7 @@ def verify_lock_rule(events):
                 keep = apply_objs.get(ev.txn, set())
                 drop(ev.txn, held[ev.txn] - keep)
             elif phase == "apply":
-                objs = {o for o in ev.detail.get("objs", "").split(",") if o}
+                objs = {o for o in ev.detail["objs"].split(",") if o}
                 drop(ev.txn, held[ev.txn] & objs)
     return not problems, problems
 

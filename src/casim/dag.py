@@ -79,15 +79,6 @@ def _count_orders(dag, indeg, placed):
     return total
 
 
-def _detail(ev, key):
-    """`ev`'s detail value for `key`; MalformedTrace if it has none."""
-    try:
-        return ev.detail[key]
-    except KeyError:
-        raise MalformedTrace("seq %d: %s event lacks detail key %r"
-                             % (ev.seq, ev.kind, key)) from None
-
-
 def from_trace(events, key, defn) -> OperationDAG:
     """Instance `key` of `defn`'s DAG from its run's events: its threads'
     read, write and sync events but a write step's operand reads, and a
@@ -100,15 +91,15 @@ def from_trace(events, key, defn) -> OperationDAG:
     for ev in events:
         d, kind = ev.detail, ev.kind
         inst = d.get("inst")
-        if kind == "register" and d.get("ok") == "1":
+        if kind == "register" and d["ok"] == "1":
             if inst == key:
-                role = defn.roles.get(_detail(ev, "role"))
+                role = defn.roles.get(d["role"])
                 if role is None:
                     raise MalformedTrace("seq %d: %s has no role %s"
                                          % (ev.seq, key, d["role"]))
-                at[_detail(ev, "th")] = [role.steps, 0]
+                at[d["th"]] = [role.steps, 0]
             elif inst in kids:
-                kids[inst].append(_detail(ev, "th"))
+                kids[inst].append(d["th"])
             continue
         if kind == "line_recovery" and inst in kids:
             name = inst[len(key) + 1:]
@@ -116,7 +107,7 @@ def from_trace(events, key, defn) -> OperationDAG:
             threads = kids[inst]
         elif inst == key and kind in ("read", "write", "sync_emit",
                                       "sync_await", "step"):
-            th = _detail(ev, "th")
+            th = d["th"]
             pos = at.get(th)
             # a role with no `exit` step still emits an exit step event
             if pos is None or pos[1] >= len(pos[0]) + (kind == "step"):
@@ -128,12 +119,7 @@ def from_trace(events, key, defn) -> OperationDAG:
             pos[1] += 1
             if kind == "step":
                 continue
-            try:
-                tid = int(th)
-            except ValueError:
-                raise MalformedTrace("seq %d: non-integer th %r"
-                                     % (ev.seq, th)) from None
-            nid = dag.add_node(tid, pos[1] - 1, kind, ev.obj).nid
+            nid = dag.add_node(int(th), pos[1] - 1, kind, ev.obj).nid
             threads = (th,)
         else:
             continue
@@ -142,9 +128,9 @@ def from_trace(events, key, defn) -> OperationDAG:
                 dag.add_edge(last[th], nid, PROG)
             last[th] = nid
         if kind == "sync_emit":
-            emits[_detail(ev, "signal")] = nid
+            emits[d["signal"]] = nid
         elif kind == "sync_await":
-            signal = _detail(ev, "signal")
+            signal = d["signal"]
             if signal not in emits:
                 raise MalformedTrace("seq %d: await of %s before any emit "
                                      "of it" % (ev.seq, signal))

@@ -1,96 +1,92 @@
 """Run traces: the tab-separated event log every audit consumes.
 
-Each event is one line `seq TAB time TAB kind TAB txn TAB obj TAB detail`.
-A trace file ends with a literal `dump` line followed by labelled state
-sections in the object-store dump format: one record per line,
-`node TAB name TAB version TAB value`, with an integer version.  Each
-section appears at most once and holds at most one record per (node,
-name), so no record can shadow another.
+Each event is one line `seq TAB time TAB kind TAB txn TAB obj TAB detail`,
+the detail `key=value` tokens in sorted key order.  A trace file ends with
+a `dump` line and labelled state sections of object-store dump records,
+`node TAB name TAB version TAB value` with an integer version, each
+section at most once and with at most one record per (node, name).
 
-`Trace.emit` stamps each event with the trace's clock, `Trace.now`, which
-the run loop sets before each handler; no emitter passes a time.  Detail
-values are strings from the moment an event is emitted (`emit` converts
-any other value with `str`), so an emitted event and the same event
-parsed back from its line are equal.  Some kinds must carry detail keys
-that the audits read directly (`REQUIRED_DETAIL`): `begin` a
-`parent` (an integer or `-`), `grant` a `mode`, `write` a `val`,
-`register` an `inst`, `outcome` an `inst` and an `outcome`, `crash` and
-`recover` a `node`; a `commit2` a `phase` of `decision`, `apply` or
-`nested`, with `phase=decision` an `outcome`, with `phase=apply` a
-`node` and with `phase=nested` an integer `parent`.  The parser rejects
-an event that lacks one, and a `commit2` of any other phase.
+`SCHEMA` is the one statement of the event format: per event shape, the
+kind, whether txn and obj are present, the exact detail keys and the
+values that tell a kind's shapes apart; `th` and `parent` hold integers.
+The parser rejects a line of no shape at that line.  Rendering checks
+each emitted event's shape, and each sweep parses one run's text in full
+to check that every line parses back to its event, values included.
 
-Within one trace most field values repeat, so both ends keep one object
-per distinct value.  `parse` shares the kind string, each object name,
-detail key and detail value, each (key, value) token pair and each int
-of the time and txn fields across the events it returns, so equal values
-of two events may be one object.  Only immutable strings and ints are
-shared within one call; each event it returns has its own `detail` dict.
-The parser reads its text in chunks of about `CHUNK_CHARS` characters,
-each ending just after a newline, so it never holds a list of every
-line; lines and line numbers are those of `str.splitlines`.
-`Trace.emit` gives equal int detail values one string per trace.
+`Trace.emit` stamps each event with the trace's clock, `Trace.now`, and
+converts its detail values to strings (one per int value and trace), so
+an emitted event and the same event parsed back from its line are equal.
+`parse` shares each distinct kind, name, detail key, value and token and
+time or txn int between the events it returns, reading its text in
+chunks of about `CHUNK_CHARS` characters, each ending after a newline.
+`parse(text, record)` of the text a `render(dumps, record)` kept in
+`record` splits no line: it returns the recorded events themselves once
+each has its line's seq, so no reader of parsed events may change one.
 
-`render(dumps, record)` also keeps in `record` (a `Rendered`) the text it
-returned, the events it rendered and the dump sections it wrote.
-`parse(text, record)` of that same text splits no line: it returns the
-recorded events themselves, `detail` dicts included, after checking each
-one's seq and required detail keys at the line it was rendered to.  So a
-parse may return a run's own emitted events, and no reader of parsed
-events may change one.  That is sound only while parsing each rendered
-line gives back what it was rendered from, which each sweep checks by
-parsing one run's text in full.  Any other text is parsed in full.
-
-Each event's line is formatted from one template per event shape, the
-kind followed by the detail keys in the order of its `detail` dict: a
-format string with the kind and the sorted keys written in (`%` escaped)
-and a getter of the detail values in sorted-key order, built the first
-time a trace formats that shape.  The memo of templates belongs to the trace,
-holds one entry per distinct shape it has formatted, and is shared with
-every copy of the trace, so the forks of one paused run build each
-template once between them.
-
-A trace and its copies also share rendered lines.  `copy` first renders
-the source's events past its cache of rendered lines, and the new trace
-starts with its own copy of that list; `lines` and `render` format only
-the events past the cache, so the copies of one paused run format their
-common prefix once between them.  Emitted events are shared between a
-trace and its copies and never change after `emit`, so neither do their
-lines.  Only `copy` fills the cache: a trace that is never copied keeps
-no lines after `render`.
+Lines are formatted from one template per event shape, built once and
+shared with every copy of the trace.  `copy` renders the events past the
+source's cache of lines and gives the copy its own list of them, so the
+forks of one paused run format their common prefix once.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 
 from .errors import MalformedTrace
 
-# Event kinds, grouped by the subsystem that emits them.
-TXN_KINDS = {"begin", "grant", "queue", "read", "write",
-             "commit1", "commit2", "abort"}
-STORE_KINDS = {"crash", "recover"}
-ACTION_KINDS = {"register", "line_recovery", "sync_emit", "sync_await",
-                "test_line", "outcome"}
-SIM_KINDS = {"msg_send", "msg_recv", "drop", "step", "submit"}
+Shape = namedtuple("Shape", "kind txn obj keys fixed")
+# One Shape per row, as its lines read: the kind, `txn` or `-`, `obj` or
+# `-`, then the sorted detail keys, `key=value` where it fixes the value.
+SCHEMA = tuple(Shape(kind, txn == "txn", obj == "obj",
+                     tuple(k.split("=")[0] for k in keys),
+                     dict(k.split("=") for k in keys if "=" in k))
+               for kind, txn, obj, *keys in map(str.split, """
+    abort         txn -   cause
+    begin         txn -   parent
+    commit1       txn -   node
+    commit2       txn -   node objs phase=apply
+    commit2       txn -   outcome=abort phase=decision
+    commit2       txn -   outcome=commit parts phase=decision
+    commit2       txn -   parent phase=nested
+    crash         -   -   node
+    drop          -   -   from mid mtype to
+    grant         txn obj mode
+    line_recovery -   -   inst label
+    msg_recv      -   -   from mid mtype to
+    msg_send      -   -   from mid mtype to
+    outcome       -   -   inst outcome role th
+    queue         txn obj mode
+    read          txn obj inst th val
+    recover       -   -   node
+    register      -   -   err inst ok=0 role th
+    register      -   -   inst node ok=1 role th
+    step          -   -   inst op=enter target th
+    step          -   -   inst op=exit th
+    submit        -   -   action client node role
+    sync_await    -   -   inst signal th
+    sync_emit     -   -   inst signal th
+    test_line     -   -   failed inst result
+    write         txn obj inst th val
+""".strip().splitlines()))
+INT_KEYS = ("parent", "th")  # hold integers; a begin's parent may be `-`
 
-ALL_KINDS = TXN_KINDS | STORE_KINDS | ACTION_KINDS | SIM_KINDS
+ALL_KINDS = frozenset(shape.kind for shape in SCHEMA)
 # kind -> the one string for it, so parsed events share their kind
 _KINDS = {k: k for k in ALL_KINDS}
+
+# (kind, has a txn, has an obj, *sorted detail keys) -> the checks of that
+# shape's values, (key, the value it must equal or None for an integer):
+# `_pair` checks each th and parent token, but lets a parent be `-`.
+_SHAPES = {(s.kind, s.txn, s.obj, *s.keys): tuple(
+    (k, s.fixed.get(k)) for k in s.keys
+    if k in s.fixed or k == "parent" and s.kind != "begin") for s in SCHEMA}
 
 DUMP_SECTIONS = ("initial", "stable", "volatile")
 
 # the parser reads its text in chunks of about this many characters
 CHUNK_CHARS = 1 << 16
-
-# kind -> detail keys it must carry; for commit2, phase -> keys
-REQUIRED_DETAIL = {
-    "begin": ("parent",), "grant": ("mode",), "write": ("val",),
-    "register": ("inst",), "outcome": ("inst", "outcome"),
-    "crash": ("node",), "recover": ("node",),
-    "commit2": {"decision": ("outcome",), "apply": ("node",),
-                "nested": ("parent",)},
-}
 
 
 @dataclass(slots=True)
@@ -103,25 +99,65 @@ class Event:
     detail: dict
 
 
-def _no_detail(detail):
-    return ()
-
-
-def _template(shape):
-    """The format string of the lines of events of `shape`, a kind then
-    detail keys, and the getter of the tuple of their detail values in
-    sorted-key order.  The string takes seq, time, txn and obj, then
-    those values; the kind and the sorted keys are written into it with
-    `%` escaped, and `-` stands for no key."""
-    kind, keys = shape[0], sorted(shape[1:])
-    head = "%%s\t%%s\t%s\t%%s\t%%s\t" % kind.replace("%", "%%")
-    if not keys:
-        return head + "-", _no_detail
-    head += " ".join(["%s=%%s" % k.replace("%", "%%") for k in keys])
+def _template(kind, keys):
+    """The format string of `kind` lines with the sorted detail `keys`, of
+    seq, time, txn, obj and those keys' values, and their values' getter."""
+    head = "%%s\t%%s\t%s\t%%s\t%%s\t" % kind + " ".join(
+        ["%s=%%s" % k for k in keys])
     if len(keys) == 1:
         key = keys[0]
         return head, lambda detail: (detail[key],)
     return head, itemgetter(*keys)
+
+
+def _is_int(value, ints):
+    """Whether `value` is an integer, kept in `ints` (string -> int) if so."""
+    if value not in ints:
+        try:
+            ints[value] = int(value)
+        except ValueError:
+            return False
+    return True
+
+
+def _odd_key(detail, checks, ints):
+    """The first key whose value in `detail` `checks` rules out, or None."""
+    for key, want in checks:
+        value = detail[key]
+        if not (value == want or want is None and _is_int(value, ints)):
+            return key
+
+
+def _shape_error(kind, txn, obj, pairs):
+    """Why a `kind` event with `txn`, `obj` and the detail (key, value)
+    `pairs`, in line order, has no shape (checking fixed values first)."""
+    keys = [k for k, _ in pairs]
+    for a, b in zip(keys, keys[1:]):
+        if a >= b:
+            return "detail key %r %s" % (b, "repeated" if a == b
+                                         else "out of sorted order")
+    detail, told = dict(pairs), set()
+    shapes = [s for s in SCHEMA if s.kind == kind]
+    while common := set.intersection(*[set(s.fixed) for s in shapes]) - told:
+        key = min(common)
+        if key not in detail and told:
+            break       # a key every shape left has, named below
+        if key not in detail:
+            return "%s event with no %s" % (kind, key)
+        shapes = [s for s in shapes if s.fixed[key] == detail[key]]
+        if not shapes:
+            return "%s event with unknown %s %r" % (kind, key, detail[key])
+        told.add(key)
+    shape = shapes[0]
+    if (txn is not None, obj is not None) != (shape.txn, shape.obj):
+        return "%s event needs %s txn and %s obj" % (
+            kind, "a" if shape.txn else "no", "an" if shape.obj else "no")
+    for key in shape.keys + tuple(keys):
+        if (key in detail) != (key in shape.keys):
+            return "%s event %s detail key %r" % (
+                kind, "with unexpected" if key in detail else "lacks", key)
+    key = _odd_key(detail, _SHAPES[(kind, *shape[1:3], *shape.keys)], {})
+    return "non-integer %s %r" % (key, detail[key])
 
 
 class Rendered:
@@ -142,7 +178,7 @@ class Trace:
         self.now = 0
         self._int_text = {}   # int detail value -> its one string
         self._lines = []      # lines of the first events; filled by copy()
-        self._templates = {}  # shape -> _template(shape); shared by copies
+        self._templates = {}  # shape -> its template; shared by copies
         self.by_instance = None   # kept by dag.instance_dag
 
     def emit(self, kind: str, txn=None, obj=None, **detail) -> Event:
@@ -175,18 +211,26 @@ class Trace:
 
     def lines(self):
         """Every event's line, from the cache and then each from its
-        shape's template."""
+        shape's template; MalformedTrace at an event of no shape."""
         done = self._lines
         templates = self._templates
         new = []
         for ev in islice(self.events, len(done), None):
-            detail = ev.detail
-            shape = (ev.kind, *detail)
+            detail, txn = ev.detail, ev.txn
+            shape = (ev.kind, txn is None, not ev.obj, *detail)
             try:
-                template, values = templates[shape]
+                template, values, checks = templates[shape]
             except KeyError:
-                template, values = templates[shape] = _template(shape)
-            txn = ev.txn
+                keys = sorted(detail)
+                checks = _SHAPES.get((ev.kind, not shape[1], not shape[2],
+                                      *keys))
+                if checks is not None:
+                    template, values, checks = templates[shape] = (
+                        *_template(ev.kind, keys), checks)
+            if checks is None or checks and _odd_key(detail, checks, {}):
+                raise MalformedTrace(_shape_error(
+                    ev.kind, txn, ev.obj or None, sorted(detail.items())),
+                    len(done) + len(new) + 1)
             new.append(template % ((ev.seq, ev.time,
                                     "-" if txn is None else txn,
                                     ev.obj or "-") + values(detail)))
@@ -211,38 +255,13 @@ class Trace:
         return text
 
 
-def _check_detail(kind, detail, need, lineno):
-    if kind == "commit2":
-        phase = detail.get("phase")
-        need = need.get(phase)
-        if need is None:
-            raise MalformedTrace("commit2 event with %s" % (
-                "no phase" if phase is None else "unknown phase %r" % phase),
-                lineno)
-    for key in need:
-        if key not in detail:
-            raise MalformedTrace("%s event lacks detail key %r" % (kind, key),
-                                 lineno)
-    if "parent" in need and not (kind == "begin"
-                                 and detail["parent"] == "-"):
-        try:
-            int(detail["parent"])
-        except ValueError:
-            raise MalformedTrace("non-integer parent %r" % detail["parent"],
-                                 lineno)
-
-
 def _recorded(record: Rendered):
-    """The events and dump records `record` kept, in new lists, checked as
-    parsing their lines would check them now: event k, at line k + 1,
-    must have seq k and its kind's required detail keys."""
+    """The events and dump records `record` kept, in new lists, once event
+    k, at line k + 1, has seq k, as parsing its line would check now."""
     events = list(record.events)
     for seq, ev in enumerate(events):
         if ev.seq != seq:
             raise MalformedTrace("seq %d out of order" % ev.seq, seq + 1)
-        need = REQUIRED_DETAIL.get(ev.kind)
-        if need is not None:
-            _check_detail(ev.kind, ev.detail, need, seq + 1)
     return events, {section: list(lines)
                     for section, lines in record.dumps.items()}
 
@@ -259,10 +278,13 @@ def _lines(text: str):
         start = end
 
 
-def _pair(tok: str, strings: dict, lineno: int) -> tuple:
+def _pair(tok: str, strings: dict, ints: dict, lineno: int) -> tuple:
     if "=" not in tok:
         raise MalformedTrace("bad detail token %r" % tok, lineno)
     k, v = tok.split("=", 1)
+    if k in INT_KEYS and (k, v) != ("parent", "-") \
+            and not _is_int(v, ints):
+        raise MalformedTrace("non-integer %s %r" % (k, v), lineno)
     return strings.setdefault(k, k), strings.setdefault(v, v)
 
 
@@ -270,15 +292,14 @@ def parse(text: str, record: Rendered | None = None):
     """Parse a trace file into (events, dump_sections).
 
     dump_sections maps section name to its list of raw record lines.
-    Raises MalformedTrace with a line number on schema violations.
+    Raises MalformedTrace at the first line that breaks the format, such
+    as an event line of no shape (keys out of order or repeated have none).
 
     `record`, if given, is what `Trace.render` kept of a render.  If
     `text` equals the text it rendered (at once if it is that object),
-    the result is new lists of the recorded events and dump records,
-    once each event has the seq and the required detail keys expected at
-    its line; every other check depends on the line alone, which
-    rendering that event made.  Any other text is parsed and checked in
-    full.  `record` is only read.
+    the result is new lists of the recorded events and dump records, once
+    each event has the seq of its line; rendering them checked the shapes.
+    Any other text is parsed and checked in full.  `record` is only read.
     """
     if record is not None and text == record.text:
         return _recorded(record)
@@ -288,7 +309,7 @@ def parse(text: str, record: Rendered | None = None):
     in_dump = False
     expect_seq = 0
     # one object per distinct value within this parse
-    ints = {}       # time or txn field -> int
+    ints = {}       # time, txn, th or parent field -> int
     strings = {}    # object name, detail key or value -> itself
     pairs = {}      # detail token -> (key, value)
     for lineno, raw in enumerate(_lines(text), start=1):
@@ -354,14 +375,16 @@ def parse(text: str, record: Rendered | None = None):
         obj = None if parts[4] == "-" else strings.setdefault(parts[4],
                                                               parts[4])
         detail = {}
-        if parts[5] != "-":
-            for tok in parts[5].split(" "):
-                pair = pairs.get(tok)
-                if pair is None:
-                    pair = pairs[tok] = _pair(tok, strings, lineno)
-                detail[pair[0]] = pair[1]
-        need = REQUIRED_DETAIL.get(kind)
-        if need is not None:
-            _check_detail(kind, detail, need, lineno)
+        toks = () if parts[5] == "-" else parts[5].split(" ")
+        for tok in toks:
+            pair = pairs.get(tok)
+            if pair is None:
+                pair = pairs[tok] = _pair(tok, strings, ints, lineno)
+            detail[pair[0]] = pair[1]
+        checks = _SHAPES.get((kind, txn is not None, obj is not None, *detail))
+        if checks is None or len(detail) < len(toks) \
+                or checks and _odd_key(detail, checks, ints):
+            raise MalformedTrace(_shape_error(
+                kind, txn, obj, [pairs[tok] for tok in toks]), lineno)
         events.append(Event(seq, time, kind, txn, obj, detail))
     return events, dumps

@@ -13,6 +13,7 @@ from casim.trace import ALL_KINDS, Rendered, Trace, parse
 from conftest import TRANSFER, run_text
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+OP = {"inst": "a", "th": 0}     # the instance and thread of a read or write
 
 
 def good_trace_report():
@@ -32,11 +33,11 @@ def test_serializability_witness_on_serial_history():
     t = Trace()
     t.emit("begin", txn=0, parent="-")
     t.emit("grant", txn=0, obj="x", mode="w")
-    t.emit("write", txn=0, obj="x", val="31")
+    t.emit("write", txn=0, obj="x", val="31", **OP)
     t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="n1")
     t.emit("begin", txn=1, parent="-")
     t.emit("grant", txn=1, obj="x", mode="r")
-    t.emit("read", txn=1, obj="x", val="31")
+    t.emit("read", txn=1, obj="x", val="31", **OP)
     t.emit("commit2", txn=1, phase="decision", outcome="commit", parts="-")
     ok, info = audit.audit_serializability(t.events)
     assert ok
@@ -47,10 +48,10 @@ def test_serializability_detects_conflict_cycle():
     t = Trace()
     t.emit("begin", txn=0, parent="-")
     t.emit("begin", txn=1, parent="-")
-    t.emit("read", txn=0, obj="x", val="31")
-    t.emit("write", txn=1, obj="y", val="32")
-    t.emit("write", txn=1, obj="x", val="33")
-    t.emit("write", txn=0, obj="y", val="34")
+    t.emit("read", txn=0, obj="x", val="31", **OP)
+    t.emit("write", txn=1, obj="y", val="32", **OP)
+    t.emit("write", txn=1, obj="x", val="33", **OP)
+    t.emit("write", txn=0, obj="y", val="34", **OP)
     t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="-")
     t.emit("commit2", txn=1, phase="decision", outcome="commit", parts="-")
     ok, info = audit.audit_serializability(t.events)
@@ -62,11 +63,11 @@ def test_serializability_cycle_leaves_out_downstream_transactions():
     t = Trace()
     for txn in (0, 1, 2):
         t.emit("begin", txn=txn, parent="-")
-    t.emit("read", txn=0, obj="x", val="31")     # seq 3
-    t.emit("write", txn=1, obj="x", val="33")    # seq 4
-    t.emit("write", txn=1, obj="y", val="32")    # seq 5
-    t.emit("write", txn=0, obj="y", val="34")    # seq 6
-    t.emit("read", txn=2, obj="x", val="33")     # seq 7: after 1
+    t.emit("read", txn=0, obj="x", val="31", **OP)     # seq 3
+    t.emit("write", txn=1, obj="x", val="33", **OP)    # seq 4
+    t.emit("write", txn=1, obj="y", val="32", **OP)    # seq 5
+    t.emit("write", txn=0, obj="y", val="34", **OP)    # seq 6
+    t.emit("read", txn=2, obj="x", val="33", **OP)     # seq 7: after 1
     for txn in (0, 1, 2):
         t.emit("commit2", txn=txn, phase="decision", outcome="commit",
                parts="-")
@@ -82,7 +83,7 @@ def test_serializability_keeps_only_frontier_edges():
     t = Trace()
     for txn in range(n):
         t.emit("begin", txn=txn, parent="-")
-        t.emit("write", txn=txn, obj="x", val=str(txn))
+        t.emit("write", txn=txn, obj="x", val=str(txn), **OP)
         t.emit("commit2", txn=txn, phase="decision", outcome="commit",
                parts="-")
     ok, info = audit.audit_serializability(t.events)
@@ -145,7 +146,7 @@ def random_histories(draw):
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from(["read", "write"]))
         t.emit(kind, txn=draw(st.sampled_from(txns)),
-               obj=draw(st.sampled_from(objs)), val="0")
+               obj=draw(st.sampled_from(objs)), val="0", **OP)
     for tid in txns:
         if draw(st.integers(0, 5)) == 0:
             t.emit("abort", txn=tid, cause="deadlock")
@@ -188,10 +189,10 @@ def test_serializability_ignores_aborted_transactions():
     t = Trace()
     t.emit("begin", txn=0, parent="-")
     t.emit("begin", txn=1, parent="-")
-    t.emit("read", txn=0, obj="x", val="31")
-    t.emit("write", txn=1, obj="y", val="32")
-    t.emit("write", txn=1, obj="x", val="33")
-    t.emit("write", txn=0, obj="y", val="34")
+    t.emit("read", txn=0, obj="x", val="31", **OP)
+    t.emit("write", txn=1, obj="y", val="32", **OP)
+    t.emit("write", txn=1, obj="x", val="33", **OP)
+    t.emit("write", txn=0, obj="y", val="34", **OP)
     t.emit("abort", txn=1, cause="deadlock")
     t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="-")
     ok, _ = audit.audit_serializability(t.events)
@@ -202,8 +203,8 @@ def test_smuggling_detects_dirty_read():
     t = Trace()
     t.emit("begin", txn=0, parent="-")
     t.emit("begin", txn=1, parent="-")
-    t.emit("write", txn=0, obj="x", val="39")
-    t.emit("read", txn=1, obj="x", val="39")  # pre-commit leak
+    t.emit("write", txn=0, obj="x", val="39", **OP)
+    t.emit("read", txn=1, obj="x", val="39", **OP)  # pre-commit leak
     t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="-")
     ok, problems = audit.scan_smuggling(t.events)
     assert not ok and "txn 1 read x" in problems[0]
@@ -213,9 +214,9 @@ def test_smuggling_allows_reads_after_writer_resolves():
     t = Trace()
     t.emit("begin", txn=0, parent="-")
     t.emit("begin", txn=1, parent="-")
-    t.emit("write", txn=0, obj="x", val="39")
+    t.emit("write", txn=0, obj="x", val="39", **OP)
     t.emit("abort", txn=0, cause="deadlock")
-    t.emit("read", txn=1, obj="x", val="31")
+    t.emit("read", txn=1, obj="x", val="31", **OP)
     ok, _ = audit.scan_smuggling(t.events)
     assert ok
 
@@ -224,10 +225,10 @@ def test_smuggling_tracks_anti_inheritance():
     t = Trace()
     t.emit("begin", txn=0, parent="-")
     t.emit("begin", txn=1, parent=0)
-    t.emit("write", txn=1, obj="x", val="39")
+    t.emit("write", txn=1, obj="x", val="39", **OP)
     t.emit("commit2", txn=1, phase="nested", parent=0)
     t.emit("begin", txn=2, parent="-")
-    t.emit("read", txn=2, obj="x", val="39")  # now dirty under txn 0
+    t.emit("read", txn=2, obj="x", val="39", **OP)  # now dirty under txn 0
     ok, problems = audit.scan_smuggling(t.events)
     assert not ok
 
@@ -243,8 +244,10 @@ def test_bracketing_flags_event_outside_action_span():
 
 
 def _txn_trace(*events):
-    """A trace of (kind, txn, detail) events."""
+    """A trace of (kind, txn, detail) events, after the registration of
+    instance `a`, whose reads and writes they are."""
     t = Trace()
+    t.emit("register", inst="a", role="r", th=0, node="n1", ok=1)
     for kind, txn, detail in events:
         t.emit(kind, txn=txn, **detail)
     return t.events
@@ -256,29 +259,29 @@ COMMIT = {"phase": "decision", "outcome": "commit", "parts": "-"}
 
 
 @pytest.mark.parametrize("events, problem", [
-    ([("begin", 0, TOP), ("begin", 0, TOP)], "seq 1: txn 0 begins again"),
+    ([("begin", 0, TOP), ("begin", 0, TOP)], "seq 2: txn 0 begins again"),
     ([("begin", 1, {"parent": 0})],
-     "seq 0: txn 1 begins under txn 0, which is not open"),
+     "seq 1: txn 1 begins under txn 0, which is not open"),
     ([("begin", 0, TOP), ("abort", 0, {}), ("begin", 1, {"parent": 0})],
-     "seq 2: txn 1 begins under txn 0, which is not open"),
-    ([("read", 0, {"obj": "x", "val": "31"}), ("begin", 0, TOP)],
-     "seq 0: read by txn 0 before its begin"),
+     "seq 3: txn 1 begins under txn 0, which is not open"),
+    ([("read", 0, {"obj": "x", "val": "31", **OP}), ("begin", 0, TOP)],
+     "seq 1: read by txn 0 before its begin"),
     ([("begin", 0, TOP), ("commit2", 0, COMMIT),
-      ("write", 0, {"obj": "x", "val": "31"})],
-     "seq 2: write by txn 0 after its end"),
+      ("write", 0, {"obj": "x", "val": "31", **OP})],
+     "seq 3: write by txn 0 after its end"),
     ([("begin", 0, TOP), ("abort", 0, {}),
       ("grant", 0, {"obj": "x", "mode": "r"})],
-     "seq 2: grant by txn 0 after its end"),
+     "seq 3: grant by txn 0 after its end"),
     ([("begin", 0, TOP), ("begin", 1, {"parent": 0}),
       ("commit2", 1, NESTED_COMMIT), ("queue", 1, {"obj": "x", "mode": "w"})],
-     "seq 3: queue by txn 1 after its end"),
-    ([("abort", 0, {})], "seq 0: txn 0 ends before its begin"),
+     "seq 4: queue by txn 1 after its end"),
+    ([("abort", 0, {})], "seq 1: txn 0 ends before its begin"),
     ([("begin", 0, TOP), ("abort", 0, {}), ("abort", 0, {})],
-     "seq 2: txn 0 ends again"),
+     "seq 3: txn 0 ends again"),
     ([("begin", 0, TOP), ("commit2", 0, COMMIT), ("abort", 0, {})],
-     "seq 2: txn 0 ends again"),
+     "seq 3: txn 0 ends again"),
     ([("begin", 0, TOP), ("begin", 1, {"parent": 0}), ("abort", 0, {})],
-     "seq 2: txn 0 ends before its child txn 1"),
+     "seq 3: txn 0 ends before its child txn 1"),
 ], ids=["begin_twice", "parent_not_begun", "parent_ended", "op_before_begin",
         "op_after_commit", "grant_after_abort", "queue_after_nested_commit",
         "end_before_begin", "abort_twice", "abort_after_commit",
@@ -415,7 +418,7 @@ def _applied_write():
     t = Trace()
     t.emit("begin", txn=0, parent="-")
     t.emit("grant", txn=0, obj="x", mode="w")
-    t.emit("write", txn=0, obj="x", val="32")
+    t.emit("write", txn=0, obj="x", val="32", **OP)
     t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="n1")
     t.emit("commit2", txn=0, phase="apply", node="n1", objs="x")
     return t.events
@@ -622,7 +625,7 @@ def test_durability_problem_names_the_decision_seq():
     t = Trace()
     t.emit("begin", txn=0, parent="-")
     t.emit("grant", txn=0, obj="x", mode="w")
-    t.emit("write", txn=0, obj="x", val="31")
+    t.emit("write", txn=0, obj="x", val="31", **OP)
     t.emit("commit2", txn=0, phase="decision", outcome="commit",
            parts="n1,n2")
     t.emit("commit2", txn=0, phase="apply", node="n1", objs="x")

@@ -9,6 +9,7 @@ from casim.trace import Trace
 from conftest import TRANSFER
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+OP = {"inst": "a", "th": 0}     # the instance and thread of a read or write
 
 
 def write_scn(tmp_path, text=TRANSFER):
@@ -281,10 +282,10 @@ def test_failed_serializability_prints_cycle_and_conflicts(capsys):
     t = Trace()
     t.emit("begin", txn=0, parent="-")
     t.emit("begin", txn=1, parent="-")
-    t.emit("read", txn=0, obj="x", val="31")     # seq 2
-    t.emit("write", txn=1, obj="x", val="33")    # seq 3
-    t.emit("write", txn=1, obj="y", val="32")    # seq 4
-    t.emit("write", txn=0, obj="y", val="34")    # seq 5
+    t.emit("read", txn=0, obj="x", val="31", **OP)     # seq 2
+    t.emit("write", txn=1, obj="x", val="33", **OP)    # seq 3
+    t.emit("write", txn=1, obj="y", val="32", **OP)    # seq 4
+    t.emit("write", txn=0, obj="y", val="34", **OP)    # seq 5
     for txn in (0, 1):
         t.emit("commit2", txn=txn, phase="decision", outcome="commit",
                parts="-")

@@ -90,8 +90,7 @@ def test_dag_comes_from_the_trace_file_alone(tmp_path, capsys, name,
 
 def _edited_transfer_trace(edit):
     """flat_transfer.scn's trace with its event lines changed by `edit` and
-    renumbered, so that `trace.parse` accepts it; its events and the
-    scenario."""
+    renumbered, then parsed: its events and the scenario."""
     sc = load_scenario(str(SCENARIOS / "flat_transfer.scn"))
     text = Simulator(sc).run().trace_text()
     body, dump = text.split("dump\n", 1)
@@ -132,16 +131,27 @@ def _cut(seq, token):
     return edit
 
 
+# edits that leave the line of event `seq` with no schema shape
+_SHAPELESS = [(_thread_x, 1),
+              (_cut(7, " th=0"), 7),
+              (_cut(1, " role=debit"), 1),
+              (_cut(3, " th=1"), 3),
+              (_cut(11, "signal=moved "), 11),
+              (_cut(13, "signal=moved "), 13)]
+
+
 @pytest.mark.parametrize("edit,seq", [(_without_emit, 12),
                                       (_read_after_exit, 18),
-                                      (_unknown_role, 3),
-                                      (_thread_x, 7),
-                                      (_cut(7, " th=0"), 7),
-                                      (_cut(1, " role=debit"), 1),
-                                      (_cut(3, " th=1"), 3),
-                                      (_cut(11, "signal=moved "), 11),
-                                      (_cut(13, "signal=moved "), 13)])
+                                      (_unknown_role, 3)] + _SHAPELESS)
 def test_a_trace_off_its_roles_is_malformed(edit, seq):
+    """An edit that keeps every line in its schema shape is caught by
+    from_trace at event `seq`.  One that cuts a key from_trace reads, or
+    names a thread `x`, is caught by the parser at that event's line."""
+    if (edit, seq) in _SHAPELESS:
+        with pytest.raises(MalformedTrace) as e:
+            _edited_transfer_trace(edit)
+        assert e.value.line == seq + 1
+        return
     events, sc = _edited_transfer_trace(edit)
     with pytest.raises(MalformedTrace, match="^seq %d: " % seq):
         from_trace(events, "transfer", sc.defs["transfer"])

@@ -89,32 +89,32 @@ def test_sweeps_audit_the_events_each_run_emitted(monkeypatch):
 def test_sweep_format_guard_rejects_lines_that_do_not_parse_back(
         monkeypatch, run_sweep):
     """If a rendered line no longer parses back into its event (here a
-    detail value rendered with a space), the audits, which read the
-    recorded events, would not see it, so each sweep's full parse of a
-    first run rejects it: the seed sweep's first seed, the crash sweep's
-    fault-free run."""
+    read's value rendered with a digit more, which no audit reads), the
+    audits, which read the recorded events, would not see it, so each
+    sweep's full parse of a first run rejects it: the seed sweep's first
+    seed, the crash sweep's fault-free run."""
     real = trace._template
 
-    def spaced(shape):
-        template, values = real(shape)
-        if "mode" not in shape[1:]:
+    def longer(kind, keys):
+        template, values = real(kind, keys)
+        if kind != "read":
             return template, values
-        at = sorted(shape[1:]).index("mode")
+        at = keys.index("val")
 
-        def spaced_values(detail):
+        def longer_values(detail):
             got = values(detail)
-            return got[:at] + (got[at] + " x=1",) + got[at + 1:]
-        return template, spaced_values
+            return got[:at] + (got[at] + "0",) + got[at + 1:]
+        return template, longer_values
 
     sc = load_scenario(str(SCENARIO_DIR / "flat_transfer.scn"))
     run_sweep(sc)
-    monkeypatch.setattr(trace, "_template", spaced)
+    monkeypatch.setattr(trace, "_template", longer)
     res = Simulator(sc).run()
     text = res.trace_text()
     events, _ = trace.parse(text)
-    at = next(i for i, ev in enumerate(events) if ev.kind == "grant")
-    assert events[at].detail["x"] == "1"
-    assert "x" not in res.trace.events[at].detail
+    at = next(i for i, ev in enumerate(events) if ev.kind == "read")
+    assert events[at].detail["val"] == res.trace.events[at].detail["val"] \
+        + "0"
     assert audit.audit_trace(text)["ok"]    # the text alone is consistent
     with pytest.raises(MalformedTrace) as e:
         run_sweep(sc)

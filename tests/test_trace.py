@@ -136,7 +136,7 @@ def test_parse_rejects_non_integer_txn():
     ("begin\t0\t-\t-", "begin event lacks detail key 'parent'"),
     ("begin\t1\t-\tparent=x", "non-integer parent 'x'"),
     ("grant\t0\tx\t-", "grant event lacks detail key 'mode'"),
-    ("write\t0\tx\tinst=a", "write event lacks detail key 'val'"),
+    ("write\t0\tx\tinst=a th=0", "write event lacks detail key 'val'"),
     ("register\t-\t-\tok=1", "register event lacks detail key 'inst'"),
     ("outcome\t-\t-\toutcome=aborted",
      "outcome event lacks detail key 'inst'"),
@@ -154,6 +154,23 @@ def test_parse_rejects_non_integer_txn():
      "commit2 event with no phase"),
     ("commit2\t0\t-\toutcome=commit phase=bogus",
      "commit2 event with unknown phase 'bogus'"),
+    ("commit2\t0\t-\toutcome=commit phase=decision",
+     "commit2 event lacks detail key 'parts'"),
+    ("commit2\t0\t-\toutcome=bogus phase=decision",
+     "commit2 event with unknown outcome 'bogus'"),
+    ("grant\t0\tx\tmode=r mode=w", "detail key 'mode' repeated"),
+    ("read\t0\tx\tinst=a val=31 th=0", "detail key 'th' out of sorted order"),
+    ("grant\t0\tx\tmode=r x=1", "grant event with unexpected detail key 'x'"),
+    ("grant\t0\t-\tmode=r", "grant event needs a txn and an obj"),
+    ("crash\t0\t-\tnode=n1", "crash event needs no txn and no obj"),
+    ("read\t0\tx\tinst=a th=x val=31", "non-integer th 'x'"),
+    ("register\t-\t-\tinst=a node=n1 ok=2 role=r th=0",
+     "register event with unknown ok '2'"),
+    ("register\t-\t-\tinst=a node=n1 ok=0 role=r th=0",
+     "register event lacks detail key 'err'"),
+    ("step\t-\t-\tinst=a th=0", "step event with no op"),
+    ("step\t-\t-\tinst=a op=enter th=0",
+     "step event lacks detail key 'target'"),
 ])
 def test_parse_rejects_missing_or_bad_detail(line, message):
     text = "0\t0\tbegin\t0\t-\tparent=-\n1\t0\t%s\n" % line
@@ -170,8 +187,8 @@ def test_parse_rejects_missing_or_bad_detail(line, message):
 def test_a_commit_decision_without_its_phase_is_rejected(phase, message):
     """A decision line whose phase is cut or changed to one no pass reads
     would hide the decision from serializability and durability: it is
-    rejected at its line, whether the text is parsed in full or an
-    emitted event changed after render is checked through the record."""
+    rejected at its line, whether the text is parsed in full or the
+    emitted event is changed before it is rendered."""
     res = Simulator(load_scenario(str(ROOT / "scenarios" /
                                       "flat_transfer.scn"))).run()
     ev = next(ev for ev in res.trace.events if ev.kind == "commit2"
@@ -185,39 +202,44 @@ def test_a_commit_decision_without_its_phase_is_rejected(phase, message):
         trace.parse("\n".join(lines))
     assert (e.value.line, str(e.value)) == (line, "line %d: %s"
                                             % (line, message))
-    record = trace.Rendered()
-    text = res.trace.render(res.dumps(), record)
     del ev.detail["phase"]
     if phase is not None:
         ev.detail["phase"] = phase
-    _assert_raises_leaving_record(text, record, line, message)
+    with pytest.raises(MalformedTrace) as e:
+        res.trace.render(res.dumps(), trace.Rendered())
+    assert (e.value.line, str(e.value)) == (line, "line %d: %s"
+                                            % (line, message))
 
 
-_REQUIRED = {"begin": {"parent": "-"}, "grant": {"mode": "r"},
-             "write": {"val": "31"}, "register": {"inst": "a"},
-             "outcome": {"inst": "a", "outcome": "committed"},
-             "crash": {"node": "n1"}, "recover": {"node": "n1"}}
-_PHASES = {"decision": {"outcome": "commit"}, "apply": {"node": "n1"},
-           "nested": {"parent": "3"}}
-_KEYS = st.sampled_from(["a", "k9", "from", "inst", "x_y", "-"])
 _VALUES = st.text("abz09_-.,#/:=", max_size=6)
-_OBJS = st.none() | st.text("abz09_-.,#/:=", min_size=2, max_size=6)
+_OBJS = st.text("abz09_-.,#/:=", min_size=2, max_size=6)
+_INTS = st.integers(-5, 10 ** 6).map(str)
+
+
+@st.composite
+def _detail(draw, shape):
+    """A detail dict of `shape`, its keys in an order of their own."""
+    detail = {}
+    for key in draw(st.permutations(shape.keys)):
+        if key in shape.fixed:
+            detail[key] = shape.fixed[key]
+        elif key in trace.INT_KEYS:
+            detail[key] = draw(_INTS | st.just("-")) \
+                if shape.kind == "begin" else draw(_INTS)
+        else:
+            detail[key] = draw(_VALUES)
+    return detail
 
 
 @st.composite
 def _events(draw):
     events = []
     for seq in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(sorted(trace.ALL_KINDS)))
-        detail = draw(st.dictionaries(_KEYS, _VALUES, max_size=3))
-        detail.update(_REQUIRED.get(kind, {}))
-        if kind == "commit2":
-            phase = draw(st.sampled_from(sorted(_PHASES)))
-            detail["phase"] = phase
-            detail.update(_PHASES[phase])
+        shape = draw(st.sampled_from(trace.SCHEMA))
         events.append(trace.Event(
-            seq, draw(st.integers(0, 10 ** 6)), kind,
-            draw(st.none() | st.integers(-5, 10 ** 6)), draw(_OBJS), detail))
+            seq, draw(st.integers(0, 10 ** 6)), shape.kind,
+            draw(st.integers(-5, 10 ** 6)) if shape.txn else None,
+            draw(_OBJS) if shape.obj else None, draw(_detail(shape))))
     return events
 
 
@@ -242,10 +264,10 @@ def test_only_a_copied_trace_keeps_rendered_lines():
     assert t._lines == c._lines == text.splitlines()
     assert c._lines is not t._lines
     c.now = t.now = 2
-    c.emit("commit1", txn=0)
-    t.emit("abort", txn=0)
-    assert c.render() == text + "3\t2\tcommit1\t0\t-\t-\n"
-    assert t.render() == text + "3\t2\tabort\t0\t-\t-\n"
+    c.emit("commit1", txn=0, node="n1")
+    t.emit("abort", txn=0, cause="deadlock")
+    assert c.render() == text + "3\t2\tcommit1\t0\t-\tnode=n1\n"
+    assert t.render() == text + "3\t2\tabort\t0\t-\tcause=deadlock\n"
     assert len(t._lines) == len(c._lines) == 3
 
 
@@ -265,34 +287,30 @@ def _reference_line(ev):
         " ".join(["%s=%s" % (k, d[k]) for k in sorted(d)]) if d else "-")
 
 
-_NAMES = st.text("ab%s", min_size=1, max_size=3)
-
-
 @st.composite
 def _shaped_events(draw):
-    """Events of a few kinds and key sets, each event's keys inserted in
-    an order of its own, so one key set comes in several shapes."""
-    shapes = draw(st.lists(st.tuples(_NAMES, st.lists(_NAMES, unique=True,
-                                                      max_size=3)),
-                           min_size=1, max_size=4))
+    """Events of a few schema shapes, each event's keys inserted in an
+    order of its own, so one shape comes in several key orders."""
+    shapes = draw(st.lists(st.sampled_from(trace.SCHEMA), min_size=1,
+                           max_size=4))
     events = []
     for seq in range(draw(st.integers(0, 12))):
-        kind, keys = draw(st.sampled_from(shapes))
-        detail = {k: draw(st.text("ab%s= ", max_size=3))
-                  for k in draw(st.permutations(keys))}
+        shape = draw(st.sampled_from(shapes))
         events.append(trace.Event(
-            seq, draw(st.integers(0, 99)), kind,
-            draw(st.sampled_from([None, 0, 7])),
-            draw(st.sampled_from([None, "", "x", "o%s"])), detail))
+            seq, draw(st.integers(0, 99)), shape.kind,
+            draw(st.sampled_from([0, 7])) if shape.txn else None,
+            draw(st.sampled_from(["x", "o%s"])) if shape.obj else None,
+            draw(_detail(shape))))
     return events
 
 
 @settings(max_examples=200, deadline=None)
 @given(_shaped_events(), st.integers(0, 12))
-@example([trace.Event(0, 0, "50%", None, None, {}),
-          trace.Event(1, 1, "%s", 0, "", {"a%s": "%"}),
-          trace.Event(2, 1, "read", 3, "x", {"th": "0", "inst": "k"}),
-          trace.Event(3, 2, "read", 3, "x", {"inst": "k", "th": "1"})], 2)
+@example([trace.Event(0, 0, "read", 3, "x",
+                      {"th": "0", "inst": "%s", "val": "50%"}),
+          trace.Event(1, 1, "read", 3, "x",
+                      {"inst": "k", "val": "%", "th": "1"}),
+          trace.Event(2, 2, "crash", None, None, {"node": "%%"})], 2)
 def test_lines_match_the_per_event_formula(events, cut):
     """Lines from the per-shape templates are those of the old formula,
     also in a copy made after `cut` events, which shares the source's
@@ -307,43 +325,55 @@ def test_lines_match_the_per_event_formula(events, cut):
     fresh.events = list(events)
     assert fork.render() == fresh.render() == ("".join(
         _reference_line(ev) + "\n" for ev in events) or "\n")
-    assert len(t._templates) == len({(ev.kind, *ev.detail) for ev in events})
+    assert len(t._templates) == len({
+        (ev.kind, ev.txn is not None, ev.obj is not None, *ev.detail)
+        for ev in events})
 
 
 # --- the parser before it shared values and streamed its lines, kept as
 # the reference the current parser must match on every input ---
 
 def _reference_parse_detail(text):
+    """The (key, value) pairs of a detail field, in line order; each `th`
+    and `parent` an integer, or a `parent` `-`."""
     if text == "-":
-        return {}
-    out = {}
+        return []
+    out = []
     for tok in text.split(" "):
         if "=" not in tok:
             raise MalformedTrace("bad detail token %r" % tok)
         k, v = tok.split("=", 1)
-        out[k] = v
+        if k in trace.INT_KEYS and not _is_int(v) \
+                and (k, v) != ("parent", "-"):
+            raise MalformedTrace("non-integer %s %r" % (k, v))
+        out.append((k, v))
     return out
 
 
-def _reference_check_detail(kind, detail, need, lineno):
-    if kind == "commit2":
-        if "phase" not in detail:
-            raise MalformedTrace("commit2 event with no phase", lineno)
-        if detail["phase"] not in need:
-            raise MalformedTrace("commit2 event with unknown phase %r"
-                                 % detail["phase"], lineno)
-        need = need[detail["phase"]]
-    for key in need:
-        if key not in detail:
-            raise MalformedTrace("%s event lacks detail key %r" % (kind, key),
-                                 lineno)
-    if "parent" in need and not (kind == "begin"
-                                 and detail["parent"] == "-"):
-        try:
-            int(detail["parent"])
-        except ValueError:
-            raise MalformedTrace("non-integer parent %r" % detail["parent"],
-                                 lineno)
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _reference_check_shape(kind, txn, obj, pairs, lineno):
+    """Accept a line whose keys are sorted and repeat none, and that has
+    the txn, obj, detail keys and fixed values of a SCHEMA entry, with an
+    integer for each INT_KEYS key (or `-` for a begin's parent).  The
+    reason a line is rejected is worded as the parser words it."""
+    keys = [k for k, _ in pairs]
+    detail = dict(pairs)
+    if keys == sorted(set(keys)) and any(
+            shape.kind == kind and shape.txn == (txn is not None)
+            and shape.obj == (obj is not None) and shape.keys == tuple(keys)
+            and all(detail[k] == v for k, v in shape.fixed.items())
+            for shape in trace.SCHEMA) and all(
+            _is_int(v) or (kind, k, v) == ("begin", "parent", "-")
+            for k, v in pairs if k in trace.INT_KEYS):
+        return detail
+    raise MalformedTrace(trace._shape_error(kind, txn, obj, pairs), lineno)
 
 
 def _reference_parse(text):
@@ -406,12 +436,10 @@ def _reference_parse(text):
             raise MalformedTrace("unknown event kind %r" % kind, lineno)
         obj = None if parts[4] == "-" else parts[4]
         try:
-            detail = _reference_parse_detail(parts[5])
+            pairs = _reference_parse_detail(parts[5])
         except MalformedTrace as e:
             raise MalformedTrace(str(e), lineno)
-        need = trace.REQUIRED_DETAIL.get(kind)
-        if need is not None:
-            _reference_check_detail(kind, detail, need, lineno)
+        detail = _reference_check_shape(kind, txn, obj, pairs, lineno)
         events.append(trace.Event(seq, time, kind, txn, obj, detail))
     return events, dumps
 
@@ -428,9 +456,8 @@ def _assert_parses_like_reference(text):
 
 
 # few distinct keys, values, objects, times and txns, so most repeat
-_FEW_KEYS = ["th", "inst", "mid", "objs", "val", "from"]
 _FEW_VALUES = ["0", "17", "1000", "a", "acct_a", "x,y", "-", "=", "a=b", ""]
-_FEW_OBJS = [None, "x", "acct_a", "o17", "o17"]
+_FEW_OBJS = ["x", "acct_a", "o17", "o17"]
 _FEW_INTS = [0, 3, 300, 300, 70000, -2]
 _BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
            "\x85", "\u2028", "\u2029"]
@@ -440,7 +467,9 @@ _NOISE = ["", " ", "\t", "  \t", "x", "7\t0\tbegin\t-\t-\tparent=-",
           "0\t 4\tstep\t\u0663\t-\t-", "dump", "[initial]", "[bogus]",
           "n1\tx\t0", "n1\tx\tv\t31", "n1\tx\t0\t31", "[stable"]
 _BAD_FIELDS = ["", "-", "x", "+5", "05", "1_0", "bogus", "k", "k=v k",
-               "parent=x", "phase=nested", "a=1  b=2"]
+               "parent=x", "phase=nested", "a=1  b=2", "mode=r mode=w",
+               "node=n1 objs=x phase=apply", "inst=a th=x val=31",
+               "inst=a th=0 val=31", "val=31 th=0 inst=a"]
 
 
 def _random_trace(rng):
@@ -448,17 +477,20 @@ def _random_trace(rng):
     for it or None."""
     events = []
     for seq in range(rng.randint(0, 200)):
-        kind = rng.choice(sorted(trace.ALL_KINDS))
-        detail = {rng.choice(_FEW_KEYS): rng.choice(_FEW_VALUES)
-                  for _ in range(rng.randint(0, 4))}
-        detail.update(_REQUIRED.get(kind, {}))
-        if kind == "commit2":
-            phase = rng.choice(sorted(_PHASES))
-            detail["phase"] = phase
-            detail.update(_PHASES[phase])
+        shape = rng.choice(trace.SCHEMA)
+        detail = {}
+        for key in rng.sample(shape.keys, len(shape.keys)):
+            if key in shape.fixed:
+                detail[key] = shape.fixed[key]
+            elif key in trace.INT_KEYS:   # a begin's parent may be "-"
+                detail[key] = str(rng.choice(
+                    _FEW_INTS + ["-"] * (shape.kind == "begin")))
+            else:
+                detail[key] = rng.choice(_FEW_VALUES)
         events.append(trace.Event(
-            seq, rng.choice(_FEW_INTS), kind,
-            rng.choice([None] + _FEW_INTS), rng.choice(_FEW_OBJS), detail))
+            seq, rng.choice(_FEW_INTS), shape.kind,
+            rng.choice(_FEW_INTS) if shape.txn else None,
+            rng.choice(_FEW_OBJS) if shape.obj else None, detail))
     t = trace.Trace()
     t.events = events
     dumps = rng.choice([None, {"initial": ["n1\tx\t0\t31"],
@@ -496,6 +528,106 @@ def test_parse_matches_reference(seed):
     _assert_parses_like_reference(_repetitive_text(random.Random(seed)))
 
 
+def _cut_corpus():
+    """Each distinct (kind, or commit2 phase, detail key) pair of the
+    reference scenarios' traces under both strategies, cut from the first
+    line that has it: a list of (pair, text, line)."""
+    corpus, seen = [], set()
+    for path in sorted((ROOT / "scenarios").glob("*.scn")):
+        for strategy in ("flatten", "nested"):
+            res = Simulator(load_scenario(str(path)),
+                            strategy=strategy).run()
+            lines = res.trace_text().split("\n")
+            for ev in res.trace.events:
+                kind = ev.detail["phase"] if ev.kind == "commit2" \
+                    else ev.kind
+                for key in sorted(ev.detail):
+                    if (kind, key) in seen:
+                        continue
+                    seen.add((kind, key))
+                    fields = lines[ev.seq].split("\t")
+                    fields[5] = " ".join(
+                        tok for tok in fields[5].split(" ")
+                        if tok.split("=", 1)[0] != key) or "-"
+                    cut = lines[:ev.seq] + ["\t".join(fields)] \
+                        + lines[ev.seq + 1:]
+                    corpus.append(((kind, key), "\n".join(cut), ev.seq + 1))
+    return corpus
+
+
+def test_every_cut_detail_key_is_rejected_at_its_line():
+    """A line that lost any one detail key has no schema shape: not only
+    the keys an audit reads, but `val` and `inst` of a read, `parts` of a
+    commit decision (which would match the abort decision's keys) and
+    every key of a message event."""
+    corpus = _cut_corpus()
+    assert len(corpus) == 57
+    accepted = []
+    for pair, text, line in corpus:
+        got = _outcome(trace.parse, text)
+        assert got == _outcome(_reference_parse, text)
+        if got[0] != "MalformedTrace" or got[2] != line:
+            accepted.append((pair, got))
+    assert accepted == []
+
+
+_MUTATIONS = ("drop", "add", "repeat", "reorder", "txn", "obj", "int")
+
+
+@st.composite
+def _mutated_line(draw):
+    """A rendered trace of schema events with one line mutated off its
+    shape: (text, that line's number)."""
+    events = draw(_events().filter(bool))
+    t = trace.Trace()
+    t.events = events
+    lines = t.render().split("\n")
+    at = draw(st.integers(0, len(events) - 1))
+    ev = events[at]
+    fields = lines[at].split("\t")
+    toks = fields[5].split(" ")
+    ints = [i for i, tok in enumerate(toks)
+            if tok.split("=", 1)[0] in trace.INT_KEYS]
+    op = draw(st.sampled_from([
+        op for op in _MUTATIONS if (op != "reorder" or len(toks) > 1)
+        and (op != "int" or ints)]))
+    if op == "drop":
+        del toks[draw(st.integers(0, len(toks) - 1))]
+    elif op == "add":
+        key = draw(st.sampled_from(["a", "inst", "mode", "node", "zz"])
+                   .filter(lambda k: k not in ev.detail))
+        toks.insert(draw(st.integers(0, len(toks))), key + "=1")
+    elif op == "repeat":
+        tok = draw(st.sampled_from(toks))
+        toks.insert(draw(st.integers(0, len(toks))),
+                    tok.split("=", 1)[0] + "=" + draw(_VALUES))
+    elif op == "reorder":
+        toks = draw(st.permutations(toks).filter(lambda p: p != toks))
+    elif op == "txn":
+        fields[3] = "-" if ev.txn is not None else "0"
+    elif op == "obj":
+        fields[4] = "-" if ev.obj is not None else "x"
+    else:
+        i = draw(st.sampled_from(ints))
+        toks[i] = toks[i].split("=", 1)[0] + "=" + draw(st.sampled_from(
+            ["x", "", "1.5", "0x1"] + ["-"] * (ev.kind != "begin")))
+    fields[5] = " ".join(toks) or "-"
+    lines[at] = "\t".join(fields)
+    return "\n".join(lines), at + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_line())
+def test_a_line_mutated_off_its_shape_is_rejected_at_it(mutated):
+    """Dropping, adding, repeating or reordering a key, `-` for a txn or
+    obj the shape has or one it has not, or a non-integer `th` or
+    `parent`: the parser and the reference both reject that line."""
+    text, line = mutated
+    got = _outcome(trace.parse, text)
+    assert got == _outcome(_reference_parse, text)
+    assert (got[0], got[2]) == ("MalformedTrace", line)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(["a", "\t", " "] + _BREAKS), max_size=40),
        st.integers(1, 8))
@@ -512,7 +644,7 @@ def _text_breaking_at(brk, at):
     lines, ends, pos = [], [], 0
     while pos < trace.CHUNK_CHARS + 2000:
         seq = len(lines)
-        lines.append("%d\t%d\tstep\t%d\to%d\tth=%d pad="
+        lines.append("%d\t%d\tread\t%d\to%d\tinst=a th=%d val="
                      % (seq, seq // 7, seq % 13, seq % 5, seq % 3))
         ends.append(pos + len(lines[-1]))
         pos = ends[-1] + 2
@@ -551,7 +683,7 @@ def test_parse_shares_repeated_values():
     t = trace.Trace()
     t.now = 5000
     for _ in range(3):
-        t.emit("begin", txn=7000, obj="acct_a", parent="-")
+        t.emit("grant", txn=7000, obj="acct_a", mode="w")
     events, _ = trace.parse(t.render())
     assert events[0].time is events[1].time is events[2].time
     assert events[0].txn is events[1].txn is events[2].txn
@@ -568,7 +700,6 @@ def test_emit_shares_the_string_of_each_int():
         assert a.detail["th"] is b.detail["th"]
     ev = t.emit("step", th=1, ok=True)
     assert ev.detail == {"th": "1", "ok": "True"}
-    assert t.lines()[-1].endswith("ok=True th=1")
 
 
 # --- parsing through a render's record ---
@@ -694,21 +825,43 @@ def test_reused_lines_still_check_their_seq():
     _assert_raises_leaving_record(text, record, 1, "seq 1 out of order")
 
 
-def test_recorded_events_still_need_their_required_detail():
-    """A recorded event is checked as its line's parse would be: one that
-    lost a required detail key after render is rejected."""
+READ = {"inst": "a", "th": 0, "val": "31"}
+REGISTER = {"inst": "a", "role": "r", "th": 0, "node": "n1", "ok": 1}
+
+
+@pytest.mark.parametrize("events, line, message", [
+    ([("grant", 0, "x", {})], 2, "grant event lacks detail key 'mode'"),
+    ([("grant", 0, None, {"mode": "w"})], 2,
+     "grant event needs a txn and an obj"),
+    ([("crash", 0, None, {"node": "n1"})], 2,
+     "crash event needs no txn and no obj"),
+    ([("commit2", 0, None, {"phase": "nested", "parent": "x"})], 2,
+     "non-integer parent 'x'"),
+    ([("read", 0, "x", dict(READ, x=1))], 2,
+     "read event with unexpected detail key 'x'"),
+    ([("register", None, None, dict(REGISTER, ok=True))], 2,
+     "register event with unknown ok 'True'"),
+    ([("register", None, None, REGISTER),
+      ("register", None, None, dict(REGISTER, ok=2))], 3,
+     "register event with unknown ok '2'"),
+], ids=["no_key", "no_obj", "a_txn", "parent_x", "unexpected_key", "ok_true",
+        "second_of_a_shape"])
+def test_rendering_an_event_of_no_shape_raises_at_its_line(events, line,
+                                                           message):
+    """Emitted events are checked against SCHEMA as they are rendered (a
+    parse through the record of a render checks only their seqs): one of
+    no shape raises MalformedTrace at the line it would have, in a copy
+    of a trace too."""
     t = trace.Trace()
     t.emit("begin", txn=0, parent="-")
-    grant = t.emit("grant", txn=0, obj="x", mode="w")
-    nested = t.emit("commit2", txn=0, phase="nested", parent="3")
-    text, record = _recorded(t)
-    _assert_recorded_parse_is_plain(text, record, t.events)
-    del grant.detail["mode"]
-    _assert_raises_leaving_record(text, record, 2,
-                                  "grant event lacks detail key 'mode'")
-    grant.detail["mode"] = "w"
-    nested.detail["parent"] = "x"
-    _assert_raises_leaving_record(text, record, 3, "non-integer parent 'x'")
+    fork = t.copy()
+    for trc in (t, fork):
+        for kind, txn, obj, detail in events:
+            trc.emit(kind, txn=txn, obj=obj, **detail)
+        with pytest.raises(MalformedTrace) as e:
+            trc.render({}, trace.Rendered())
+        assert (e.value.line, str(e.value)) == (line, "line %d: %s"
+                                                % (line, message))
 
 
 def test_a_malformed_line_after_reused_lines_names_its_own_line():
