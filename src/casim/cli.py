@@ -134,6 +134,8 @@ def _print_report(report) -> int:
             probs = _cycle_lines(info) if name == "serializability" else info
             for msg in probs[:10]:
                 print("\t%s" % msg)
+            if len(probs) > 10:
+                print("\t... %d more" % (len(probs) - 10))
     return 0 if report["ok"] else 1
 
 

@@ -79,8 +79,9 @@ class Frame:
 class LThread:
     """Scheduler-level logical thread; never a platform thread."""
 
-    def __init__(self, tid: int, client: str, node: str):
+    def __init__(self, tid: int, client: str, node: str, tid_text=None):
         self.tid = tid
+        self.tid_text = tid_text or str(tid)    # as the trace writes it
         self.client = client
         self.node = node
         self.frames: list[Frame] = []
@@ -93,7 +94,7 @@ class LThread:
 
     def copy(self, instances) -> "LThread":
         """This thread for a fork whose instances are `instances`."""
-        th = LThread(self.tid, self.client, self.node)
+        th = LThread(self.tid, self.client, self.node, self.tid_text)
         th.frames = [Frame(instances[f.instance.key], f.steps, f.pc)
                      for f in self.frames]
         th.status = self.status
@@ -297,8 +298,9 @@ class Simulator:
     # submission and registration
 
     def _do_submit(self, c):
-        self.trace.emit("submit", client=c.client, node=c.node,
-                        action=c.action_key, role=c.role)
+        self.trace.emit("submit", None, None, {
+            "action": c.action_key, "client": c.client, "node": c.node,
+            "role": c.role})
         if not self.store.node_up(c.node):
             return  # registration from a crashed node never occurs
         th = LThread(self._next_tid, c.client, c.node)
@@ -308,8 +310,9 @@ class Simulator:
 
     def _reject(self, key, role, th, err):
         self.rejections.append((err, key, role, th.tid))
-        self.trace.emit("register", inst=key, role=role, th=th.tid,
-                        ok=0, err=err)
+        self.trace.emit("register", None, None, {
+            "err": err, "inst": key, "ok": "0", "role": role,
+            "th": th.tid_text})
 
     def _new_instance(self, defn, key, th, parent=None):
         """Create, register and arm the entry deadline of an instance."""
@@ -345,8 +348,9 @@ class Simulator:
         inst.registered[role] = th.tid
         th.frames.append(Frame(inst, inst.defn.roles[role].steps))
         th.status = GATHERING
-        self.trace.emit("register", inst=inst.key, role=role,
-                        th=th.tid, node=th.node, ok=1)
+        self.trace.emit("register", None, None, {
+            "inst": inst.key, "node": th.node, "ok": "1", "role": role,
+            "th": th.tid_text})
         if set(inst.registered) == set(inst.defn.roles):
             self._start_instance(inst)
 
@@ -365,8 +369,8 @@ class Simulator:
             if not self.store.node_up(self.store.homes[name]):
                 self.coordinated_abort(inst, "node_down")
                 return
-        self.trace.emit("line_recovery", inst=inst.key,
-                        label="%s@%d" % (inst.key, self.now))
+        self.trace.emit("line_recovery", None, None, {
+            "inst": inst.key, "label": "%s@%d" % (inst.key, self.now)})
         if inst.parent is None:
             txn = self.txns.begin()
             inst.txn_id = txn.id
@@ -449,7 +453,7 @@ class Simulator:
     def _step_read(self, th, inst, frame, step):
         if not self._acquire_for(th, inst, [(step.obj, "r")]):
             return
-        self.txns.read(inst.txn_id, step.obj, th=th.tid, inst=inst.key)
+        self.txns.read(inst.txn_id, step.obj, inst.key, th.tid_text)
         frame.pc += 1
         self._schedule_step(th)
 
@@ -461,14 +465,14 @@ class Simulator:
         env = {}
         for name in step.expr.names:
             env[name] = decode_value(
-                self.txns.read(inst.txn_id, name, th=th.tid, inst=inst.key))
+                self.txns.read(inst.txn_id, name, inst.key, th.tid_text))
         try:
             value = encode_value(step.expr.eval(env))
         except ZeroDivisionError:
             self.coordinated_abort(inst, "eval_error")
             return
         granted = self.txns.write(inst.txn_id, step.obj, value,
-                                  th=th.tid, inst=inst.key)
+                                  inst.key, th.tid_text)
         if granted:
             self._apply_grants(granted)
         frame.pc += 1
@@ -477,16 +481,17 @@ class Simulator:
     def _step_sync(self, th, inst, frame, step):
         if step.sync_op == "emit":
             inst.signals.add(step.signal)
-            self.trace.emit("sync_emit", inst=inst.key, th=th.tid,
-                            signal=step.signal)
+            self.trace.emit("sync_emit", None, None, {
+                "inst": inst.key, "signal": step.signal, "th": th.tid_text})
             for tid in inst.sync_waiters.pop(step.signal, []):
                 self._wake(self.threads[tid])
             frame.pc += 1
             self._schedule_step(th)
         else:
             if step.signal in inst.signals:
-                self.trace.emit("sync_await", inst=inst.key,
-                                th=th.tid, signal=step.signal)
+                self.trace.emit("sync_await", None, None, {
+                    "inst": inst.key, "signal": step.signal,
+                    "th": th.tid_text})
                 frame.pc += 1
                 self._schedule_step(th)
             else:
@@ -509,8 +514,9 @@ class Simulator:
             self._reject(step.action, step.role, th, "RoleTaken")
             self.coordinated_abort(inst, "roletaken")
             return
-        self.trace.emit("step", inst=inst.key, th=th.tid,
-                        op="enter", target=step.action)
+        self.trace.emit("step", None, None, {
+            "inst": inst.key, "op": "enter", "target": step.action,
+            "th": th.tid_text})
         self._register(sub, th, step.role)
 
     # ------------------------------------------------------------------
@@ -519,7 +525,8 @@ class Simulator:
     def _arrive(self, th):
         inst = th.frame.instance
         if th.tid not in inst.arrived:
-            self.trace.emit("step", inst=inst.key, th=th.tid, op="exit")
+            self.trace.emit("step", None, None, {
+                "inst": inst.key, "op": "exit", "th": th.tid_text})
         th.status = AT_BARRIER
         inst.arrived.add(th.tid)
         alive = {tid for tid in inst.registered.values()
@@ -550,9 +557,9 @@ class Simulator:
         except ZeroDivisionError:
             self.coordinated_abort(inst, "eval_error")
             return
-        self.trace.emit("test_line", inst=inst.key,
-                        result="fail" if failed else "pass",
-                        failed=",".join(failed) or "-")
+        self.trace.emit("test_line", None, None, {
+            "failed": ",".join(failed) or "-", "inst": inst.key,
+            "result": "fail" if failed else "pass"})
         if failed:
             self.coordinated_abort(inst, "acceptance_test")
             return
@@ -570,8 +577,9 @@ class Simulator:
             th = self.threads[tid]
             if th.status in (DEAD, DONE):
                 continue
-            self.trace.emit("outcome", inst=inst.key, th=tid,
-                            role=role, outcome=inst.status)
+            self.trace.emit("outcome", None, None, {
+                "inst": inst.key, "outcome": inst.status, "role": role,
+                "th": th.tid_text})
             # children delivered first, so inst's frame is on top
             th.frames.pop()
             if th.frames:
@@ -603,8 +611,8 @@ class Simulator:
             if self.store.node_up(st.coordinator):
                 self.store.append_log(st.coordinator,
                                       LogRecord("abort", st.txn))
-            self.trace.emit("commit2", txn=st.txn,
-                            phase="decision", outcome="abort")
+            self.trace.emit("commit2", st.txn, None,
+                            {"outcome": "abort", "phase": "decision"})
         if inst.savepoint is not None:  # a region of its parent's txn
             self.txns.rollback_to(inst.savepoint)
             inst.savepoint = None
@@ -643,7 +651,7 @@ class Simulator:
         self.store.append_log(p, LogRecord("prepare", st.txn,
                                            coordinator=st.coordinator,
                                            redo=redo))
-        self.trace.emit("commit1", txn=st.txn, node=p)
+        self.trace.emit("commit1", st.txn, None, {"node": p})
         self._send(p, st.coordinator, "ack", Simulator._on_ack, txn, p)
 
     def _on_ack(self, txn, p):
@@ -654,8 +662,9 @@ class Simulator:
 
     def _decide_commit(self, st):
         self.store.append_log(st.coordinator, LogRecord("commit", st.txn))
-        self.trace.emit("commit2", txn=st.txn, phase="decision",
-                        outcome="commit", parts=",".join(st.parts) or "-")
+        self.trace.emit("commit2", st.txn, None, {
+            "outcome": "commit", "parts": ",".join(st.parts) or "-",
+            "phase": "decision"})
         written = set(self.txns.txns[st.txn].writes)
         other = [o for o, _m in self.txns.locktable.locks_of(st.txn)
                  if o not in written]
@@ -677,8 +686,8 @@ class Simulator:
             self.store.apply_commit(name, value, version)
             names.append(name)
         st.applied.add(p)
-        self.trace.emit("commit2", txn=st.txn, phase="apply",
-                        node=p, objs=",".join(names))
+        self.trace.emit("commit2", st.txn, None, {
+            "node": p, "objs": ",".join(names), "phase": "apply"})
         self._apply_grants(self.txns.locktable.release_objects(st.txn, names))
         if st.applied == set(st.parts) \
                 and self.store.node_up(st.coordinator):
@@ -699,19 +708,19 @@ class Simulator:
     def _send(self, src, dst, mkind, fn, *args):
         # src is up: every send runs in a handler on its own node
         self._mid += 1
-        self.trace.emit("msg_send", **{"from": src},
-                        to=dst, mtype=mkind, mid=self._mid)
+        mid = str(self._mid)
+        self.trace.emit("msg_send", None, None,
+                        {"from": src, "mid": mid, "mtype": mkind, "to": dst})
         latency = self.rng.randint(*MSG_LATENCY)
         self.schedule(self.now + latency, Simulator._deliver,
-                      src, dst, mkind, self._mid, fn, args)
+                      src, dst, mkind, mid, fn, args)
 
     def _deliver(self, src, dst, mkind, mid, fn, args):
+        detail = {"from": src, "mid": mid, "mtype": mkind, "to": dst}
         if not self.store.node_up(dst):
-            self.trace.emit("drop", **{"from": src},
-                            to=dst, mtype=mkind, mid=mid)
+            self.trace.emit("drop", None, None, detail)
             return
-        self.trace.emit("msg_recv", **{"from": src},
-                        to=dst, mtype=mkind, mid=mid)
+        self.trace.emit("msg_recv", None, None, detail)
         fn(self, *args)
 
     # ------------------------------------------------------------------
@@ -725,7 +734,7 @@ class Simulator:
         stable_ok = before == [ns.stable for ns in self.store.nodes.values()]
         vol_cleared = not self.store.nodes[node].volatile
         self.crash_checks.append((node, self.now, stable_ok, vol_cleared))
-        self.trace.emit("crash", node=node)
+        self.trace.emit("crash", None, None, {"node": node})
         if self.auto_recover_after is not None:
             self.schedule(self.now + self.auto_recover_after,
                           Simulator._auto_recover, node)
@@ -748,7 +757,7 @@ class Simulator:
         if self.store.node_up(node):
             raise InconsistentFault("recover of up node %s" % node)
         self.store.recover_node(node)
-        self.trace.emit("recover", node=node)
+        self.trace.emit("recover", None, None, {"node": node})
         self._resolve_participant(node)
         self._resolve_coordinator(node)
 

@@ -9,13 +9,13 @@ section at most once and with at most one record per (node, name).
 `SCHEMA` is the one statement of the event format: per event shape, the
 kind, whether txn and obj are present, the exact detail keys and the
 values that tell a kind's shapes apart; `th` and `parent` hold integers.
-The parser rejects a line of no shape at that line.  Rendering checks
-each emitted event's shape, and each sweep parses one run's text in full
-to check that every line parses back to its event, values included.
+The parser rejects a line of no shape at that line, and rendering an
+emitted event of none; each sweep parses one run's text in full to check
+that every line parses back to its event, values included.
 
-`Trace.emit` stamps each event with the trace's clock, `Trace.now`, and
-converts its detail values to strings (one per int value and trace), so
-an emitted event and the same event parsed back from its line are equal.
+`Trace.emit` takes each event's detail as the parser builds it from the
+line, keys in sorted order and values str, and stamps the event with the
+trace's clock, `Trace.now`, so it equals the event parsed back from it.
 `parse` shares each distinct kind, name, detail key, value and token and
 time or txn int between the events it returns, reading its text in
 chunks of about `CHUNK_CHARS` characters, each ending after a newline.
@@ -23,16 +23,16 @@ chunks of about `CHUNK_CHARS` characters, each ending after a newline.
 `record` splits no line: it returns the recorded events themselves once
 each has its line's seq, so no reader of parsed events may change one.
 
-Lines are formatted from one template per event shape, built once and
-shared with every copy of the trace.  `copy` renders the events past the
-source's cache of lines and gives the copy its own list of them, so the
-forks of one paused run format their common prefix once.
+Lines are formatted from `_SHAPES`, the parser's one table built from
+`SCHEMA`, which holds each shape's format beside its checks.  `copy`
+renders the events past the source's cache of lines and gives the copy
+its own list of them, so the forks of one paused run format their common
+prefix once.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
 
 from .errors import MalformedTrace
 
@@ -76,12 +76,16 @@ ALL_KINDS = frozenset(shape.kind for shape in SCHEMA)
 # kind -> the one string for it, so parsed events share their kind
 _KINDS = {k: k for k in ALL_KINDS}
 
-# (kind, has a txn, has an obj, *sorted detail keys) -> the checks of that
-# shape's values, (key, the value it must equal or None for an integer):
-# `_pair` checks each th and parent token, but lets a parent be `-`.
-_SHAPES = {(s.kind, s.txn, s.obj, *s.keys): tuple(
-    (k, s.fixed.get(k)) for k in s.keys
-    if k in s.fixed or k == "parent" and s.kind != "begin") for s in SCHEMA}
+# (kind, has a txn, has an obj, *sorted detail keys) -> that shape's
+# format (of seq, time, txn, obj, *detail values), its checks (key, the
+# value it must equal or None for an integer) and its one INT_KEYS key or
+# None, whose value `_int_value` checks first (the parser once per token).
+_SHAPES = {(s.kind, s.txn, s.obj, *s.keys): (
+    "%%s\t%%s\t%s\t%%s\t%%s\t" % s.kind
+    + " ".join(["%s=%%s" % k for k in s.keys]),
+    tuple((k, s.fixed.get(k)) for k in s.keys
+          if k in s.fixed or k == "parent" and s.kind != "begin"),
+    next((k for k in s.keys if k in INT_KEYS), None)) for s in SCHEMA}
 
 DUMP_SECTIONS = ("initial", "stable", "volatile")
 
@@ -97,17 +101,6 @@ class Event:
     txn: int | None
     obj: str | None
     detail: dict
-
-
-def _template(kind, keys):
-    """The format string of `kind` lines with the sorted detail `keys`, of
-    seq, time, txn, obj and those keys' values, and their values' getter."""
-    head = "%%s\t%%s\t%s\t%%s\t%%s\t" % kind + " ".join(
-        ["%s=%%s" % k for k in keys])
-    if len(keys) == 1:
-        key = keys[0]
-        return head, lambda detail: (detail[key],)
-    return head, itemgetter(*keys)
 
 
 def _is_int(value, ints):
@@ -128,9 +121,16 @@ def _odd_key(detail, checks, ints):
             return key
 
 
+def _int_value(key, value, ints):
+    """Whether `key` of INT_KEYS may hold `value`: an int, or a parent `-`."""
+    return key == "parent" and value == "-" or _is_int(value, ints)
+
+
 def _shape_error(kind, txn, obj, pairs):
     """Why a `kind` event with `txn`, `obj` and the detail (key, value)
     `pairs`, in line order, has no shape (checking fixed values first)."""
+    if kind not in ALL_KINDS:
+        return "unknown event kind %r" % kind
     keys = [k for k, _ in pairs]
     for a, b in zip(keys, keys[1:]):
         if a >= b:
@@ -156,7 +156,9 @@ def _shape_error(kind, txn, obj, pairs):
         if (key in detail) != (key in shape.keys):
             return "%s event %s detail key %r" % (
                 kind, "with unexpected" if key in detail else "lacks", key)
-    key = _odd_key(detail, _SHAPES[(kind, *shape[1:3], *shape.keys)], {})
+    _, checks, key = _SHAPES[(kind, *shape[1:3], *shape.keys)]
+    if key is None or _int_value(key, detail[key], {}):
+        key = _odd_key(detail, checks, {})
     return "non-integer %s %r" % (key, detail[key])
 
 
@@ -176,22 +178,15 @@ class Trace:
     def __init__(self):
         self.events: list[Event] = []
         self.now = 0
-        self._int_text = {}   # int detail value -> its one string
         self._lines = []      # lines of the first events; filled by copy()
-        self._templates = {}  # shape -> its template; shared by copies
         self.by_instance = None   # kept by dag.instance_dag
 
-    def emit(self, kind: str, txn=None, obj=None, **detail) -> Event:
-        """Append an event stamped with `now`."""
-        assert kind in ALL_KINDS, kind
-        for k, v in detail.items():
-            if type(v) is int:    # exact: True == 1 must stay "True"
-                text = self._int_text.get(v)
-                if text is None:
-                    text = self._int_text[v] = str(v)
-                detail[k] = text
-            elif type(v) is not str:
-                detail[k] = str(v)
+    def emit(self, kind: str, txn: int | None, obj: str | None,
+             detail: dict) -> Event:
+        """Append the event `kind` of `txn` on `obj`, stamped with the next
+        seq and `now`.  `detail` is the dict the parser builds from the
+        event's line: its keys in sorted (line) order, every value a str.
+        It is kept as given; rendering checks it against `SCHEMA`."""
         ev = Event(len(self.events), self.now, kind, txn, obj, detail)
         self.events.append(ev)
         return ev
@@ -204,36 +199,29 @@ class Trace:
         tr = Trace()
         tr.events = list(self.events)
         tr._lines = list(done)
-        tr._templates = self._templates
         tr.now = self.now
-        tr._int_text = dict(self._int_text)
         return tr
 
     def lines(self):
-        """Every event's line, from the cache and then each from its
-        shape's template; MalformedTrace at an event of no shape."""
+        """Every event's line, from the cache and then each from its shape's
+        format; MalformedTrace at an event's line where the parser would
+        raise it (keys out of sorted order, no shape, or an odd value)."""
         done = self._lines
-        templates = self._templates
         new = []
+        ints = {}   # integer detail value -> its int, within this call
         for ev in islice(self.events, len(done), None):
-            detail, txn = ev.detail, ev.txn
-            shape = (ev.kind, txn is None, not ev.obj, *detail)
-            try:
-                template, values, checks = templates[shape]
-            except KeyError:
-                keys = sorted(detail)
-                checks = _SHAPES.get((ev.kind, not shape[1], not shape[2],
-                                      *keys))
-                if checks is not None:
-                    template, values, checks = templates[shape] = (
-                        *_template(ev.kind, keys), checks)
-            if checks is None or checks and _odd_key(detail, checks, {}):
+            detail, txn, obj = ev.detail, ev.txn, ev.obj
+            fmt, checks, key = _SHAPES.get(
+                (ev.kind, txn is not None, obj is not None, *detail),
+                (None, (), None))
+            if fmt is None or key and detail[key] not in ints \
+                    and not _int_value(key, detail[key], ints) \
+                    or checks and _odd_key(detail, checks, ints):
                 raise MalformedTrace(_shape_error(
-                    ev.kind, txn, ev.obj or None, sorted(detail.items())),
+                    ev.kind, txn, obj, list(detail.items())),
                     len(done) + len(new) + 1)
-            new.append(template % ((ev.seq, ev.time,
-                                    "-" if txn is None else txn,
-                                    ev.obj or "-") + values(detail)))
+            new.append(fmt % (ev.seq, ev.time, "-" if txn is None else txn,
+                              "-" if obj is None else obj, *detail.values()))
         return done + new if done else new
 
     def render(self, dumps: dict | None = None,
@@ -282,8 +270,7 @@ def _pair(tok: str, strings: dict, ints: dict, lineno: int) -> tuple:
     if "=" not in tok:
         raise MalformedTrace("bad detail token %r" % tok, lineno)
     k, v = tok.split("=", 1)
-    if k in INT_KEYS and (k, v) != ("parent", "-") \
-            and not _is_int(v, ints):
+    if k in INT_KEYS and not _int_value(k, v, ints):
         raise MalformedTrace("non-integer %s %r" % (k, v), lineno)
     return strings.setdefault(k, k), strings.setdefault(v, v)
 
@@ -381,9 +368,9 @@ def parse(text: str, record: Rendered | None = None):
             if pair is None:
                 pair = pairs[tok] = _pair(tok, strings, ints, lineno)
             detail[pair[0]] = pair[1]
-        checks = _SHAPES.get((kind, txn is not None, obj is not None, *detail))
-        if checks is None or len(detail) < len(toks) \
-                or checks and _odd_key(detail, checks, ints):
+        shape = _SHAPES.get((kind, txn is not None, obj is not None, *detail))
+        if shape is None or len(detail) < len(toks) \
+                or shape[1] and _odd_key(detail, shape[1], ints):
             raise MalformedTrace(_shape_error(
                 kind, txn, obj, [pairs[tok] for tok in toks]), lineno)
         events.append(Event(seq, time, kind, txn, obj, detail))

@@ -77,8 +77,8 @@ class TransactionManager:
         txn = Txn(self._next, parent)
         self._next += 1
         self.txns[txn.id] = txn
-        self.trace.emit("begin", txn=txn.id,
-                        parent="-" if parent is None else parent)
+        self.trace.emit("begin", txn.id, None, {
+            "parent": "-" if parent is None else str(parent)})
         return txn
 
     # --- locking ---
@@ -89,27 +89,29 @@ class TransactionManager:
             return "granted"
         status = self.locktable.acquire(txn_id, obj, mode, tag)
         kind = "grant" if status == "granted" else "queue"
-        self.trace.emit(kind, txn=txn_id, obj=obj, mode=mode)
+        self.trace.emit(kind, txn_id, obj, {"mode": mode})
         return status
 
     def emit_grants(self, granted):
         for req in granted:
-            self.trace.emit("grant", txn=req.txn, obj=req.obj, mode=req.mode)
+            self.trace.emit("grant", req.txn, req.obj, {"mode": req.mode})
 
     # --- reads and writes (locks must already be held by caller) ---
 
-    def read(self, txn_id: int, name: str, **ctx) -> bytes:
+    def read(self, txn_id: int, name: str, inst: str, th: str) -> bytes:
         value = self.store.read_volatile(name)
-        self.trace.emit("read", txn=txn_id, obj=name, val=value.hex(), **ctx)
+        self.trace.emit("read", txn_id, name,
+                        {"inst": inst, "th": th, "val": value.hex()})
         return value
 
-    def write(self, txn_id: int, name: str, value: bytes, **ctx):
+    def write(self, txn_id: int, name: str, value: bytes, inst: str, th: str):
         txn = self.txns[txn_id]
         old = self.store.read_volatile(name)
         txn.undo.append((name, old))
         txn.writes[name] = value
         self.store.write_volatile(name, value)
-        self.trace.emit("write", txn=txn_id, obj=name, val=value.hex(), **ctx)
+        self.trace.emit("write", txn_id, name,
+                        {"inst": inst, "th": th, "val": value.hex()})
         if self.unsafe_early_release:
             # deliberately broken variant: strictness violation for
             # mutation testing of the smuggling audit
@@ -126,8 +128,8 @@ class TransactionManager:
         parent.undo.extend(txn.undo)
         parent.writes.update(txn.writes)
         granted = self.locktable.transfer(txn_id, parent.id)
-        self.trace.emit("commit2", txn=txn_id, phase="nested",
-                        parent=parent.id)
+        self.trace.emit("commit2", txn_id, None,
+                        {"parent": str(parent.id), "phase": "nested"})
         return granted
 
     def abort(self, txn_id: int, cause="abort"):
@@ -135,7 +137,7 @@ class TransactionManager:
         writes newest-first and release its locks.  Returns promoted lock
         requests."""
         self._undo_to(self.txns[txn_id], 0)
-        self.trace.emit("abort", txn=txn_id, cause=cause)
+        self.trace.emit("abort", txn_id, None, {"cause": cause})
         return self.locktable.release_all(txn_id)
 
     # --- savepoints (flatten-strategy nested regions) ---

@@ -13,7 +13,11 @@ from casim.trace import ALL_KINDS, Rendered, Trace, parse
 from conftest import TRANSFER, run_text
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
-OP = {"inst": "a", "th": 0}     # the instance and thread of a read or write
+
+
+def _op(val):
+    """The detail of a read or write of `val` by instance `a`'s thread 0."""
+    return {"inst": "a", "th": "0", "val": val}
 
 
 def good_trace_report():
@@ -31,14 +35,16 @@ def test_clean_run_passes_every_audit():
 
 def test_serializability_witness_on_serial_history():
     t = Trace()
-    t.emit("begin", txn=0, parent="-")
-    t.emit("grant", txn=0, obj="x", mode="w")
-    t.emit("write", txn=0, obj="x", val="31", **OP)
-    t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="n1")
-    t.emit("begin", txn=1, parent="-")
-    t.emit("grant", txn=1, obj="x", mode="r")
-    t.emit("read", txn=1, obj="x", val="31", **OP)
-    t.emit("commit2", txn=1, phase="decision", outcome="commit", parts="-")
+    t.emit("begin", 0, None, {"parent": "-"})
+    t.emit("grant", 0, "x", {"mode": "w"})
+    t.emit("write", 0, "x", _op("31"))
+    t.emit("commit2", 0, None, {
+        "outcome": "commit", "parts": "n1", "phase": "decision"})
+    t.emit("begin", 1, None, {"parent": "-"})
+    t.emit("grant", 1, "x", {"mode": "r"})
+    t.emit("read", 1, "x", _op("31"))
+    t.emit("commit2", 1, None, {
+        "outcome": "commit", "parts": "-", "phase": "decision"})
     ok, info = audit.audit_serializability(t.events)
     assert ok
     assert info["witness"] == [0, 1]
@@ -46,14 +52,16 @@ def test_serializability_witness_on_serial_history():
 
 def test_serializability_detects_conflict_cycle():
     t = Trace()
-    t.emit("begin", txn=0, parent="-")
-    t.emit("begin", txn=1, parent="-")
-    t.emit("read", txn=0, obj="x", val="31", **OP)
-    t.emit("write", txn=1, obj="y", val="32", **OP)
-    t.emit("write", txn=1, obj="x", val="33", **OP)
-    t.emit("write", txn=0, obj="y", val="34", **OP)
-    t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="-")
-    t.emit("commit2", txn=1, phase="decision", outcome="commit", parts="-")
+    t.emit("begin", 0, None, {"parent": "-"})
+    t.emit("begin", 1, None, {"parent": "-"})
+    t.emit("read", 0, "x", _op("31"))
+    t.emit("write", 1, "y", _op("32"))
+    t.emit("write", 1, "x", _op("33"))
+    t.emit("write", 0, "y", _op("34"))
+    t.emit("commit2", 0, None, {
+        "outcome": "commit", "parts": "-", "phase": "decision"})
+    t.emit("commit2", 1, None, {
+        "outcome": "commit", "parts": "-", "phase": "decision"})
     ok, info = audit.audit_serializability(t.events)
     assert not ok
     assert set(info["cycle"]) == {0, 1}
@@ -62,15 +70,15 @@ def test_serializability_detects_conflict_cycle():
 def test_serializability_cycle_leaves_out_downstream_transactions():
     t = Trace()
     for txn in (0, 1, 2):
-        t.emit("begin", txn=txn, parent="-")
-    t.emit("read", txn=0, obj="x", val="31", **OP)     # seq 3
-    t.emit("write", txn=1, obj="x", val="33", **OP)    # seq 4
-    t.emit("write", txn=1, obj="y", val="32", **OP)    # seq 5
-    t.emit("write", txn=0, obj="y", val="34", **OP)    # seq 6
-    t.emit("read", txn=2, obj="x", val="33", **OP)     # seq 7: after 1
+        t.emit("begin", txn, None, {"parent": "-"})
+    t.emit("read", 0, "x", _op("31"))     # seq 3
+    t.emit("write", 1, "x", _op("33"))    # seq 4
+    t.emit("write", 1, "y", _op("32"))    # seq 5
+    t.emit("write", 0, "y", _op("34"))    # seq 6
+    t.emit("read", 2, "x", _op("33"))     # seq 7: after 1
     for txn in (0, 1, 2):
-        t.emit("commit2", txn=txn, phase="decision", outcome="commit",
-               parts="-")
+        t.emit("commit2", txn, None, {
+            "outcome": "commit", "parts": "-", "phase": "decision"})
     ok, info = audit.audit_serializability(t.events)
     assert not ok
     assert info["cycle"] == [0, 1]
@@ -82,10 +90,10 @@ def test_serializability_keeps_only_frontier_edges():
     n = 30
     t = Trace()
     for txn in range(n):
-        t.emit("begin", txn=txn, parent="-")
-        t.emit("write", txn=txn, obj="x", val=str(txn), **OP)
-        t.emit("commit2", txn=txn, phase="decision", outcome="commit",
-               parts="-")
+        t.emit("begin", txn, None, {"parent": "-"})
+        t.emit("write", txn, "x", _op(str(txn)))
+        t.emit("commit2", txn, None, {
+            "outcome": "commit", "parts": "-", "phase": "decision"})
     ok, info = audit.audit_serializability(t.events)
     assert ok and info["witness"] == list(range(n))
     assert len(info["edges"]) == n - 1   # every pair would be n(n-1)/2
@@ -137,27 +145,27 @@ def random_histories(draw):
     txns = []
     for _ in range(draw(st.integers(1, 4))):
         tid = len(txns)
-        t.emit("begin", txn=tid, parent="-")
+        t.emit("begin", tid, None, {"parent": "-"})
         txns.append(tid)
         for _ in range(draw(st.integers(0, 2))):
             parent = draw(st.sampled_from(txns[txns.index(tid):]))
-            t.emit("begin", txn=len(txns), parent=parent)
+            t.emit("begin", len(txns), None, {"parent": str(parent)})
             txns.append(len(txns))
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from(["read", "write"]))
-        t.emit(kind, txn=draw(st.sampled_from(txns)),
-               obj=draw(st.sampled_from(objs)), val="0", **OP)
+        t.emit(kind, draw(st.sampled_from(txns)),
+               draw(st.sampled_from(objs)), _op("0"))
     for tid in txns:
         if draw(st.integers(0, 5)) == 0:
-            t.emit("abort", txn=tid, cause="deadlock")
+            t.emit("abort", tid, None, {"cause": "deadlock"})
     view = audit.TxnView(t.events)
     for tid in txns:
         if view.parents[tid] is None:
             outcome = draw(st.sampled_from(["commit", "commit", "abort",
                                             None]))
             if outcome:
-                t.emit("commit2", txn=tid, phase="decision",
-                       outcome=outcome, parts="-")
+                t.emit("commit2", tid, None, {
+                    "outcome": outcome, "parts": "-", "phase": "decision"})
     return t.events
 
 
@@ -187,100 +195,106 @@ def test_frontier_graph_matches_pairwise_reference(events):
 
 def test_serializability_ignores_aborted_transactions():
     t = Trace()
-    t.emit("begin", txn=0, parent="-")
-    t.emit("begin", txn=1, parent="-")
-    t.emit("read", txn=0, obj="x", val="31", **OP)
-    t.emit("write", txn=1, obj="y", val="32", **OP)
-    t.emit("write", txn=1, obj="x", val="33", **OP)
-    t.emit("write", txn=0, obj="y", val="34", **OP)
-    t.emit("abort", txn=1, cause="deadlock")
-    t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="-")
+    t.emit("begin", 0, None, {"parent": "-"})
+    t.emit("begin", 1, None, {"parent": "-"})
+    t.emit("read", 0, "x", _op("31"))
+    t.emit("write", 1, "y", _op("32"))
+    t.emit("write", 1, "x", _op("33"))
+    t.emit("write", 0, "y", _op("34"))
+    t.emit("abort", 1, None, {"cause": "deadlock"})
+    t.emit("commit2", 0, None, {
+        "outcome": "commit", "parts": "-", "phase": "decision"})
     ok, _ = audit.audit_serializability(t.events)
     assert ok
 
 
 def test_smuggling_detects_dirty_read():
     t = Trace()
-    t.emit("begin", txn=0, parent="-")
-    t.emit("begin", txn=1, parent="-")
-    t.emit("write", txn=0, obj="x", val="39", **OP)
-    t.emit("read", txn=1, obj="x", val="39", **OP)  # pre-commit leak
-    t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="-")
+    t.emit("begin", 0, None, {"parent": "-"})
+    t.emit("begin", 1, None, {"parent": "-"})
+    t.emit("write", 0, "x", _op("39"))
+    t.emit("read", 1, "x", _op("39"))  # pre-commit leak
+    t.emit("commit2", 0, None, {
+        "outcome": "commit", "parts": "-", "phase": "decision"})
     ok, problems = audit.scan_smuggling(t.events)
     assert not ok and "txn 1 read x" in problems[0]
 
 
 def test_smuggling_allows_reads_after_writer_resolves():
     t = Trace()
-    t.emit("begin", txn=0, parent="-")
-    t.emit("begin", txn=1, parent="-")
-    t.emit("write", txn=0, obj="x", val="39", **OP)
-    t.emit("abort", txn=0, cause="deadlock")
-    t.emit("read", txn=1, obj="x", val="31", **OP)
+    t.emit("begin", 0, None, {"parent": "-"})
+    t.emit("begin", 1, None, {"parent": "-"})
+    t.emit("write", 0, "x", _op("39"))
+    t.emit("abort", 0, None, {"cause": "deadlock"})
+    t.emit("read", 1, "x", _op("31"))
     ok, _ = audit.scan_smuggling(t.events)
     assert ok
 
 
 def test_smuggling_tracks_anti_inheritance():
     t = Trace()
-    t.emit("begin", txn=0, parent="-")
-    t.emit("begin", txn=1, parent=0)
-    t.emit("write", txn=1, obj="x", val="39", **OP)
-    t.emit("commit2", txn=1, phase="nested", parent=0)
-    t.emit("begin", txn=2, parent="-")
-    t.emit("read", txn=2, obj="x", val="39", **OP)  # now dirty under txn 0
+    t.emit("begin", 0, None, {"parent": "-"})
+    t.emit("begin", 1, None, {"parent": "0"})
+    t.emit("write", 1, "x", _op("39"))
+    t.emit("commit2", 1, None, {"parent": "0", "phase": "nested"})
+    t.emit("begin", 2, None, {"parent": "-"})
+    t.emit("read", 2, "x", _op("39"))  # now dirty under txn 0
     ok, problems = audit.scan_smuggling(t.events)
     assert not ok
 
 
 def test_bracketing_flags_event_outside_action_span():
     t = Trace()
-    t.emit("register", inst="a", role="r", th=0, ok=1)
-    t.emit("read", txn=0, obj="x", val="31", inst="a", th=0)
-    t.emit("outcome", inst="a", th=0, role="r", outcome="committed")
-    t.emit("write", txn=0, obj="x", val="32", inst="a", th=0)  # too late
+    t.emit("register", None, None, {
+        "inst": "a", "ok": "1", "role": "r", "th": "0"})
+    t.emit("read", 0, "x", _op("31"))
+    t.emit("outcome", None, None, {
+        "inst": "a", "outcome": "committed", "role": "r", "th": "0"})
+    t.emit("write", 0, "x", _op("32"))  # too late
     ok, problems = audit.scan_bracketing(t.events)
     assert not ok and "after a outcome" in problems[0]
 
 
 def _txn_trace(*events):
-    """A trace of (kind, txn, detail) events, after the registration of
-    instance `a`, whose reads and writes they are."""
+    """A trace of (kind, txn, detail) events and (kind, txn, obj, detail)
+    ones, after the registration of instance `a`, whose reads and writes
+    they are."""
     t = Trace()
-    t.emit("register", inst="a", role="r", th=0, node="n1", ok=1)
-    for kind, txn, detail in events:
-        t.emit(kind, txn=txn, **detail)
+    t.emit("register", None, None, {
+        "inst": "a", "node": "n1", "ok": "1", "role": "r", "th": "0"})
+    for kind, txn, *obj, detail in events:
+        t.emit(kind, txn, obj[0] if obj else None, detail)
     return t.events
 
 
 TOP = {"parent": "-"}
-NESTED_COMMIT = {"phase": "nested", "parent": 0}
-COMMIT = {"phase": "decision", "outcome": "commit", "parts": "-"}
+NESTED_COMMIT = {"parent": "0", "phase": "nested"}
+COMMIT = {"outcome": "commit", "parts": "-", "phase": "decision"}
 
 
 @pytest.mark.parametrize("events, problem", [
     ([("begin", 0, TOP), ("begin", 0, TOP)], "seq 2: txn 0 begins again"),
-    ([("begin", 1, {"parent": 0})],
+    ([("begin", 1, {"parent": "0"})],
      "seq 1: txn 1 begins under txn 0, which is not open"),
-    ([("begin", 0, TOP), ("abort", 0, {}), ("begin", 1, {"parent": 0})],
+    ([("begin", 0, TOP), ("abort", 0, {}), ("begin", 1, {"parent": "0"})],
      "seq 3: txn 1 begins under txn 0, which is not open"),
-    ([("read", 0, {"obj": "x", "val": "31", **OP}), ("begin", 0, TOP)],
+    ([("read", 0, "x", _op("31")), ("begin", 0, TOP)],
      "seq 1: read by txn 0 before its begin"),
     ([("begin", 0, TOP), ("commit2", 0, COMMIT),
-      ("write", 0, {"obj": "x", "val": "31", **OP})],
+      ("write", 0, "x", _op("31"))],
      "seq 3: write by txn 0 after its end"),
     ([("begin", 0, TOP), ("abort", 0, {}),
-      ("grant", 0, {"obj": "x", "mode": "r"})],
+      ("grant", 0, "x", {"mode": "r"})],
      "seq 3: grant by txn 0 after its end"),
-    ([("begin", 0, TOP), ("begin", 1, {"parent": 0}),
-      ("commit2", 1, NESTED_COMMIT), ("queue", 1, {"obj": "x", "mode": "w"})],
+    ([("begin", 0, TOP), ("begin", 1, {"parent": "0"}),
+      ("commit2", 1, NESTED_COMMIT), ("queue", 1, "x", {"mode": "w"})],
      "seq 4: queue by txn 1 after its end"),
     ([("abort", 0, {})], "seq 1: txn 0 ends before its begin"),
     ([("begin", 0, TOP), ("abort", 0, {}), ("abort", 0, {})],
      "seq 3: txn 0 ends again"),
     ([("begin", 0, TOP), ("commit2", 0, COMMIT), ("abort", 0, {})],
      "seq 3: txn 0 ends again"),
-    ([("begin", 0, TOP), ("begin", 1, {"parent": 0}), ("abort", 0, {})],
+    ([("begin", 0, TOP), ("begin", 1, {"parent": "0"}), ("abort", 0, {})],
      "seq 3: txn 0 ends before its child txn 1"),
 ], ids=["begin_twice", "parent_not_begun", "parent_ended", "op_before_begin",
         "op_after_commit", "grant_after_abort", "queue_after_nested_commit",
@@ -296,13 +310,13 @@ def test_bracketing_accepts_abort_decision_then_abort():
     """An abort decision is not an end; the abort after it is, and the
     apply and late commit1 that may follow are no operations."""
     ok, problems = audit.scan_bracketing(_txn_trace(
-        ("begin", 0, TOP), ("begin", 1, {"parent": 0}),
-        ("grant", 1, {"obj": "x", "mode": "w"}),
+        ("begin", 0, TOP), ("begin", 1, {"parent": "0"}),
+        ("grant", 1, "x", {"mode": "w"}),
         ("commit2", 1, NESTED_COMMIT),
-        ("commit2", 0, {"phase": "decision", "outcome": "abort"}),
+        ("commit2", 0, {"outcome": "abort", "phase": "decision"}),
         ("abort", 0, {}), ("commit1", 0, {"node": "n1"}),
         ("begin", 2, TOP), ("commit2", 2, COMMIT),
-        ("commit2", 2, {"phase": "apply", "node": "n1", "objs": "x"})))
+        ("commit2", 2, {"node": "n1", "objs": "x", "phase": "apply"})))
     assert ok, problems
 
 
@@ -326,23 +340,23 @@ def test_bracketing_flags_a_double_abort_on_every_crash_sweep(monkeypatch):
 
 def test_lock_rule_flags_non_ancestor_coexistence():
     t = Trace()
-    t.emit("begin", txn=0, parent="-")
-    t.emit("begin", txn=1, parent="-")
-    t.emit("grant", txn=0, obj="x", mode="w")
-    t.emit("grant", txn=1, obj="x", mode="w")  # illegal: unrelated txns
+    t.emit("begin", 0, None, {"parent": "-"})
+    t.emit("begin", 1, None, {"parent": "-"})
+    t.emit("grant", 0, "x", {"mode": "w"})
+    t.emit("grant", 1, "x", {"mode": "w"})  # illegal: unrelated txns
     ok, problems = audit.verify_lock_rule(t.events)
     assert not ok and "non-ancestor" in problems[0]
 
 
 def test_lock_rule_accepts_ancestor_and_transfer():
     t = Trace()
-    t.emit("begin", txn=0, parent="-")
-    t.emit("begin", txn=1, parent=0)
-    t.emit("grant", txn=0, obj="x", mode="r")
-    t.emit("grant", txn=1, obj="x", mode="w")  # parent is ancestor: fine
-    t.emit("commit2", txn=1, phase="nested", parent=0)
-    t.emit("begin", txn=2, parent=0)
-    t.emit("grant", txn=2, obj="x", mode="w")  # holder 0 is ancestor
+    t.emit("begin", 0, None, {"parent": "-"})
+    t.emit("begin", 1, None, {"parent": "0"})
+    t.emit("grant", 0, "x", {"mode": "r"})
+    t.emit("grant", 1, "x", {"mode": "w"})  # parent is ancestor: fine
+    t.emit("commit2", 1, None, {"parent": "0", "phase": "nested"})
+    t.emit("begin", 2, None, {"parent": "0"})
+    t.emit("grant", 2, "x", {"mode": "w"})  # holder 0 is ancestor
     ok, problems = audit.verify_lock_rule(t.events)
     assert ok, problems
 
@@ -401,10 +415,10 @@ def test_atomicity_flags_tampered_dump():
 
 def test_durability_failure_detected():
     t = Trace()
-    t.emit("begin", txn=0, parent="-")
-    t.emit("commit2", txn=0, phase="decision", outcome="commit",
-           parts="n1,n2")
-    t.emit("commit2", txn=0, phase="apply", node="n1", objs="x")
+    t.emit("begin", 0, None, {"parent": "-"})
+    t.emit("commit2", 0, None, {
+        "outcome": "commit", "parts": "n1,n2", "phase": "decision"})
+    t.emit("commit2", 0, None, {"node": "n1", "objs": "x", "phase": "apply"})
     ok, problems = audit.check_durability(t.events, up_nodes={"n1", "n2"})
     assert not ok and "never applied at up node n2" in problems[0]
     # a still-down participant is not a durability violation
@@ -416,11 +430,12 @@ def _applied_write():
     """Txn 0 writes x at n1 (version 6, value 31) to 32, commits and
     applies it at n1; y at n2 is never written."""
     t = Trace()
-    t.emit("begin", txn=0, parent="-")
-    t.emit("grant", txn=0, obj="x", mode="w")
-    t.emit("write", txn=0, obj="x", val="32", **OP)
-    t.emit("commit2", txn=0, phase="decision", outcome="commit", parts="n1")
-    t.emit("commit2", txn=0, phase="apply", node="n1", objs="x")
+    t.emit("begin", 0, None, {"parent": "-"})
+    t.emit("grant", 0, "x", {"mode": "w"})
+    t.emit("write", 0, "x", _op("32"))
+    t.emit("commit2", 0, None, {
+        "outcome": "commit", "parts": "n1", "phase": "decision"})
+    t.emit("commit2", 0, None, {"node": "n1", "objs": "x", "phase": "apply"})
     return t.events
 
 
@@ -473,12 +488,13 @@ def histories_with_other_kinds(draw):
     t = Trace()
     for ev in draw(random_histories()):
         for _ in range(draw(st.integers(0, 2))):
-            t.emit(draw(st.sampled_from(_OTHER_KINDS)), txn=ev.txn,
-                   obj=ev.obj, inst="a", mode="w", node="n1", objs="x",
-                   outcome="commit", parent=ev.txn, parts="n1", val="9",
-                   phase=draw(st.sampled_from(["decision", "apply",
-                                               "nested"])))
-        t.emit(ev.kind, txn=ev.txn, obj=ev.obj, **ev.detail)
+            t.emit(draw(st.sampled_from(_OTHER_KINDS)), ev.txn, ev.obj, {
+                "inst": "a", "mode": "w", "node": "n1", "objs": "x",
+                "outcome": "commit", "parent": str(ev.txn), "parts": "n1",
+                "phase": draw(st.sampled_from(["decision", "apply",
+                                               "nested"])),
+                "val": "9"})
+        t.emit(ev.kind, ev.txn, ev.obj, ev.detail)
     return t.events
 
 
@@ -623,12 +639,12 @@ def test_audit_trace_rejects_a_trace_without_a_dump_section():
 
 def test_durability_problem_names_the_decision_seq():
     t = Trace()
-    t.emit("begin", txn=0, parent="-")
-    t.emit("grant", txn=0, obj="x", mode="w")
-    t.emit("write", txn=0, obj="x", val="31", **OP)
-    t.emit("commit2", txn=0, phase="decision", outcome="commit",
-           parts="n1,n2")
-    t.emit("commit2", txn=0, phase="apply", node="n1", objs="x")
+    t.emit("begin", 0, None, {"parent": "-"})
+    t.emit("grant", 0, "x", {"mode": "w"})
+    t.emit("write", 0, "x", _op("31"))
+    t.emit("commit2", 0, None, {
+        "outcome": "commit", "parts": "n1,n2", "phase": "decision"})
+    t.emit("commit2", 0, None, {"node": "n1", "objs": "x", "phase": "apply"})
     events, _ = parse(t.render())
     ok, problems = audit.check_durability(events, up_nodes={"n1", "n2"})
     assert not ok

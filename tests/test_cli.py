@@ -9,7 +9,11 @@ from casim.trace import Trace
 from conftest import TRANSFER
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-OP = {"inst": "a", "th": 0}     # the instance and thread of a read or write
+
+
+def _op(val):
+    """The detail of a read or write of `val` by instance `a`'s thread 0."""
+    return {"inst": "a", "th": "0", "val": val}
 
 
 def write_scn(tmp_path, text=TRANSFER):
@@ -280,15 +284,15 @@ def test_division_by_zero_aborts_the_instance(tmp_path, capsys, monkeypatch,
 
 def test_failed_serializability_prints_cycle_and_conflicts(capsys):
     t = Trace()
-    t.emit("begin", txn=0, parent="-")
-    t.emit("begin", txn=1, parent="-")
-    t.emit("read", txn=0, obj="x", val="31", **OP)     # seq 2
-    t.emit("write", txn=1, obj="x", val="33", **OP)    # seq 3
-    t.emit("write", txn=1, obj="y", val="32", **OP)    # seq 4
-    t.emit("write", txn=0, obj="y", val="34", **OP)    # seq 5
+    t.emit("begin", 0, None, {"parent": "-"})
+    t.emit("begin", 1, None, {"parent": "-"})
+    t.emit("read", 0, "x", _op("31"))     # seq 2
+    t.emit("write", 1, "x", _op("33"))    # seq 3
+    t.emit("write", 1, "y", _op("32"))    # seq 4
+    t.emit("write", 0, "y", _op("34"))    # seq 5
     for txn in (0, 1):
-        t.emit("commit2", txn=txn, phase="decision", outcome="commit",
-               parts="-")
+        t.emit("commit2", txn, None, {
+            "outcome": "commit", "parts": "-", "phase": "decision"})
     report = {"serializability": audit.audit_serializability(t.events),
               "ok": False}
     assert cli._print_report(report) == 1
@@ -298,3 +302,17 @@ def test_failed_serializability_prints_cycle_and_conflicts(capsys):
         "\ttxn 0 -> txn 1: x at seq 2 then seq 3",
         "\ttxn 1 -> txn 0: y at seq 4 then seq 5",
     ]
+
+
+@pytest.mark.parametrize("count", [10, 13])
+def test_report_says_how_many_problems_it_leaves_out(capsys, count):
+    """At most ten problems of an audit are printed; a line after them
+    counts the rest."""
+    problems = ["seq %d: problem" % i for i in range(count)]
+    report = {"bracketing": (False, problems), "smuggling": (True, []),
+              "ok": False}
+    assert cli._print_report(report) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "audit\tbracketing\tFAIL", *["\t" + p for p in problems[:10]],
+        *["\t... %d more" % (count - 10)] * (count > 10),
+        "audit\tsmuggling\tpass"]

@@ -93,22 +93,11 @@ def test_sweep_format_guard_rejects_lines_that_do_not_parse_back(
     audits, which read the recorded events, would not see it, so each
     sweep's full parse of a first run rejects it: the seed sweep's first
     seed, the crash sweep's fault-free run."""
-    real = trace._template
-
-    def longer(kind, keys):
-        template, values = real(kind, keys)
-        if kind != "read":
-            return template, values
-        at = keys.index("val")
-
-        def longer_values(detail):
-            got = values(detail)
-            return got[:at] + (got[at] + "0",) + got[at + 1:]
-        return template, longer_values
-
+    read = ("read", True, True, "inst", "th", "val")   # val ends the line
+    fmt, *checks = trace._SHAPES[read]
     sc = load_scenario(str(SCENARIO_DIR / "flat_transfer.scn"))
     run_sweep(sc)
-    monkeypatch.setattr(trace, "_template", longer)
+    monkeypatch.setitem(trace._SHAPES, read, (fmt + "0", *checks))
     res = Simulator(sc).run()
     text = res.trace_text()
     events, _ = trace.parse(text)

@@ -15,10 +15,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def make_trace():
     t = trace.Trace()
-    t.emit("begin", txn=0, parent="-")
+    t.emit("begin", 0, None, {"parent": "-"})
     t.now = 1
-    t.emit("grant", txn=0, obj="x", mode="w")
-    t.emit("write", txn=0, obj="x", val="32", th=0, inst="a")
+    t.emit("grant", 0, "x", {"mode": "w"})
+    t.emit("write", 0, "x", {"inst": "a", "th": "0", "val": "32"})
     return t
 
 
@@ -34,7 +34,7 @@ def test_emit_stamps_the_trace_clock():
 
 def test_detail_keys_sorted():
     t = trace.Trace()
-    t.emit("write", txn=1, obj="x", val="aa", inst="k", th=3)
+    t.emit("write", 1, "x", {"inst": "k", "th": "3", "val": "aa"})
     det = t.lines()[0].split("\t")[5]
     assert det == "inst=k th=3 val=aa"
 
@@ -116,12 +116,6 @@ def test_parse_keeps_one_record_per_section():
             "[volatile]\nn1\tx\t1\t32\n")
     _, dumps = trace.parse(text)
     assert [len(dumps[s]) for s in trace.DUMP_SECTIONS] == [3, 1, 1]
-
-
-def test_emit_asserts_known_kind():
-    t = trace.Trace()
-    with pytest.raises(AssertionError):
-        t.emit("nonsense")
 
 
 def test_parse_rejects_non_integer_txn():
@@ -218,9 +212,9 @@ _INTS = st.integers(-5, 10 ** 6).map(str)
 
 @st.composite
 def _detail(draw, shape):
-    """A detail dict of `shape`, its keys in an order of their own."""
+    """A detail dict of `shape`, its keys in line order."""
     detail = {}
-    for key in draw(st.permutations(shape.keys)):
+    for key in shape.keys:
         if key in shape.fixed:
             detail[key] = shape.fixed[key]
         elif key in trace.INT_KEYS:
@@ -264,8 +258,8 @@ def test_only_a_copied_trace_keeps_rendered_lines():
     assert t._lines == c._lines == text.splitlines()
     assert c._lines is not t._lines
     c.now = t.now = 2
-    c.emit("commit1", txn=0, node="n1")
-    t.emit("abort", txn=0, cause="deadlock")
+    c.emit("commit1", 0, None, {"node": "n1"})
+    t.emit("abort", 0, None, {"cause": "deadlock"})
     assert c.render() == text + "3\t2\tcommit1\t0\t-\tnode=n1\n"
     assert t.render() == text + "3\t2\tabort\t0\t-\tcause=deadlock\n"
     assert len(t._lines) == len(c._lines) == 3
@@ -289,8 +283,7 @@ def _reference_line(ev):
 
 @st.composite
 def _shaped_events(draw):
-    """Events of a few schema shapes, each event's keys inserted in an
-    order of its own, so one shape comes in several key orders."""
+    """Events of a few schema shapes."""
     shapes = draw(st.lists(st.sampled_from(trace.SCHEMA), min_size=1,
                            max_size=4))
     events = []
@@ -307,27 +300,23 @@ def _shaped_events(draw):
 @settings(max_examples=200, deadline=None)
 @given(_shaped_events(), st.integers(0, 12))
 @example([trace.Event(0, 0, "read", 3, "x",
-                      {"th": "0", "inst": "%s", "val": "50%"}),
+                      {"inst": "%s", "th": "0", "val": "50%"}),
           trace.Event(1, 1, "read", 3, "x",
-                      {"inst": "k", "val": "%", "th": "1"}),
+                      {"inst": "k", "th": "1", "val": "%"}),
           trace.Event(2, 2, "crash", None, None, {"node": "%%"})], 2)
 def test_lines_match_the_per_event_formula(events, cut):
-    """Lines from the per-shape templates are those of the old formula,
-    also in a copy made after `cut` events, which shares the source's
-    templates and renders what a fresh trace of all the events does."""
+    """Lines from the shape table's formats are those of the old formula,
+    also in a copy made after `cut` events, which renders what a fresh
+    trace of all the events does."""
     t = trace.Trace()
     t.events = events[:cut]
     assert t.lines() == [_reference_line(ev) for ev in t.events]
     fork = t.copy()
-    assert fork._templates is t._templates
     fork.events += events[cut:]
     fresh = trace.Trace()
     fresh.events = list(events)
     assert fork.render() == fresh.render() == ("".join(
         _reference_line(ev) + "\n" for ev in events) or "\n")
-    assert len(t._templates) == len({
-        (ev.kind, ev.txn is not None, ev.obj is not None, *ev.detail)
-        for ev in events})
 
 
 # --- the parser before it shared values and streamed its lines, kept as
@@ -478,19 +467,20 @@ def _random_trace(rng):
     events = []
     for seq in range(rng.randint(0, 200)):
         shape = rng.choice(trace.SCHEMA)
-        detail = {}
+        drawn = {}      # values drawn in an order of their own
         for key in rng.sample(shape.keys, len(shape.keys)):
             if key in shape.fixed:
-                detail[key] = shape.fixed[key]
+                drawn[key] = shape.fixed[key]
             elif key in trace.INT_KEYS:   # a begin's parent may be "-"
-                detail[key] = str(rng.choice(
+                drawn[key] = str(rng.choice(
                     _FEW_INTS + ["-"] * (shape.kind == "begin")))
             else:
-                detail[key] = rng.choice(_FEW_VALUES)
+                drawn[key] = rng.choice(_FEW_VALUES)
         events.append(trace.Event(
             seq, rng.choice(_FEW_INTS), shape.kind,
             rng.choice(_FEW_INTS) if shape.txn else None,
-            rng.choice(_FEW_OBJS) if shape.obj else None, detail))
+            rng.choice(_FEW_OBJS) if shape.obj else None,
+            {key: drawn[key] for key in shape.keys}))
     t = trace.Trace()
     t.events = events
     dumps = rng.choice([None, {"initial": ["n1\tx\t0\t31"],
@@ -683,23 +673,12 @@ def test_parse_shares_repeated_values():
     t = trace.Trace()
     t.now = 5000
     for _ in range(3):
-        t.emit("grant", txn=7000, obj="acct_a", mode="w")
+        t.emit("grant", 7000, "acct_a", {"mode": "w"})
     events, _ = trace.parse(t.render())
     assert events[0].time is events[1].time is events[2].time
     assert events[0].txn is events[1].txn is events[2].txn
     assert events[0].obj is events[1].obj is events[2].obj
     assert len({id(ev.detail) for ev in events}) == 3
-
-
-def test_emit_shares_the_string_of_each_int():
-    t = trace.Trace()
-    for th in (3, 1234):
-        a = t.emit("step", th=th)
-        b = t.emit("step", th=th)
-        assert a.detail["th"] == str(th)
-        assert a.detail["th"] is b.detail["th"]
-    ev = t.emit("step", th=1, ok=True)
-    assert ev.detail == {"th": "1", "ok": "True"}
 
 
 # --- parsing through a render's record ---
@@ -739,12 +718,22 @@ def _assert_recorded_parse_is_plain(text, record, emitted):
     _assert_unchanged(record, kept)
 
 
+def _assert_as_parsed(events):
+    """Each event's detail is what the parser builds from its line: every
+    value a str, the keys in line (sorted) order."""
+    for ev in events:
+        assert list(ev.detail) == sorted(ev.detail), ev
+        assert all(type(v) is str for v in ev.detail.values()), ev
+
+
 def _assert_sweep_forks_parse_plain(scenario, **kw):
-    """Every run that crash_sweep(scenario) audits parses through its own
-    render's record as a plain parse does; returns the number of runs."""
+    """Every run that crash_sweep(scenario) audits emits its details as
+    parsed and parses through its own render's record as a plain parse
+    does; returns the number of runs."""
     runs = []
 
     def check(res, *args, **kw):
+        _assert_as_parsed(res.trace.events)
         text, record = _recorded(res.trace, res.dumps())
         _assert_recorded_parse_is_plain(text, record, res.trace.events)
         runs.append(len(record.events))
@@ -759,10 +748,11 @@ def _assert_sweep_forks_parse_plain(scenario, **kw):
 
 def test_recorded_parse_matches_a_plain_parse():
     """Over reference runs under every strategy and seed 0-4, every crash
-    sweep fork of crash_recover.scn and of the crash_sweep workload, and
-    nested_seeds at seeds 0-4, the parse of each run's text through its
-    render's record gives the run's emitted events, equal to what a plain
-    parse rebuilds."""
+    sweep fork of crash_recover.scn and of the crash_sweep workload,
+    nested_seeds at seeds 0-4 and contended_2pc (the workloads at seed 1),
+    each event the run emits has its detail as the parser builds it, and
+    the parse of each run's text through its render's record gives the
+    run's emitted events, equal to what a plain parse rebuilds."""
     paths = sorted((ROOT / "scenarios").glob("*.scn"))
     workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
     nested = parse_scenario(workloads["nested_seeds"](1))
@@ -771,8 +761,10 @@ def test_recorded_parse_matches_a_plain_parse():
             for path in paths for strategy in (None, "flatten", "nested")
             for seed in range(5)]
     runs += [Simulator(nested, seed=seed).run() for seed in range(5)]
-    assert len(runs) == len(paths) * 15 + 5
+    runs.append(Simulator(parse_scenario(workloads["contended_2pc"](1))).run())
+    assert len(runs) == len(paths) * 15 + 6
     for res in runs:
+        _assert_as_parsed(res.trace.events)
         text, record = _recorded(res.trace, res.dumps())
         assert text == res.trace_text()
         _assert_recorded_parse_is_plain(text, record, res.trace.events)
@@ -786,8 +778,8 @@ def test_recorded_parse_matches_a_plain_parse():
 
 def _two_events():
     t = trace.Trace()
-    t.emit("begin", txn=0, parent="-")
-    t.emit("grant", txn=0, obj="x", mode="w")
+    t.emit("begin", 0, None, {"parent": "-"})
+    t.emit("grant", 0, "x", {"mode": "w"})
     return t, *_recorded(t)
 
 
@@ -825,8 +817,8 @@ def test_reused_lines_still_check_their_seq():
     _assert_raises_leaving_record(text, record, 1, "seq 1 out of order")
 
 
-READ = {"inst": "a", "th": 0, "val": "31"}
-REGISTER = {"inst": "a", "role": "r", "th": 0, "node": "n1", "ok": 1}
+READ = {"inst": "a", "th": "0", "val": "31"}
+REGISTER = {"inst": "a", "node": "n1", "ok": "1", "role": "r", "th": "0"}
 
 
 @pytest.mark.parametrize("events, line, message", [
@@ -835,29 +827,40 @@ REGISTER = {"inst": "a", "role": "r", "th": 0, "node": "n1", "ok": 1}
      "grant event needs a txn and an obj"),
     ([("crash", 0, None, {"node": "n1"})], 2,
      "crash event needs no txn and no obj"),
-    ([("commit2", 0, None, {"phase": "nested", "parent": "x"})], 2,
+    ([("commit2", 0, None, {"parent": "x", "phase": "nested"})], 2,
      "non-integer parent 'x'"),
-    ([("read", 0, "x", dict(READ, x=1))], 2,
+    ([("read", 0, "x", dict(READ, x="1"))], 2,
      "read event with unexpected detail key 'x'"),
-    ([("register", None, None, dict(REGISTER, ok=True))], 2,
+    ([("register", None, None, dict(REGISTER, ok="True"))], 2,
      "register event with unknown ok 'True'"),
     ([("register", None, None, REGISTER),
-      ("register", None, None, dict(REGISTER, ok=2))], 3,
+      ("register", None, None, dict(REGISTER, ok="2"))], 3,
      "register event with unknown ok '2'"),
+    ([("read", 0, "x", dict(READ, th="x"))], 2, "non-integer th 'x'"),
+    ([("read", 0, "x", READ), ("read", 0, "x", dict(READ, th="x"))], 3,
+     "non-integer th 'x'"),
+    ([("begin", 1, None, {"parent": "x"})], 2, "non-integer parent 'x'"),
+    ([("commit2", 0, None, {"parent": "-", "phase": "nested"})], 2,
+     "non-integer parent '-'"),
+    ([("read", 0, "x", {"th": "0", "inst": "a", "val": "31"})], 2,
+     "detail key 'inst' out of sorted order"),
+    ([("nonsense", None, None, {})], 2, "unknown event kind 'nonsense'"),
 ], ids=["no_key", "no_obj", "a_txn", "parent_x", "unexpected_key", "ok_true",
-        "second_of_a_shape"])
+        "second_of_a_shape", "th_x", "th_x_after_th_0", "begin_parent_x",
+        "nested_parent_dash", "keys_out_of_order", "unknown_kind"])
 def test_rendering_an_event_of_no_shape_raises_at_its_line(events, line,
                                                            message):
     """Emitted events are checked against SCHEMA as they are rendered (a
-    parse through the record of a render checks only their seqs): one of
-    no shape raises MalformedTrace at the line it would have, in a copy
-    of a trace too."""
+    parse through the record of a render checks only their seqs), as the
+    parser checks a line: one of no shape, or with a value its shape rules
+    out, raises MalformedTrace at the line it would have, in a copy of a
+    trace too."""
     t = trace.Trace()
-    t.emit("begin", txn=0, parent="-")
+    t.emit("begin", 0, None, {"parent": "-"})
     fork = t.copy()
     for trc in (t, fork):
         for kind, txn, obj, detail in events:
-            trc.emit(kind, txn=txn, obj=obj, **detail)
+            trc.emit(kind, txn, obj, detail)
         with pytest.raises(MalformedTrace) as e:
             trc.render({}, trace.Rendered())
         assert (e.value.line, str(e.value)) == (line, "line %d: %s"

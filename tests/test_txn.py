@@ -2,6 +2,8 @@ from casim.store import ObjectStore
 from casim.trace import Trace
 from casim.txn import TransactionManager
 
+OP = ("a", "0")     # the writing instance's key and its thread's id
+
 
 def make():
     store = ObjectStore(["n1", "n2"])
@@ -24,7 +26,7 @@ def test_write_is_in_place_and_undo_restores():
     store, tm = make()
     t = tm.begin()
     tm.acquire(t.id, "x", "w")
-    tm.write(t.id, "x", b"9")
+    tm.write(t.id, "x", b"9", *OP)
     assert store.read_volatile("x") == b"9"
     tm.abort(t.id)
     assert store.read_volatile("x") == b"1"
@@ -35,7 +37,7 @@ def test_nested_commit_anti_inherits_undo_and_writes():
     top = tm.begin()
     child = tm.begin(top.id)
     tm.acquire(child.id, "x", "w")
-    tm.write(child.id, "x", b"5")
+    tm.write(child.id, "x", b"5", *OP)
     tm.commit_nested(child.id)
     assert top.writes == {"x": b"5"}
     assert tm.locktable.held_mode("x", top.id) == "w"
@@ -48,10 +50,10 @@ def test_child_abort_leaves_parent_intact():
     store, tm = make()
     top = tm.begin()
     tm.acquire(top.id, "y", "w")
-    tm.write(top.id, "y", b"7")
+    tm.write(top.id, "y", b"7", *OP)
     child = tm.begin(top.id)
     tm.acquire(child.id, "x", "w")
-    tm.write(child.id, "x", b"5")
+    tm.write(child.id, "x", b"5", *OP)
     tm.abort(child.id)
     assert store.read_volatile("x") == b"1"
     assert store.read_volatile("y") == b"7"
@@ -61,12 +63,12 @@ def test_abort_undoes_newest_first_across_subtree():
     store, tm = make()
     top = tm.begin()
     tm.acquire(top.id, "x", "w")
-    tm.write(top.id, "x", b"2")
+    tm.write(top.id, "x", b"2", *OP)
     child = tm.begin(top.id)
     tm.acquire(child.id, "x", "w")
-    tm.write(child.id, "x", b"3")
+    tm.write(child.id, "x", b"3", *OP)
     tm.commit_nested(child.id)
-    tm.write(top.id, "x", b"4")
+    tm.write(top.id, "x", b"4", *OP)
     tm.abort(top.id)
     assert store.read_volatile("x") == b"1"
 
@@ -75,11 +77,11 @@ def test_savepoint_rollback_restores_partial_region():
     store, tm = make()
     t = tm.begin()
     tm.acquire(t.id, "x", "w")
-    tm.write(t.id, "x", b"2")
+    tm.write(t.id, "x", b"2", *OP)
     sp = tm.savepoint(t.id)
-    tm.write(t.id, "x", b"3")
+    tm.write(t.id, "x", b"3", *OP)
     tm.acquire(t.id, "y", "w")
-    tm.write(t.id, "y", b"8")
+    tm.write(t.id, "y", b"8", *OP)
     tm.rollback_to(sp)
     assert store.read_volatile("x") == b"2"
     assert store.read_volatile("y") == b"2"
@@ -91,8 +93,8 @@ def test_writes_by_node_groups_by_home():
     t = tm.begin()
     tm.acquire(t.id, "x", "w")
     tm.acquire(t.id, "y", "w")
-    tm.write(t.id, "x", b"5")
-    tm.write(t.id, "y", b"6")
+    tm.write(t.id, "x", b"5", *OP)
+    tm.write(t.id, "y", b"6", *OP)
     assert tm.writes_by_node(t.id) == {"n1": {"x": b"5"}, "n2": {"y": b"6"}}
 
 
@@ -102,5 +104,5 @@ def test_unsafe_early_release_drops_write_lock():
     tm = TransactionManager(store, Trace(), unsafe_early_release=True)
     t = tm.begin()
     tm.acquire(t.id, "x", "w")
-    tm.write(t.id, "x", b"2")
+    tm.write(t.id, "x", b"2", *OP)
     assert tm.locktable.held_mode("x", t.id) is None
