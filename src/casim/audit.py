@@ -24,6 +24,12 @@ state as sorted dump lines and compares them with the `[stable]` lines,
 and compares `[volatile]` with the `[stable]` lines of the up nodes; it
 parses the dump lines only to explain a difference, record by record.
 
+A caller that rendered the text may pass `audit_trace` the emitted
+events and dump records it rendered, in place of a parse of the text:
+`Trace.emit` numbers each event by its place and rendering checks it as
+the parser checks its line, so the report is the same.  The passes only
+read the events, which a run shares with its forks.
+
 `audit_trace` pauses the cyclic collector while it parses and runs the
 passes, and restores the caller's setting when it returns or raises.
 Parsed events, detail dicts and every pass's indexes hold no reference
@@ -304,7 +310,7 @@ def scan_atomicity(events, dumps, up_nodes):
         top = view.top(ev.txn)
         if ev.seq < view.decision_seq.get(top, float("inf")):
             final_write[(top, ev.obj)] = ev.detail["val"]
-    state = _parse_dump_lines(dumps.get("initial", []))
+    state = _parse_dump_lines(dumps["initial"])
     homes = {name: node for (node, name) in state}
     for ev in events:
         if ev.kind == "commit2" and ev.detail["phase"] == "apply":
@@ -323,10 +329,10 @@ def scan_atomicity(events, dumps, up_nodes):
                                     "write in txn %d" % (ev.seq, obj, ev.txn))
                     continue
                 state[key] = (version + 1, val)
-    stable_lines = dumps.get("stable", [])
+    stable_lines = dumps["stable"]
     replayed = sorted(["%s\t%s\t%d\t%s" % (node, name, version, value)
                        for (node, name), (version, value) in state.items()])
-    volatile_lines = dumps.get("volatile", [])
+    volatile_lines = dumps["volatile"]
     up_stable = [ln for ln in stable_lines
                  if ln[:ln.index("\t")] in up_nodes]
     if replayed == stable_lines and volatile_lines == up_stable:
@@ -430,13 +436,13 @@ def verify_lock_rule(events):
 
 
 @pause_cyclic_gc
-def audit_trace(text: str, all_nodes=None, record=None):
+def audit_trace(text: str, all_nodes=None, emitted=None):
     """Run every audit over a rendered trace file.  Returns a dict of
     check name -> (ok, info); key "ok" aggregates.  Raises MalformedTrace
-    on schema violations and when a dump section is missing.  `record`,
-    what the render of `text` kept, is passed to `trace.parse`, so the
-    passes may read a run's emitted events; they never change one."""
-    events, dumps = trace_mod.parse(text, record)
+    on schema violations and when a dump section is missing.  `emitted`,
+    if given, is the (events, dumps) that `text` was rendered from, which
+    the passes read in place of `trace.parse(text)`; they change none."""
+    events, dumps = emitted or trace_mod.parse(text)
     for section in trace_mod.DUMP_SECTIONS:
         if section not in dumps:
             raise MalformedTrace("trace has no [%s] dump section" % section)

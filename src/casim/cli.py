@@ -106,12 +106,10 @@ def _cmd_run(args) -> int:
                     horizon=args.horizon).run()
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     trace_path = args.trace or _out_path(stem + ".trace")
-    record = trace.Rendered()   # the audit reads the emitted events
-    text = res.trace_text(record)
+    text, dumps, report = sweep.audit_run(res, sc.nodes)
     with open(trace_path, "w") as f:
         f.write(text)
     if args.dump:
-        dumps = res.dumps()
         with open(args.dump, "w") as f:
             for section in trace.DUMP_SECTIONS:
                 f.write("[%s]\n" % section)
@@ -122,7 +120,6 @@ def _cmd_run(args) -> int:
     for err, key, role, tid in res.rejections:
         print("rejected\t%s\t%s\t%s" % (key, role, err))
     print("trace\t%s\t%d events" % (trace_path, len(res.trace.events)))
-    report = audit.audit_trace(text, all_nodes=sc.nodes, record=record)
     return _print_report(report)
 
 

@@ -52,7 +52,7 @@ from .errors import DeadlockVictim, InconsistentFault, NodeDown
 from .gcpause import pause_cyclic_gc
 from .scenario import Scenario
 from .store import LogRecord, ObjectStore, encode_value, decode_value
-from .trace import Rendered, Trace
+from .trace import Trace
 from .txn import TransactionManager
 
 MSG_LATENCY = (1, 3)
@@ -159,8 +159,8 @@ class Simulator:
                 "stable": self.store.dump_stable(),
                 "volatile": self.store.dump_volatile()}
 
-    def trace_text(self, record: Rendered | None = None) -> str:
-        return self.trace.render(self.dumps(), record)
+    def trace_text(self) -> str:
+        return self.trace.render(self.dumps())
 
     @property
     def now(self) -> int:

@@ -9,14 +9,14 @@ node, not once per crash point.  Each fork crashes through the
 would.  The seed sweep reruns the scenario across a seed range.  Both
 return one verdict row per run.
 
-Each run's audit is given its whole trace text and the record its render
-kept (`trace.Rendered`).  The text is the one recorded, so `trace.parse`
-hands the audit the events the run emitted and the dump records it
-wrote, and splits no line of the text.  That holds only while parsing a
-rendered line rebuilds the event or dump record it was rendered from, so
-each sweep parses its first run's text in full as well, and the crash
-sweep its fault-free run's, and raises MalformedTrace if that parse
-fails or does not give back the emitted events and the dump records.
+Each run, and that of `casim run`, is rendered and audited by
+`audit_run`, which hands `audit.audit_trace` the text with the events
+and dump records it was rendered from, so no line of the text is split.
+That holds only while parsing a rendered line rebuilds the event or dump
+record it was rendered from, so each sweep parses its first run's text
+in full as well, and the crash sweep its fault-free run's, and raises
+MalformedTrace if that parse fails or does not give back the emitted
+events and the dump records.
 
 Both sweeps pause the cyclic collector throughout.  Every run is freed
 by reference counting before the next one starts, so a collection
@@ -32,15 +32,20 @@ from .gcpause import pause_cyclic_gc
 from .scenario import Fault, Scenario
 
 
-def _audit_run(res, all_nodes, round_trip=False):
-    record = trace.Rendered()
-    text = res.trace_text(record)
+def audit_run(res, all_nodes, round_trip=False):
+    """Render finished run `res` with its dumps and audit it from what the
+    text was rendered from; with `round_trip`, first check that a full
+    parse of the text gives that back.  Returns (text, dumps, report)."""
+    dumps = res.dumps()
+    text = res.trace.render(dumps)
     if round_trip:
-        _check_round_trip(text, record)
-    report = audit.audit_trace(text, all_nodes=all_nodes, record=record)
-    failures = [name for name, v in report.items()
-                if name != "ok" and not v[0]]
-    return report["ok"], failures
+        _check_round_trip(text, res.trace.events, dumps)
+    return text, dumps, audit.audit_trace(text, all_nodes,
+                                          (res.trace.events, dumps))
+
+
+def _failures(report) -> list:
+    return [name for name, v in report.items() if name != "ok" and not v[0]]
 
 
 def _first_difference(a, b) -> int:
@@ -48,18 +53,17 @@ def _first_difference(a, b) -> int:
                 min(len(a), len(b)))
 
 
-def _check_round_trip(text, record):
+def _check_round_trip(text, events, dumps):
     """Raise MalformedTrace, at the first line that differs, unless a plain
-    parse of `text` gives back the events and the dump records `record`
-    holds."""
-    parsed, dumps = trace.parse(text)
-    if parsed != record.events:
+    parse of `text` gives back `events` and the records of `dumps`."""
+    parsed, parsed_dumps = trace.parse(text)
+    if parsed != events:
         raise MalformedTrace("parsing this line does not give back the "
                              "event it was rendered from",
-                             _first_difference(parsed, record.events) + 1)
+                             _first_difference(parsed, events) + 1)
     line = len(parsed) + 1      # the `dump` line
-    for section, rendered in record.dumps.items():
-        got = dumps.get(section, [])
+    for section, rendered in dumps.items():
+        got = parsed_dumps.get(section, [])
         if got != rendered:
             raise MalformedTrace("parsing this line does not give back the "
                                  "[%s] record it was rendered from" % section,
@@ -74,10 +78,10 @@ def crash_sweep(scenario: Scenario, recover_after=100, stride=1) -> list:
     fault_free = replace(scenario, faults=[])
     free = Simulator(fault_free).run()
     # a first fork that crashes early emits few kinds of event
-    record = trace.Rendered()
-    _check_round_trip(free.trace_text(record), record)
+    dumps = free.dumps()
+    _check_round_trip(free.trace.render(dumps), free.trace.events, dumps)
     n_events = len(free.trace.events)
-    del free, record
+    del free, dumps
     horizon = scenario.horizon + recover_after + 200
     rows = []
     for node in scenario.nodes:
@@ -89,7 +93,7 @@ def crash_sweep(scenario: Scenario, recover_after=100, stride=1) -> list:
             # fired before any other work if the base reached `index`
             res.indexed_faults = [Fault("index", index, "crash", node)]
             res.run()
-            ok, failures = _audit_run(res, scenario.nodes, not rows)
+            report = audit_run(res, scenario.nodes, not rows)[2]
             stable_ok = all(c[2] for c in res.crash_checks)
             vol_ok = all(c[3] for c in res.crash_checks)
             rows.append({
@@ -97,8 +101,8 @@ def crash_sweep(scenario: Scenario, recover_after=100, stride=1) -> list:
                 "index": index,
                 "time": res.crash_checks[0][1] if res.crash_checks else None,
                 "outcomes": dict(res.outcomes),
-                "ok": ok and stable_ok and vol_ok,
-                "failures": failures,
+                "ok": report["ok"] and stable_ok and vol_ok,
+                "failures": _failures(report),
                 "stable_unchanged": stable_ok,
                 "volatile_cleared": vol_ok,
             })
@@ -112,12 +116,12 @@ def seed_sweep(scenario: Scenario, start: int, stop: int) -> list:
     rows = []
     for seed in range(start, stop + 1):
         res = Simulator(scenario, seed=seed).run()
-        ok, failures = _audit_run(res, scenario.nodes, seed == start)
+        report = audit_run(res, scenario.nodes, seed == start)[2]
         rows.append({
             "seed": seed,
             "outcomes": dict(res.outcomes),
-            "ok": ok,
-            "failures": failures,
+            "ok": report["ok"],
+            "failures": _failures(report),
         })
         del res
     return rows

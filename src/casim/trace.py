@@ -10,7 +10,9 @@ section at most once and with at most one record per (node, name).
 kind, whether txn and obj are present, the exact detail keys and the
 values that tell a kind's shapes apart; `th` and `parent` hold integers.
 The parser rejects a line of no shape at that line, and rendering an
-emitted event of none; each sweep parses one run's text in full to check
+emitted event of none or whose `th` or `parent` is not a str of an
+integer, so the audits may read a run's emitted events in place of the
+parse of its text; each sweep parses one run's text in full to check
 that every line parses back to its event, values included.
 
 `Trace.emit` takes each event's detail as the parser builds it from the
@@ -19,9 +21,6 @@ trace's clock, `Trace.now`, so it equals the event parsed back from it.
 `parse` shares each distinct kind, name, detail key, value and token and
 time or txn int between the events it returns, reading its text in
 chunks of about `CHUNK_CHARS` characters, each ending after a newline.
-`parse(text, record)` of the text a `render(dumps, record)` kept in
-`record` splits no line: it returns the recorded events themselves once
-each has its line's seq, so no reader of parsed events may change one.
 
 Lines are formatted from `_SHAPES`, the parser's one table built from
 `SCHEMA`, which holds each shape's format beside its checks.  `copy`
@@ -104,8 +103,11 @@ class Event:
 
 
 def _is_int(value, ints):
-    """Whether `value` is an integer, kept in `ints` (string -> int) if so."""
+    """Whether `value` is the str of an integer, kept in `ints` (string ->
+    int) if so."""
     if value not in ints:
+        if type(value) is not str:
+            return False
         try:
             ints[value] = int(value)
         except ValueError:
@@ -162,14 +164,6 @@ def _shape_error(kind, txn, obj, pairs):
     return "non-integer %s %r" % (key, detail[key])
 
 
-class Rendered:
-    """What one `Trace.render` call returned and what it rendered from:
-    `text`, the `events` (a list of its own) and the `dumps` sections it
-    wrote (each a list of its own; empty if it wrote no dump)."""
-
-    __slots__ = ("text", "events", "dumps")
-
-
 class Trace:
     """Append-only event log that calls nothing back, and the simulated
     clock of the run that owns it: every part that emits holds the trace,
@@ -224,8 +218,7 @@ class Trace:
                               "-" if obj is None else obj, *detail.values()))
         return done + new if done else new
 
-    def render(self, dumps: dict | None = None,
-               record: Rendered | None = None) -> str:
+    def render(self, dumps: dict | None = None) -> str:
         out = self.lines()
         if dumps is not None:
             out.append("dump")
@@ -233,25 +226,7 @@ class Trace:
                 out.append("[%s]" % section)
                 out.extend(dumps.get(section, []))
         out.append("")  # the final newline, without copying the text again
-        text = "\n".join(out) or "\n"
-        if record is not None:
-            record.text = text
-            record.events = list(self.events)
-            record.dumps = {} if dumps is None else {
-                section: list(dumps.get(section, []))
-                for section in DUMP_SECTIONS}
-        return text
-
-
-def _recorded(record: Rendered):
-    """The events and dump records `record` kept, in new lists, once event
-    k, at line k + 1, has seq k, as parsing its line would check now."""
-    events = list(record.events)
-    for seq, ev in enumerate(events):
-        if ev.seq != seq:
-            raise MalformedTrace("seq %d out of order" % ev.seq, seq + 1)
-    return events, {section: list(lines)
-                    for section, lines in record.dumps.items()}
+        return "\n".join(out) or "\n"
 
 
 def _lines(text: str):
@@ -275,21 +250,13 @@ def _pair(tok: str, strings: dict, ints: dict, lineno: int) -> tuple:
     return strings.setdefault(k, k), strings.setdefault(v, v)
 
 
-def parse(text: str, record: Rendered | None = None):
+def parse(text: str):
     """Parse a trace file into (events, dump_sections).
 
     dump_sections maps section name to its list of raw record lines.
     Raises MalformedTrace at the first line that breaks the format, such
     as an event line of no shape (keys out of order or repeated have none).
-
-    `record`, if given, is what `Trace.render` kept of a render.  If
-    `text` equals the text it rendered (at once if it is that object),
-    the result is new lists of the recorded events and dump records, once
-    each event has the seq of its line; rendering them checked the shapes.
-    Any other text is parsed and checked in full.  `record` is only read.
     """
-    if record is not None and text == record.text:
-        return _recorded(record)
     events = []
     dumps = {}
     section = None

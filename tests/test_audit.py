@@ -8,7 +8,7 @@ from casim import actions as act, audit, sweep
 from casim.engine import Simulator
 from casim.errors import MalformedTrace
 from casim.scenario import Fault, load_scenario
-from casim.trace import ALL_KINDS, Rendered, Trace, parse
+from casim.trace import ALL_KINDS, Trace, parse
 
 from conftest import TRANSFER, run_text
 
@@ -536,11 +536,11 @@ def test_core_passes_skip_every_other_kind_on_reference_runs(monkeypatch):
                                     unsafe_early_release=unsafe).run()
                     runs.append((res.trace.events, res.dumps(), sc.nodes))
 
-    def keep(res, all_nodes, round_trip=False):
-        runs.append((list(res.trace.events), res.dumps(), all_nodes))
-        return True, []
+    def keep(text, all_nodes, emitted):
+        runs.append((list(emitted[0]), emitted[1], all_nodes))
+        return {"ok": True}
 
-    monkeypatch.setattr(sweep, "_audit_run", keep)
+    monkeypatch.setattr(audit, "audit_trace", keep)
     for path in sorted(SCENARIOS.glob("*.scn")):
         sweep.crash_sweep(load_scenario(str(path)), stride=3)
     assert len(runs) > 150
@@ -568,29 +568,28 @@ def _crash_fork(scenario, node, index):
 
 
 def test_audits_change_no_event(monkeypatch):
-    """Through its render's record an audit reads the run's own emitted
-    events, which the run and its forks share, so no audit pass may
-    change an event or its detail dict."""
+    """Handed a run's emitted events, which the run and its forks share,
+    an audit reads them themselves, so no audit pass may change an event
+    or its detail dict."""
     runs = [Simulator(load_scenario(str(path))).run()
             for path in sorted(SCENARIOS.glob("*.scn"))]
     crash_recover = load_scenario(str(SCENARIOS / "crash_recover.scn"))
     runs.append(_crash_fork(crash_recover, crash_recover.nodes[0], 10))
     assert runs[-1].crash_checks
-    parsed = []     # the events each audit reads
-    real_parse = audit.trace_mod.parse
+    read = []     # the events each audit reads
+    real_bracketing = audit.scan_bracketing
 
-    def recording(text, record=None):
-        events, dumps = real_parse(text, record)
-        parsed.append(events)
-        return events, dumps
+    def recording(events):
+        read.append(events)
+        return real_bracketing(events)
 
-    monkeypatch.setattr(audit.trace_mod, "parse", recording)
+    monkeypatch.setattr(audit, "scan_bracketing", recording)
     for res in runs:
-        record = Rendered()
-        text = res.trace_text(record)
-        fresh, _ = real_parse(text)
-        audit.audit_trace(text, record=record)
-        audited = parsed.pop()
+        dumps = res.dumps()
+        text = res.trace.render(dumps)
+        fresh, _ = parse(text)
+        audit.audit_trace(text, emitted=(res.trace.events, dumps))
+        audited = read.pop()
         assert len(audited) == len(fresh) > 0
         for a, emitted, b in zip(audited, res.trace.events, fresh):
             assert a is emitted and a.detail is not b.detail

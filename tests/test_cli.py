@@ -43,6 +43,30 @@ def test_run_explicit_outputs_and_flags(tmp_path, capsys):
     assert "[stable]" in dump_path.read_text()
 
 
+def test_run_dump_is_the_one_the_trace_rendered(tmp_path, capsys,
+                                                monkeypatch):
+    """`--dump` writes the dump sections the trace ends with, byte for
+    byte, from the one state dump the run's trace was rendered with."""
+    trace_path = tmp_path / "t.trace"
+    dump_path = tmp_path / "d.dump"
+    calls = []
+    real = cli.Simulator.dumps
+
+    def dumps(sim):
+        calls.append(sim)
+        return real(sim)
+
+    monkeypatch.setattr(cli.Simulator, "dumps", dumps)
+    assert cli.main(["run", str(SCENARIOS / "crash_recover.scn"),
+                     "--trace", str(trace_path),
+                     "--dump", str(dump_path)]) == 0
+    assert len(calls) == 1
+    trace_bytes = trace_path.read_bytes()
+    after = trace_bytes[trace_bytes.index(b"\ndump\n") + len(b"\ndump\n"):]
+    assert dump_path.read_bytes() == after
+    assert after.startswith(b"[initial]\n") and b"\n[volatile]\n" in after
+
+
 def test_audit_subcommand_on_written_trace(tmp_path, capsys):
     trace_path = tmp_path / "t.trace"
     assert cli.main(["run", write_scn(tmp_path),

@@ -45,11 +45,11 @@ def test_render_rows_table():
 
 
 def test_sweeps_audit_the_events_each_run_emitted(monkeypatch):
-    """Every sweep audit is given the text its run's render recorded, so
-    each event it reads is one the run emitted, and no line of an audited
-    text is split: only each sweep's format guard parses a text in full,
-    the crash sweep's fault-free run and first fork and the seed sweep's
-    first seed."""
+    """Every sweep audit is given its run's text with the events and dump
+    records that text was rendered from, so each event it reads is one the
+    run emitted, and no line of an audited text is split: only each
+    sweep's format guard parses a text in full, the crash sweep's
+    fault-free run and first fork and the seed sweep's first seed."""
     emitted = []    # each run's events, as it finished
     audited = []
     split = []      # each text the parser split into lines
@@ -60,12 +60,14 @@ def test_sweeps_audit_the_events_each_run_emitted(monkeypatch):
             emitted.append(super().run().trace.events)
             return self
 
-    def recording(text, all_nodes=None, record=None):
-        events, _ = trace.parse(text, record)
-        audited.append(text is record.text and
-                       len(events) == len(emitted[-1]) > 0 and
-                       all(a is b for a, b in zip(events, emitted[-1])))
-        return real_audit(text, all_nodes=all_nodes, record=record)
+    def recording(text, all_nodes=None, emitted_run=None):
+        events, dumps = emitted_run
+        rendered = trace.Trace()
+        rendered.events = events
+        audited.append(len(events) == len(emitted[-1]) > 0 and
+                       all(a is b for a, b in zip(events, emitted[-1])) and
+                       rendered.render(dumps) == text)
+        return real_audit(text, all_nodes, emitted_run)
 
     def lines(text):
         split.append(text)
@@ -90,7 +92,7 @@ def test_sweep_format_guard_rejects_lines_that_do_not_parse_back(
         monkeypatch, run_sweep):
     """If a rendered line no longer parses back into its event (here a
     read's value rendered with a digit more, which no audit reads), the
-    audits, which read the recorded events, would not see it, so each
+    audits, which read the emitted events, would not see it, so each
     sweep's full parse of a first run rejects it: the seed sweep's first
     seed, the crash sweep's fault-free run."""
     read = ("read", True, True, "inst", "th", "val")   # val ends the line
@@ -132,7 +134,7 @@ def _two_records_in_one(lines):
     lambda sc: crash_sweep(sc, stride=7)], ids=["seeds", "crash"])
 def test_sweep_format_guard_rejects_dump_records_that_do_not_parse_back(
         monkeypatch, run_sweep, edit, message):
-    """The audits read the dump records each run's render kept, not the
+    """The audits read the dump records each run rendered, not the
     text's, so each sweep's full parse of a first run also checks that
     the text's dump records are the rendered ones, and stops at the first
     line that is not."""
@@ -207,7 +209,7 @@ def _reference_crash_sweep(scenario, nodes=None, recover_after=100,
             res = Simulator(sc, horizon=horizon,
                             auto_recover_after=recover_after).run()
             runs.append((res.trace_text(), res.crash_checks))
-            ok, failures = sweep._audit_run(res, scenario.nodes)
+            report = sweep.audit_run(res, scenario.nodes)[2]
             stable_ok = all(c[2] for c in res.crash_checks)
             vol_ok = all(c[3] for c in res.crash_checks)
             rows.append({
@@ -215,8 +217,8 @@ def _reference_crash_sweep(scenario, nodes=None, recover_after=100,
                 "index": index,
                 "time": res.crash_checks[0][1] if res.crash_checks else None,
                 "outcomes": dict(res.outcomes),
-                "ok": ok and stable_ok and vol_ok,
-                "failures": failures,
+                "ok": report["ok"] and stable_ok and vol_ok,
+                "failures": sweep._failures(report),
                 "stable_unchanged": stable_ok,
                 "volatile_cleared": vol_ok,
             })
@@ -226,14 +228,15 @@ def _reference_crash_sweep(scenario, nodes=None, recover_after=100,
 def _forked_crash_sweep(monkeypatch, scenario, **kw):
     """crash_sweep's rows and each run's (trace text, crash checks)."""
     runs = []
-    audit_run = sweep._audit_run
+    audit_run = sweep.audit_run
 
     def recording(res, *args, **kw):
-        runs.append((res.trace_text(), res.crash_checks))
-        return audit_run(res, *args, **kw)
+        audited = audit_run(res, *args, **kw)
+        runs.append((audited[0], res.crash_checks))
+        return audited
 
     with monkeypatch.context() as m:
-        m.setattr(sweep, "_audit_run", recording)
+        m.setattr(sweep, "audit_run", recording)
         rows = crash_sweep(scenario, **kw)
     return rows, runs
 
@@ -285,13 +288,13 @@ def test_crash_sweep_forks_have_the_dags_of_fresh_runs(monkeypatch):
     whole trace with the same `fault index` crash does."""
     sc = load_scenario(str(SCENARIO_DIR / "nested_audit.scn"))
     forks = []
-    audit_run = sweep._audit_run
+    audit_run = sweep.audit_run
 
     def recording(res, *args, **kw):
         forks.append(_dags(res))
         return audit_run(res, *args, **kw)
 
-    monkeypatch.setattr(sweep, "_audit_run", recording)
+    monkeypatch.setattr(sweep, "audit_run", recording)
     rows = crash_sweep(sc, recover_after=7)
     assert len(forks) == len(rows) > 0
     horizon = sc.horizon + 7 + 200

@@ -78,6 +78,8 @@ def test_parse_rejects_unknown_dump_section():
     ("n1\tx\t0\t31\textra",
      "expected 4 tab-separated fields in a dump record"),
     ("n1\tx\tv\t31", "non-integer version 'v' in a dump record"),
+    ("0\t0\tbegin\t0\t-\tparent=-",
+     "expected 4 tab-separated fields in a dump record"),
 ])
 def test_parse_rejects_bad_dump_record(record, message):
     text = "0\t0\tbegin\t0\t-\tparent=-\ndump\n[initial]\n%s\n" % record
@@ -200,7 +202,7 @@ def test_a_commit_decision_without_its_phase_is_rejected(phase, message):
     if phase is not None:
         ev.detail["phase"] = phase
     with pytest.raises(MalformedTrace) as e:
-        res.trace.render(res.dumps(), trace.Rendered())
+        res.trace.render(res.dumps())
     assert (e.value.line, str(e.value)) == (line, "line %d: %s"
                                             % (line, message))
 
@@ -681,41 +683,14 @@ def test_parse_shares_repeated_values():
     assert len({id(ev.detail) for ev in events}) == 3
 
 
-# --- parsing through a render's record ---
+# --- the audits read the emitted events: parsing gives them back ---
 
-def _recorded(t, dumps=None):
-    """`t` rendered with its record: (text, record)."""
-    record = trace.Rendered()
-    return t.render(dumps, record), record
-
-
-def _kept(record):
-    """What `record` holds: its text, its events and copies of its dump
-    lists, to compare with after a parse that must only read it."""
-    return (record.text, list(record.events),
-            {section: list(lines) for section, lines in record.dumps.items()})
-
-
-def _assert_unchanged(record, kept):
-    text, events, dumps = kept
-    assert record.text is text
-    assert len(record.events) == len(events)
-    assert all(a is b for a, b in zip(record.events, events))
-    assert record.dumps == dumps
-
-
-def _assert_recorded_parse_is_plain(text, record, emitted):
-    """A parse of `text` through its render's record returns the `emitted`
-    events themselves in lists of its own, equals a plain parse and leaves
-    `record` as it was."""
-    kept = _kept(record)
-    events, dumps = trace.parse(text, record)
-    assert len(events) == len(emitted)
-    assert all(a is b for a, b in zip(events, emitted))
-    assert (events, dumps) == trace.parse(text)
-    assert events is not record.events
-    assert all(dumps[s] is not record.dumps[s] for s in dumps)
-    _assert_unchanged(record, kept)
+def _assert_parses_to_emitted(text, events, dumps):
+    """`text`, rendered from `events` and `dumps`, parses back to them,
+    and event k has seq k: what an audit handed the emitted events in
+    place of the parse of `text` relies on."""
+    assert trace.parse(text) == (events, {} if dumps is None else dumps)
+    assert all(ev.seq == i for i, ev in enumerate(events))
 
 
 def _assert_as_parsed(events):
@@ -726,33 +701,31 @@ def _assert_as_parsed(events):
         assert all(type(v) is str for v in ev.detail.values()), ev
 
 
-def _assert_sweep_forks_parse_plain(scenario, **kw):
+def _assert_sweep_audits_parse_to_emitted(monkeypatch, scenario, **kw):
     """Every run that crash_sweep(scenario) audits emits its details as
-    parsed and parses through its own render's record as a plain parse
-    does; returns the number of runs."""
+    parsed, and its text parses back to the events and dump records the
+    audit is handed in its place; returns the number of runs."""
     runs = []
 
-    def check(res, *args, **kw):
-        _assert_as_parsed(res.trace.events)
-        text, record = _recorded(res.trace, res.dumps())
-        _assert_recorded_parse_is_plain(text, record, res.trace.events)
-        runs.append(len(record.events))
-        return True, []
+    def check(text, all_nodes, emitted):
+        _assert_as_parsed(emitted[0])
+        _assert_parses_to_emitted(text, *emitted)
+        runs.append(len(emitted[0]))
+        return {"ok": True}
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep, "_audit_run", check)
+    with monkeypatch.context() as m:
+        m.setattr(sweep.audit, "audit_trace", check)
         sweep.crash_sweep(scenario, **kw)
     assert all(runs)
     return len(runs)
 
 
-def test_recorded_parse_matches_a_plain_parse():
+def test_parse_gives_back_the_emitted_events(monkeypatch):
     """Over reference runs under every strategy and seed 0-4, every crash
     sweep fork of crash_recover.scn and of the crash_sweep workload,
     nested_seeds at seeds 0-4 and contended_2pc (the workloads at seed 1),
     each event the run emits has its detail as the parser builds it, and
-    the parse of each run's text through its render's record gives the
-    run's emitted events, equal to what a plain parse rebuilds."""
+    the run's text parses back to its emitted events and dump records."""
     paths = sorted((ROOT / "scenarios").glob("*.scn"))
     workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
     nested = parse_scenario(workloads["nested_seeds"](1))
@@ -765,56 +738,31 @@ def test_recorded_parse_matches_a_plain_parse():
     assert len(runs) == len(paths) * 15 + 6
     for res in runs:
         _assert_as_parsed(res.trace.events)
-        text, record = _recorded(res.trace, res.dumps())
-        assert text == res.trace_text()
-        _assert_recorded_parse_is_plain(text, record, res.trace.events)
+        _assert_parses_to_emitted(res.trace_text(), res.trace.events,
+                                  res.dumps())
     crash_recover = load_scenario(str(ROOT / "scenarios" /
                                       "crash_recover.scn"))
-    assert _assert_sweep_forks_parse_plain(crash_recover) == 76
+    assert _assert_sweep_audits_parse_to_emitted(
+        monkeypatch, crash_recover) == 76
     crash = parse_scenario(workloads["crash_sweep"](1))
-    assert _assert_sweep_forks_parse_plain(
-        crash, stride=workloads["CRASH_STRIDE"]) == 608
+    assert _assert_sweep_audits_parse_to_emitted(
+        monkeypatch, crash, stride=workloads["CRASH_STRIDE"]) == 608
 
 
 def _two_events():
     t = trace.Trace()
     t.emit("begin", 0, None, {"parent": "-"})
     t.emit("grant", 0, "x", {"mode": "w"})
-    return t, *_recorded(t)
+    return t.render()
 
 
-def _assert_raises_leaving_record(text, record, line, message):
-    kept = _kept(record)
+def _assert_parses_in_full(text, line, message):
+    """`text` is rejected at `line`, as the reference rejects it."""
     with pytest.raises(MalformedTrace) as e:
-        trace.parse(text, record)
+        trace.parse(text)
     assert str(e.value) == "line %d: %s" % (line, message)
     assert e.value.line == line
-    _assert_unchanged(record, kept)
-
-
-def _assert_parses_in_full(text, record, line, message):
-    """`text`, not the recorded one, is rejected at `line` as a plain parse
-    and the reference reject it."""
-    _assert_raises_leaving_record(text, record, line, message)
-    assert _outcome(lambda t: trace.parse(t, record), text) == \
-        _outcome(_reference_parse, text)
-
-
-def test_reused_lines_still_check_their_seq():
-    """Recorded lines moved after render make another text, parsed in
-    full; a recorded event renumbered after render is rejected at its
-    line, as parsing that line would reject the seq it carries now."""
-    t, text, record = _two_events()
-    first, second = text.splitlines()
-    _assert_parses_in_full(second + "\n" + first + "\n", record, 1,
-                           "seq 1 out of order")
-    _assert_parses_in_full(first + "\n" + first + "\n", record, 2,
-                           "seq 0 out of order")
-    t.events[1].seq = 5
-    _assert_raises_leaving_record(text, record, 2, "seq 5 out of order")
-    t.events[1].seq = 1
-    t.events[0].seq = 1
-    _assert_raises_leaving_record(text, record, 1, "seq 1 out of order")
+    assert _outcome(trace.parse, text) == _outcome(_reference_parse, text)
 
 
 READ = {"inst": "a", "th": "0", "val": "31"}
@@ -839,6 +787,8 @@ REGISTER = {"inst": "a", "node": "n1", "ok": "1", "role": "r", "th": "0"}
     ([("read", 0, "x", dict(READ, th="x"))], 2, "non-integer th 'x'"),
     ([("read", 0, "x", READ), ("read", 0, "x", dict(READ, th="x"))], 3,
      "non-integer th 'x'"),
+    ([("read", 0, "x", dict(READ, th=0))], 2, "non-integer th 0"),
+    ([("begin", 1, None, {"parent": 0})], 2, "non-integer parent 0"),
     ([("begin", 1, None, {"parent": "x"})], 2, "non-integer parent 'x'"),
     ([("commit2", 0, None, {"parent": "-", "phase": "nested"})], 2,
      "non-integer parent '-'"),
@@ -846,15 +796,17 @@ REGISTER = {"inst": "a", "node": "n1", "ok": "1", "role": "r", "th": "0"}
      "detail key 'inst' out of sorted order"),
     ([("nonsense", None, None, {})], 2, "unknown event kind 'nonsense'"),
 ], ids=["no_key", "no_obj", "a_txn", "parent_x", "unexpected_key", "ok_true",
-        "second_of_a_shape", "th_x", "th_x_after_th_0", "begin_parent_x",
-        "nested_parent_dash", "keys_out_of_order", "unknown_kind"])
+        "second_of_a_shape", "th_x", "th_x_after_th_0", "th_int",
+        "parent_int", "begin_parent_x", "nested_parent_dash",
+        "keys_out_of_order", "unknown_kind"])
 def test_rendering_an_event_of_no_shape_raises_at_its_line(events, line,
                                                            message):
-    """Emitted events are checked against SCHEMA as they are rendered (a
-    parse through the record of a render checks only their seqs), as the
+    """Emitted events are checked against SCHEMA as they are rendered (the
+    audits of a sweep run or `casim run` read them as emitted), as the
     parser checks a line: one of no shape, or with a value its shape rules
-    out, raises MalformedTrace at the line it would have, in a copy of a
-    trace too."""
+    out (an integer key's int among them, where a line holds a str),
+    raises MalformedTrace at the line it would have, in a copy of a trace
+    too."""
     t = trace.Trace()
     t.emit("begin", 0, None, {"parent": "-"})
     fork = t.copy()
@@ -862,20 +814,20 @@ def test_rendering_an_event_of_no_shape_raises_at_its_line(events, line,
         for kind, txn, obj, detail in events:
             trc.emit(kind, txn, obj, detail)
         with pytest.raises(MalformedTrace) as e:
-            trc.render({}, trace.Rendered())
+            trc.render({})
         assert (e.value.line, str(e.value)) == (line, "line %d: %s"
                                                 % (line, message))
 
 
-def test_a_malformed_line_after_reused_lines_names_its_own_line():
-    """A line added or edited after render makes another text, which is
-    parsed and checked in full and rejected at that line."""
-    _, text, record = _two_events()
+def test_a_malformed_line_added_or_edited_names_its_own_line():
+    """A rendered text with a line added, edited, moved or repeated is
+    rejected at that line."""
+    text = _two_events()
     for bad, message in [
             ("2\t0\tfrobnicate\t-\t-\t-", "unknown event kind 'frobnicate'"),
             ("2\t0\tgrant\t0\tx\t-", "grant event lacks detail key 'mode'"),
             ("5\t0\tabort\t0\t-\t-", "seq 5 out of order")]:
-        _assert_parses_in_full("\n" + text + bad + "\n", record, 4, message)
+        _assert_parses_in_full("\n" + text + bad + "\n", 4, message)
     first, second = text.splitlines()
     for edited, message in [
             (second.replace("mode=w", "-"),
@@ -884,18 +836,11 @@ def test_a_malformed_line_after_reused_lines_names_its_own_line():
             (second.replace("grant", "grnt"), "unknown event kind 'grnt'"),
             (second.replace("\t0\tx", "\tx"),
              "expected 6 tab-separated fields")]:
-        _assert_parses_in_full(first + "\n" + edited + "\n", record, 2,
-                               message)
-
-
-def test_dump_lines_are_never_reused():
-    """A dump record appended after render, even one that equals a
-    recorded event line, parses as a record."""
-    _, text, record = _two_events()
-    first = text.splitlines()[0]
-    _assert_parses_in_full(text + "dump\n[initial]\n" + first + "\n",
-                           record, 5, "expected 4 tab-separated fields in a "
-                                      "dump record")
+        _assert_parses_in_full(first + "\n" + edited + "\n", 2, message)
+    _assert_parses_in_full(second + "\n" + first + "\n", 1,
+                           "seq 1 out of order")
+    _assert_parses_in_full(first + "\n" + first + "\n", 2,
+                           "seq 0 out of order")
 
 
 def _variant(rng, lines):
@@ -923,19 +868,15 @@ def _variant(rng, lines):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32))
 def test_recorded_parse_matches_reference(seed):
-    """The recorded text parses to the emitted events.  Its variants
-    (lines cut, swapped, repeated or replaced), parsed through the same
-    record, parse or raise exactly as a plain parse and the reference do,
-    and leave the record as it was."""
+    """A rendered text parses to the events and dumps it was rendered
+    from.  Its variants (lines cut, swapped, repeated or replaced) parse
+    or raise exactly as the reference does."""
     rng = random.Random(seed)
     t, dumps = _random_trace(rng)
-    text, record = _recorded(t, dumps)
-    _assert_recorded_parse_is_plain(text, record, t.events)
-    kept = _kept(record)
+    text = t.render(dumps)
+    _assert_parses_to_emitted(text, t.events, dumps)
     lines = text.splitlines()
     for _ in range(5):
         variant = _variant(rng, lines)
-        outcome = _outcome(lambda t: trace.parse(t, record), variant)
-        assert outcome == _outcome(trace.parse, variant)
-        assert outcome == _outcome(_reference_parse, variant)
-        _assert_unchanged(record, kept)
+        assert _outcome(trace.parse, variant) == \
+            _outcome(_reference_parse, variant)
