@@ -51,7 +51,7 @@ from . import dag as dagmod
 from .errors import DeadlockVictim, InconsistentFault, NodeDown
 from .gcpause import pause_cyclic_gc
 from .scenario import Scenario
-from .store import LogRecord, ObjectStore, encode_value, decode_value
+from .store import LogRecord, ObjectStore
 from .trace import Trace
 from .txn import TransactionManager
 
@@ -129,7 +129,7 @@ class Simulator:
         self.trace = Trace()
         self.store = ObjectStore(scenario.nodes)
         for name, node, value in scenario.objects:
-            self.store.create_object(name, node, encode_value(value))
+            self.store.create_object(name, node, value)
         self.txns = TransactionManager(
             self.store, self.trace, unsafe_early_release=unsafe_early_release)
         self._q: list = []
@@ -462,12 +462,10 @@ class Simulator:
         wants = [(n, "r") for n in refs] + [(step.obj, "w")]
         if not self._acquire_for(th, inst, wants):
             return
-        env = {}
-        for name in step.expr.names:
-            env[name] = decode_value(
-                self.txns.read(inst.txn_id, name, inst.key, th.tid_text))
+        env = {name: self.txns.read(inst.txn_id, name, inst.key, th.tid_text)
+               for name in step.expr.names}
         try:
-            value = encode_value(step.expr.eval(env))
+            value = int(step.expr.eval(env))  # a comparison gives a bool
         except ZeroDivisionError:
             self.coordinated_abort(inst, "eval_error")
             return
@@ -534,7 +532,7 @@ class Simulator:
         if alive and alive.issubset(inst.arrived):
             self._test_line(inst)
 
-    def _txn_view(self, txn_id, name) -> bytes:
+    def _txn_view(self, txn_id, name) -> int:
         t = txn_id
         while t is not None:
             txn = self.txns.txns[t]
@@ -546,7 +544,7 @@ class Simulator:
     def _test_line(self, inst):
         inst.status = act.TESTING
         try:
-            env = {name: decode_value(self._txn_view(inst.txn_id, name))
+            env = {name: self._txn_view(inst.txn_id, name)
                    for name in inst.defn.footprint}
         except NodeDown:
             self.coordinated_abort(inst, "node_down")

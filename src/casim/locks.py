@@ -41,8 +41,10 @@ class LockTable:
         self.holders = {obj: dict(hs) for obj, hs in other.holders.items()}
         self.queue = {obj: deque(q) for obj, q in other.queue.items()}
 
-    def held_mode(self, obj: str, txn: int) -> str | None:
-        return self.holders.get(obj, {}).get(txn)
+    def covers(self, obj: str, txn: int, mode: str) -> bool:
+        """Whether the lock txn holds on obj already grants `mode`."""
+        held = self.holders.get(obj, {}).get(txn)
+        return held == WRITE or held == mode
 
     def _conflicting(self, obj: str, txn: int, mode: str):
         return [h for h, m in self.holders.get(obj, {}).items()
@@ -54,8 +56,7 @@ class LockTable:
 
     def acquire(self, txn: int, obj: str, mode: str, tag) -> str:
         """Returns 'granted' or 'queued'; raises DeadlockVictim."""
-        held = self.held_mode(obj, txn)
-        if held == WRITE or held == mode:
+        if self.covers(obj, txn, mode):
             return "granted"
         if self._grantable(obj, txn, mode):
             self.holders.setdefault(obj, {})[txn] = mode
@@ -72,8 +73,7 @@ class LockTable:
         q = self.queue.get(obj)
         while q:
             req = q[0]
-            held = self.held_mode(obj, req.txn)
-            if held == WRITE or held == req.mode:
+            if self.covers(obj, req.txn, req.mode):
                 granted.append(q.popleft())
                 continue
             if not self._grantable(obj, req.txn, req.mode):

@@ -140,12 +140,14 @@ def parse_scenario(text: str) -> Scenario:
         if head == "node":
             if len(toks) != 2:
                 raise ValidationError("usage: node NAME", lineno)
+            _trace_name(toks[1], lineno)
             if toks[1] in sc.nodes:
                 raise ValidationError("duplicate node %s" % toks[1], lineno)
             sc.nodes.append(toks[1])
         elif head == "object":
             if len(toks) != 4:
                 raise ValidationError("usage: object NAME NODE VALUE", lineno)
+            _trace_name(toks[1], lineno)
             first = homes.setdefault(toks[1], lineno)
             if first != lineno:
                 raise ValidationError("duplicate object %s" % toks[1], lineno)
@@ -277,6 +279,13 @@ def _no_slash(name, lineno):
     if "/" in name:
         raise ValidationError("%r: action names and keys may not contain /"
                               % name, lineno)
+
+
+def _trace_name(name, lineno):
+    # `-` is a trace line's absent txn or obj; `,` joins `objs` and `parts`
+    if name == "-" or "," in name:
+        raise ValidationError("%r: node and object names may not be `-` or "
+                              "contain `,`" % name, lineno)
 
 
 def _need_action(cur_action, head, lineno):

@@ -6,6 +6,8 @@ the transaction layer); stable state holds only committed images and a
 per-node log of commit-protocol records.  A crash wipes a node's volatile
 side; recovery reloads it from stable.  The log is indexed by (kind, txn)
 as it is appended, so finding a transaction's record takes one lookup.
+A value is an int wherever it is held, and a dump record gives it in
+decimal: `node TAB name TAB version TAB value`.
 
 The store trusts its caller: the scenario parser has already checked that
 names and homes are declared and unique, and the engine checks a node's
@@ -17,13 +19,7 @@ from dataclasses import dataclass
 
 from .errors import NodeDown
 
-
-def encode_value(v: int) -> bytes:
-    return str(int(v)).encode("ascii")
-
-
-def decode_value(b: bytes) -> int:
-    return int(b.decode("ascii"))
+_RECORD = "%s\t%s\t%d\t%d"
 
 
 @dataclass
@@ -39,8 +35,8 @@ class NodeStore:
     def __init__(self, name: str):
         self.name = name
         self.up = True
-        self.volatile: dict[str, bytes] = {}
-        self.stable: dict[str, tuple[bytes, int]] = {}
+        self.volatile: dict[str, int] = {}
+        self.stable: dict[str, tuple[int, int]] = {}
         self.log: list[LogRecord] = []
         self.first: dict[tuple[str, int], LogRecord] = {}  # (kind, txn)
 
@@ -69,7 +65,7 @@ class ObjectStore:
         store.homes = dict(self.homes)
         return store
 
-    def create_object(self, name: str, home: str, initial: bytes):
+    def create_object(self, name: str, home: str, initial: int):
         ns = self.nodes[home]
         self.homes[name] = home
         ns.volatile[name] = initial
@@ -89,16 +85,16 @@ class ObjectStore:
 
     # --- volatile access (serialized by the caller; locks live above) ---
 
-    def read_volatile(self, name: str) -> bytes:
+    def read_volatile(self, name: str) -> int:
         return self._node_of(name).volatile[name]
 
-    def write_volatile(self, name: str, value: bytes):
+    def write_volatile(self, name: str, value: int):
         self._node_of(name).volatile[name] = value
 
-    def committed(self, name: str) -> tuple[bytes, int]:
+    def committed(self, name: str) -> tuple[int, int]:
         return self._node_of(name).stable[name]
 
-    def apply_commit(self, name: str, value: bytes, version: int):
+    def apply_commit(self, name: str, value: int, version: int):
         """Phase-2 apply: idempotent on (value, version)."""
         ns = self._node_of(name)
         cur_version = ns.stable[name][1]
@@ -130,21 +126,12 @@ class ObjectStore:
     # --- dumps ---
 
     def dump_stable(self) -> list[str]:
-        lines = []
-        for ns in self.nodes.values():
-            for name, (value, version) in ns.stable.items():
-                lines.append("%s\t%s\t%d\t%s" %
-                             (ns.name, name, version, value.hex()))
-        return sorted(lines)
+        return sorted(_RECORD % (ns.name, name, version, value)
+                      for ns in self.nodes.values()
+                      for name, (value, version) in ns.stable.items())
 
     def dump_volatile(self) -> list[str]:
         """Volatile image; down nodes contribute no records."""
-        lines = []
-        for ns in self.nodes.values():
-            if not ns.up:
-                continue
-            for name, value in ns.volatile.items():
-                version = ns.stable[name][1]
-                lines.append("%s\t%s\t%d\t%s" %
-                             (ns.name, name, version, value.hex()))
-        return sorted(lines)
+        return sorted(_RECORD % (ns.name, name, ns.stable[name][1], value)
+                      for ns in self.nodes.values() if ns.up
+                      for name, value in ns.volatile.items())

@@ -4,7 +4,9 @@ Each event is one line `seq TAB time TAB kind TAB txn TAB obj TAB detail`,
 the detail `key=value` tokens in sorted key order.  A trace file ends with
 a `dump` line and labelled state sections of object-store dump records,
 `node TAB name TAB version TAB value` with an integer version, each
-section at most once and with at most one record per (node, name).
+section at most once and with at most one record per (node, name).  An
+object value (a record's, or a `val`) is written in decimal, and the
+parser and the audits keep it a string compared only with other values.
 
 `SCHEMA` is the one statement of the event format: per event shape, the
 kind, whether txn and obj are present, the exact detail keys and the

@@ -1,6 +1,7 @@
 """Nested-transaction substrate: transaction trees, undo logs, in-place
 tentative writes, lock acquisition, nested commit with anti-inheritance,
-and abort.
+and abort.  A value is an int throughout (store, undo log, tentative
+writes); `read` and `write` emit it as `val` in decimal.
 
 Top-level (distributed) commit is a protocol spanning several simulator
 events; the event-driven side lives in the engine, which calls back into
@@ -84,8 +85,7 @@ class TransactionManager:
     # --- locking ---
 
     def acquire(self, txn_id: int, obj: str, mode: str, tag=None) -> str:
-        already = self.locktable.held_mode(obj, txn_id)
-        if already == locks.WRITE or already == mode:
+        if self.locktable.covers(obj, txn_id, mode):
             return "granted"
         status = self.locktable.acquire(txn_id, obj, mode, tag)
         kind = "grant" if status == "granted" else "queue"
@@ -98,20 +98,20 @@ class TransactionManager:
 
     # --- reads and writes (locks must already be held by caller) ---
 
-    def read(self, txn_id: int, name: str, inst: str, th: str) -> bytes:
+    def read(self, txn_id: int, name: str, inst: str, th: str) -> int:
         value = self.store.read_volatile(name)
         self.trace.emit("read", txn_id, name,
-                        {"inst": inst, "th": th, "val": value.hex()})
+                        {"inst": inst, "th": th, "val": str(value)})
         return value
 
-    def write(self, txn_id: int, name: str, value: bytes, inst: str, th: str):
+    def write(self, txn_id: int, name: str, value: int, inst: str, th: str):
         txn = self.txns[txn_id]
         old = self.store.read_volatile(name)
         txn.undo.append((name, old))
         txn.writes[name] = value
         self.store.write_volatile(name, value)
         self.trace.emit("write", txn_id, name,
-                        {"inst": inst, "th": th, "val": value.hex()})
+                        {"inst": inst, "th": th, "val": str(value)})
         if self.unsafe_early_release:
             # deliberately broken variant: strictness violation for
             # mutation testing of the smuggling audit
@@ -162,8 +162,8 @@ class TransactionManager:
 
     # --- distributed-commit helpers ---
 
-    def writes_by_node(self, txn_id: int) -> dict[str, dict[str, bytes]]:
-        out: dict[str, dict[str, bytes]] = {}
+    def writes_by_node(self, txn_id: int) -> dict[str, dict[str, int]]:
+        out: dict[str, dict[str, int]] = {}
         for name, value in self.txns[txn_id].writes.items():
             out.setdefault(self.store.homes[name], {})[name] = value
         return out

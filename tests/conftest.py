@@ -34,6 +34,38 @@ seed 3
 horizon 500
 """
 
+# node and object names that a trace line cannot carry, each rejected at
+# the line declaring it (line 2); accepted, an object `x,y` split into two
+# names in its commit's `objs` and failed a correct run's atomicity audit,
+# an object `-` wrote a trace whose grant line `casim audit` rejected, and
+# a node `-` fell out of its commit's `parts`, so the durability audit
+# never checked its applies
+COMMA_IN_OBJECT = """node n1
+object x,y n1 0
+action a
+  footprint x,y
+  role r
+    write x,y 5
+    exit
+end
+client c n1 0 a r
+"""
+DASH_OBJECT = COMMA_IN_OBJECT.replace("x,y", "-")
+DASH_NODE = """node n1
+node -
+object x n1 0
+object y - 0
+action a
+  footprint x y
+  role r
+    write x 5
+    write y 7
+    exit
+end
+client c n1 0 a r
+"""
+BAD_NAME = "node and object names may not be `-` or contain `,`"
+
 
 @pytest.fixture
 def transfer_scenario():

@@ -407,10 +407,47 @@ def test_atomicity_flags_tampered_dump():
     res = run_text(TRANSFER)
     text = res.trace_text()
     stable = res.store.dump_stable()
-    tampered = text.replace(stable[0], stable[0][:-2] + "ff", 1)
+    node, name, version, value = stable[0].split("\t")
+    tampered = text.replace(stable[0], "\t".join(
+        (node, name, version, str(int(value) + 1))), 1)
     report = audit.audit_trace(tampered, all_nodes=["alpha", "beta"])
     assert not report["atomicity"][0]
     assert not report["ok"]
+
+
+def _hex_values(text):
+    """`text` with each `val` and dump value written as the hex of its
+    decimal digits, as traces gave values before they were decimal."""
+    def hexed(value):
+        return value.encode("ascii").hex()
+
+    head, dump = text.split("\ndump\n")
+    lines = []
+    for ln in head.split("\n"):
+        fields = ln.split("\t")
+        fields[5] = " ".join("val=" + hexed(tok[4:]) if tok[:4] == "val="
+                             else tok for tok in fields[5].split(" "))
+        lines.append("\t".join(fields))
+    lines.append("dump")
+    for ln in dump.split("\n"):
+        fields = ln.split("\t")
+        if len(fields) == 4:
+            fields[3] = hexed(fields[3])
+        lines.append("\t".join(fields))
+    return "\n".join(lines)
+
+
+def test_values_are_compared_only_with_each_other():
+    """The audits treat each value as a string: a trace whose values are
+    written in hex, as before they were decimal, audits the same."""
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        sc = load_scenario(str(path))
+        for strategy in (None, "flatten", "nested"):
+            text = Simulator(sc, strategy=strategy).run().trace_text()
+            hexed = _hex_values(text)
+            assert hexed != text
+            assert audit.audit_trace(hexed, sc.nodes) \
+                == audit.audit_trace(text, sc.nodes)
 
 
 def test_durability_failure_detected():

@@ -6,7 +6,8 @@ import casim.cli as cli
 from casim import audit
 from casim.trace import Trace
 
-from conftest import TRANSFER
+from conftest import (BAD_NAME, COMMA_IN_OBJECT, DASH_NODE, DASH_OBJECT,
+                      TRANSFER)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -221,8 +222,12 @@ UNDECLARED_FOOTPRINT = TRANSFER.replace("footprint acct_a acct_b",
     ("node n1\nseed\n", "line 2: usage: seed N"),
     (UNDECLARED_FOOTPRINT, "action transfer: footprint names unknown "
                            "object zz"),
+    (COMMA_IN_OBJECT, "line 2: 'x,y': " + BAD_NAME),
+    (DASH_OBJECT, "line 2: '-': " + BAD_NAME),
+    (DASH_NODE, "line 2: '-': " + BAD_NAME),
 ], ids=["test_outside_footprint", "role_twice", "slash_in_name",
-        "slash_in_key", "seed_without_value", "undeclared_footprint"])
+        "slash_in_key", "seed_without_value", "undeclared_footprint",
+        "comma_in_object", "dash_object", "dash_node"])
 def test_rejected_scenario_exits_two(tmp_path, capsys, monkeypatch, text,
                                      message):
     monkeypatch.setenv("CASIM_OUT_DIR", str(tmp_path))

@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from casim import audit, sweep
+from casim import audit, sweep, trace
 from casim.dag import CONSTRAINT, NESTED, count_admissible_orders
 from casim.engine import Simulator
 from casim.errors import InconsistentFault, MalformedTrace
 from casim.scenario import (Contribution, Fault, load_scenario,
                             parse_scenario)
-from casim.store import ObjectStore, decode_value
+from casim.store import ObjectStore
+from casim.txn import TransactionManager
 
 from conftest import TRANSFER, random_competitive_scenario, run_text
 
@@ -25,8 +26,7 @@ SCENARIO_DIR = ROOT / "scenarios"
 
 def stable_value(res, name):
     node = res.store.homes[name]
-    value, _version = res.store.nodes[node].stable[name]
-    return decode_value(value)
+    return res.store.nodes[node].stable[name][0]
 
 
 def kinds(res):
@@ -48,6 +48,70 @@ def test_transfer_commits_and_applies():
     ks = kinds(res)
     assert "line_recovery" in ks and "test_line" in ks
     assert ks.count("commit1") == 2  # both participant nodes prepared
+
+
+def test_initial_dump_gives_each_declared_value_in_decimal():
+    sc = load_scenario(str(SCENARIO_DIR / "flat_transfer.scn"))
+    initial = Simulator(sc).run().dumps()["initial"]
+    assert initial == ["alpha\tacct_a\t0\t100", "beta\tacct_b\t0\t40"]
+    assert initial == sorted("%s\t%s\t0\t%d" % (node, name, value)
+                             for name, node, value in sc.objects)
+
+
+def test_each_read_line_gives_the_value_read(monkeypatch):
+    """Over the reference scenarios under every strategy, each `read`
+    line's `val` is the decimal of the int the read returned."""
+    got = []
+    real = TransactionManager.read
+
+    def read(self, *args):
+        got.append(real(self, *args))
+        return got[-1]
+
+    monkeypatch.setattr(TransactionManager, "read", read)
+    for path in sorted(SCENARIO_DIR.glob("*.scn")):
+        for strategy in (None, "flatten", "nested"):
+            got.clear()
+            res = Simulator(load_scenario(str(path)), strategy=strategy).run()
+            events, _dumps = trace.parse(res.trace_text())
+            vals = [ev.detail["val"] for ev in events if ev.kind == "read"]
+            assert got and all(type(v) is int for v in got)
+            assert vals == [str(v) for v in got]
+
+
+NEGATIVE = """node n1
+object x n1 10
+action a
+  footprint x
+  role r
+    write x x - 50
+    exit
+end
+client c n1 0 a r
+"""
+
+
+def test_a_negative_value_renders_parses_and_audits():
+    res = run_text(NEGATIVE)
+    assert res.outcomes == {"a": "committed"}
+    text = res.trace_text()
+    assert "\tread\t0\tx\tinst=a th=0 val=10\n" in text
+    assert "\twrite\t0\tx\tinst=a th=0 val=-40\n" in text
+    assert trace.parse(text) == (res.trace.events, res.dumps())
+    assert res.dumps()["stable"] == ["n1\tx\t1\t-40"]
+    report = audit.audit_trace(text, all_nodes=["n1"])
+    passes = [name for name in report if name != "ok"]
+    assert report["ok"] and len(passes) == 6
+    assert all(report[name][0] for name in passes)
+
+
+def test_a_write_of_a_comparison_stores_an_int():
+    res = run_text(NEGATIVE.replace("x - 50", "x > 3 and x < 5"))
+    assert "\twrite\t0\tx\tinst=a th=0 val=0\n" in res.trace_text()
+    assert type(stable_value(res, "x")) is int
+    res = run_text(NEGATIVE.replace("x - 50", "x > 3"))
+    assert "\twrite\t0\tx\tinst=a th=0 val=1\n" in res.trace_text()
+    assert res.dumps()["stable"] == ["n1\tx\t1\t1"]
 
 
 def test_failed_acceptance_test_aborts_everything():

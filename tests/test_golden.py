@@ -34,21 +34,21 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 
 TRACE_DIGESTS = {
-    ("competitive", None): "2118302fcaeaeab63619cef40295339ec5eeb7b97a59ff1f5e31690929f2080e",
-    ("competitive", "flatten"): "2118302fcaeaeab63619cef40295339ec5eeb7b97a59ff1f5e31690929f2080e",
-    ("competitive", "nested"): "2118302fcaeaeab63619cef40295339ec5eeb7b97a59ff1f5e31690929f2080e",
-    ("crash_recover", None): "0f26981894b3926e8674276ff605a51ac82ee33a8f9acdef4c88b853870d702d",
-    ("crash_recover", "flatten"): "0f26981894b3926e8674276ff605a51ac82ee33a8f9acdef4c88b853870d702d",
-    ("crash_recover", "nested"): "0f26981894b3926e8674276ff605a51ac82ee33a8f9acdef4c88b853870d702d",
-    ("deep_tree", None): "892bad1c890691a219ab8fe42bf54a35d66dd10f46a1973204f23b448ce15f69",
-    ("deep_tree", "flatten"): "e8853d6acb6b075e22766514832ee186333def82757d097928aa3bd2bcd13947",
-    ("deep_tree", "nested"): "892bad1c890691a219ab8fe42bf54a35d66dd10f46a1973204f23b448ce15f69",
-    ("flat_transfer", None): "d490c429997dcb7216818c22b915c6c9c1433af12e52be3dacb8738caec524f8",
-    ("flat_transfer", "flatten"): "d490c429997dcb7216818c22b915c6c9c1433af12e52be3dacb8738caec524f8",
-    ("flat_transfer", "nested"): "d490c429997dcb7216818c22b915c6c9c1433af12e52be3dacb8738caec524f8",
-    ("nested_audit", None): "b4328ed571278403069e9438fbfab1f7809713e16c21b40338741ef594ed427f",
-    ("nested_audit", "flatten"): "2242f1575b787ae338098ca619e5a354d29638ebe84c366b25eaa9b2585940b6",
-    ("nested_audit", "nested"): "b4328ed571278403069e9438fbfab1f7809713e16c21b40338741ef594ed427f",
+    ("competitive", None): "ea947319be81c3115dfed6cd5616c969198ff7d553f29059137b9efd28855460",
+    ("competitive", "flatten"): "ea947319be81c3115dfed6cd5616c969198ff7d553f29059137b9efd28855460",
+    ("competitive", "nested"): "ea947319be81c3115dfed6cd5616c969198ff7d553f29059137b9efd28855460",
+    ("crash_recover", None): "cbb0abf011fe42b9f21d53428306dfd42e520cbe1752a8aec9168b9dcc89ade9",
+    ("crash_recover", "flatten"): "cbb0abf011fe42b9f21d53428306dfd42e520cbe1752a8aec9168b9dcc89ade9",
+    ("crash_recover", "nested"): "cbb0abf011fe42b9f21d53428306dfd42e520cbe1752a8aec9168b9dcc89ade9",
+    ("deep_tree", None): "e13c7afc29e92766658520d510d0c80ec97aeabd282e5105389d401f4ceec071",
+    ("deep_tree", "flatten"): "9cd0f9d3dcfcc52474cf0d0650329991ce8fe3298d04995f5c401d5d8cc0b937",
+    ("deep_tree", "nested"): "e13c7afc29e92766658520d510d0c80ec97aeabd282e5105389d401f4ceec071",
+    ("flat_transfer", None): "2fc8d8a2fb8beba45cd5107a499345426fe9c7f20f335670ecc663b718e47c55",
+    ("flat_transfer", "flatten"): "2fc8d8a2fb8beba45cd5107a499345426fe9c7f20f335670ecc663b718e47c55",
+    ("flat_transfer", "nested"): "2fc8d8a2fb8beba45cd5107a499345426fe9c7f20f335670ecc663b718e47c55",
+    ("nested_audit", None): "6f4f13fb45f145eee289b26c9f2bbd8898f5b63e2ac8600a1925f2d5525c592a",
+    ("nested_audit", "flatten"): "cb96af82c46991bce7fb901c6c70c228a827df37c5a0b146ddb3e70930da4c25",
+    ("nested_audit", "nested"): "6f4f13fb45f145eee289b26c9f2bbd8898f5b63e2ac8600a1925f2d5525c592a",
 }
 
 AUDIT_DIGESTS = {
@@ -77,7 +77,7 @@ COMPETITIVE_AUDIT_DIGEST = \
 # of them failing, with 90 problems across smuggling, lock_rule and
 # atomicity)
 MUTANT_AUDIT_DIGEST = \
-    "86225277497f2c1facb493a18e44c6d6edf60f3db8285c5e50135f70921f26a7"
+    "4e2d4f69e9eb621e929b0ec742bb179391a0f499d26673e0e642751d22e5fb28"
 
 CRASH_SWEEP_DIGEST = \
     "ac3aa3e917fd1c2e884584fbd9e07f903716df0a78ba54c4aa14de0f5b8155d7"
@@ -92,9 +92,9 @@ SWEEP_TABLE_DIGESTS = {
 # the run each workload's benchmark audits first: contended_2pc's one run,
 # crash_sweep's fault-free run and nested_seeds' run at seed 0
 WORKLOAD_TRACE_DIGESTS = {
-    "contended_2pc": "03ca798a7e9046fa7930273e7c2bdeda16505a46dee03d04266374874c91f025",
-    "crash_sweep": "7e15e33505dd7a34c8f67f36a7122315f71fbf0314efb6d2e596f8de2fbe2c65",
-    "nested_seeds": "dd396ebf553bb2eb79a1b9857192cb4f23adcaacfab6ae16528a6983d7f58d4e",
+    "contended_2pc": "d460c7bca1c5ed5f4aaa8c4fb5e8fd68351d4b631862eb5d631bce4ab0ab04e3",
+    "crash_sweep": "a8bc57e59189d8705847ad42aa7a4c975501a7960f24bfeb9dd10e66d73f2ac2",
+    "nested_seeds": "c79d2e79020d98e78569da91634f4a905685c7e1ca041263c4e363028c49798f",
 }
 
 PARSE_REPR_DIGESTS = {

@@ -67,7 +67,18 @@ def test_ancestor_holder_does_not_block_descendant():
     tree.add(3, parent=2)
     assert t.acquire(1, "x", "w", tag=1) == "granted"
     assert t.acquire(3, "x", "w", tag=3) == "granted"  # 1 is proper ancestor
-    assert t.held_mode("x", 3) == "w"
+    assert t.holders["x"][3] == "w"
+
+
+def test_a_held_lock_covers_its_mode_and_a_write_lock_every_mode():
+    tree, t = make()
+    tree.add(1)
+    tree.add(2)
+    t.acquire(1, "x", "r", tag=1)
+    t.acquire(2, "y", "w", tag=2)
+    assert t.covers("x", 1, "r") and not t.covers("x", 1, "w")
+    assert t.covers("y", 2, "r") and t.covers("y", 2, "w")
+    assert not t.covers("x", 2, "r") and not t.covers("z", 1, "r")
 
 
 def test_sibling_conflict_blocks():
@@ -87,8 +98,7 @@ def test_transfer_to_parent_keeps_strongest_mode():
     t.acquire(1, "x", "r", tag=1)
     t.acquire(2, "x", "w", tag=2)
     t.transfer(2, 1)
-    assert t.held_mode("x", 1) == "w"
-    assert t.held_mode("x", 2) is None
+    assert t.holders["x"] == {1: "w"}
 
 
 def test_queue_is_fifo_and_promotion_stops_at_conflict():

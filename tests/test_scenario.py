@@ -6,7 +6,8 @@ import pytest
 from casim.errors import CyclicConstraint, ModeViolation, ValidationError
 from casim.scenario import parse_scenario
 
-from conftest import TRANSFER
+from conftest import (BAD_NAME, COMMA_IN_OBJECT, DASH_NODE, DASH_OBJECT,
+                      TRANSFER)
 
 
 def test_parse_full_scenario():
@@ -104,6 +105,9 @@ client b n1 0 bump#right w
      "line 3: usage: sync SIGNAL emit|await"),
     ("action a\n  role r\n    enter b\n", "line 3: usage: enter ACTION ROLE"),
     ("action a\n  role r\n    jump\n", "line 3: unknown step 'jump'"),
+    (COMMA_IN_OBJECT, "line 2: 'x,y': " + BAD_NAME),
+    (DASH_OBJECT, "line 2: '-': " + BAD_NAME),
+    (DASH_NODE, "line 2: '-': " + BAD_NAME),
 ])
 def test_rejections(text, fragment):
     with pytest.raises(ValidationError) as e:

@@ -1,5 +1,6 @@
 import random
 import runpy
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,9 @@ from casim import sweep, trace
 from casim.engine import Simulator
 from casim.errors import MalformedTrace
 from casim.scenario import load_scenario, parse_scenario
+from casim.txn import TransactionManager
+
+from conftest import random_competitive_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -747,6 +751,85 @@ def test_parse_gives_back_the_emitted_events(monkeypatch):
     crash = parse_scenario(workloads["crash_sweep"](1))
     assert _assert_sweep_audits_parse_to_emitted(
         monkeypatch, crash, stride=workloads["CRASH_STRIDE"]) == 608
+
+
+# --- every emit site builds its detail values as str ---
+
+_FIXED_KEYS = {k for shape in trace.SCHEMA for k in shape.fixed}
+
+
+def _survey_emits(monkeypatch, corpus):
+    """Call `corpus()` with every emitted event surveyed; returns the
+    indexes of the SCHEMA shapes the events have and the (kind, key,
+    value) of each detail value that is not a str.  The survey is a test
+    of the emit sites, so emitting costs nothing more in a run."""
+    seen, odd = set(), []
+    real = trace.Trace.emit
+
+    def emit(self, kind, txn, obj, detail):
+        odd.extend((kind, k, v) for k, v in detail.items()
+                   if type(v) is not str)
+        seen.add((kind, txn is not None, obj is not None,
+                  tuple((k, v if k in _FIXED_KEYS else None)
+                        for k, v in detail.items())))
+        return real(self, kind, txn, obj, detail)
+
+    with monkeypatch.context() as m:
+        m.setattr(trace.Trace, "emit", emit)
+        corpus()
+    shapes = {i for kind, has_txn, has_obj, pairs in seen
+              for i, s in enumerate(trace.SCHEMA)
+              if (s.kind, s.txn, s.obj, s.keys) == (
+                  kind, has_txn, has_obj, tuple(k for k, _ in pairs))
+              and all(dict(pairs)[k] == v for k, v in s.fixed.items())}
+    return shapes, odd
+
+
+def _emit_corpus():
+    """The reference scenarios under every strategy at seeds 0-4 and the
+    crash sweeps of each at stride 3, 50 generated competitive scenarios
+    and contended_2pc generated at seed 1."""
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    for path in sorted((ROOT / "scenarios").glob("*.scn")):
+        sc = load_scenario(str(path))
+        for strategy in (None, "flatten", "nested"):
+            for seed in range(5):
+                Simulator(sc, seed=seed, strategy=strategy).run()
+                sweep.crash_sweep(replace(sc, seed=seed,
+                                          strategy=strategy or sc.strategy),
+                                  stride=3)
+    for seed in range(50):
+        Simulator(random_competitive_scenario(seed)).run()
+    Simulator(parse_scenario(workloads["contended_2pc"](1))).run()
+
+
+def test_every_emitted_detail_value_is_a_str(monkeypatch):
+    """Rendering type-checks only `th` and `parent`, and the audits read
+    the emitted events, so every emit site must build its values as str:
+    over a corpus that reaches every SCHEMA shape, each one does."""
+    shapes, odd = _survey_emits(monkeypatch, _emit_corpus)
+    assert odd == []
+    assert shapes == set(range(len(trace.SCHEMA))) and len(shapes) == 26
+
+
+def test_the_emit_survey_flags_a_value_that_is_not_a_str(monkeypatch):
+    """A read that emits its `val` as an int renders (`val=100`), and the
+    survey flags it."""
+    def read(self, txn_id, name, inst, th):
+        value = self.store.read_volatile(name)
+        self.trace.emit("read", txn_id, name,
+                        {"inst": inst, "th": th, "val": value})
+        return value
+
+    monkeypatch.setattr(TransactionManager, "read", read)
+    sc = load_scenario(str(ROOT / "scenarios" / "flat_transfer.scn"))
+    runs = []
+    _shapes, odd = _survey_emits(
+        monkeypatch, lambda: runs.append(Simulator(sc).run().trace_text()))
+    assert "val=100\n" in runs[0]
+    assert odd and all(kind == "read" and key == "val" and type(v) is int
+                       for kind, key, v in odd)
+    assert odd[0][2] == 100
 
 
 def _two_events():
