@@ -42,9 +42,9 @@ decision is its instance's status, and each prepare reads its redo from
 the txn's writes, which no step or abort changes after the test line.
 """
 
-import heapq
 import random
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from . import actions as act
 from . import dag as dagmod
@@ -87,10 +87,6 @@ class LThread:
         self.frames: list[Frame] = []
         self.status = GATHERING
         self.gen = 0            # invalidates stale scheduled continuations
-
-    @property
-    def frame(self) -> Frame | None:
-        return self.frames[-1] if self.frames else None
 
     def copy(self, instances) -> "LThread":
         """This thread for a fork whose instances are `instances`."""
@@ -173,7 +169,7 @@ class Simulator:
         if prio is None:
             prio = self.rng.random()
         self._qseq += 1
-        heapq.heappush(self._q, (time, prio, self._qseq, fn, args))
+        heappush(self._q, (time, prio, self._qseq, fn, args))
 
     def _inject_fault(self, time, op, node, prio=None):
         self.schedule(time, Simulator._crash if op == "crash"
@@ -264,8 +260,9 @@ class Simulator:
             elif q[0][0] > self.horizon:
                 return False
             else:
-                t, _p, _s, fn, args = heapq.heappop(q)
-                trace.now = max(trace.now, t)
+                t, _p, _s, fn, args = heappop(q)
+                if t > trace.now:
+                    trace.now = t
                 fn(self, *args)
 
     def _quiesce(self) -> bool:
@@ -351,7 +348,8 @@ class Simulator:
         self.trace.emit("register", None, None, {
             "inst": inst.key, "node": th.node, "ok": "1", "role": role,
             "th": th.tid_text})
-        if set(inst.registered) == set(inst.defn.roles):
+        # the parser admits only declared roles, and each registers once
+        if len(inst.registered) == len(inst.defn.roles):
             self._start_instance(inst)
 
     def _deadline(self, key):
@@ -396,7 +394,8 @@ class Simulator:
 
     def _schedule_step(self, th):
         th.gen += 1
-        self.schedule(self.now + 1, Simulator._thread_step, th.tid, th.gen)
+        self.schedule(self.trace.now + 1, Simulator._thread_step, th.tid,
+                      th.gen)
 
     def _wake(self, th):
         if th.status in (BLOCKED_LOCK, BLOCKED_SYNC, BLOCKED_ORDER):
@@ -407,7 +406,7 @@ class Simulator:
         th = self.threads[tid]
         if th.gen != gen or th.status != RUNNABLE or not th.frames:
             return
-        frame = th.frame
+        frame = th.frames[-1]
         inst = frame.instance
         if inst.status != act.RUNNING:
             return
@@ -521,7 +520,7 @@ class Simulator:
     # test line and outcomes
 
     def _arrive(self, th):
-        inst = th.frame.instance
+        inst = th.frames[-1].instance
         if th.tid not in inst.arrived:
             self.trace.emit("step", None, None, {
                 "inst": inst.key, "op": "exit", "th": th.tid_text})

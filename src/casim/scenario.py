@@ -36,8 +36,8 @@ start of a line (after optional blanks), so a comment cannot follow
 content on the same line.  Client lines may suffix the action with `#key`
 to distinguish several instances of one definition.  `fault index K`
 fires right after the K-th trace event instead of at a fixed virtual
-time; K, the time of `fault at`, a client's time and the horizon are
-non-negative.
+time; K, the time of `fault at`, a client's time, an action's
+`deadline=` and the horizon are non-negative.
 
 Steps and expressions are read-only after parsing, so one parse makes
 one `Step` per distinct step line and one `Expr` per distinct expression
@@ -308,6 +308,9 @@ def _parse_action_header(toks, lineno) -> CAActionDef:
                 raise ValidationError("unknown mode %r" % d.mode, lineno)
         elif tok.startswith("deadline="):
             d.deadline = _int(tok[9:], lineno, "deadline")
+            if d.deadline < 0:
+                raise ValidationError("negative deadline %d" % d.deadline,
+                                      lineno)
         else:
             raise ValidationError("unknown action option %r" % tok, lineno)
     return d

@@ -24,8 +24,10 @@ trace's clock, `Trace.now`, so it equals the event parsed back from it.
 time or txn int between the events it returns, reading its text in
 chunks of about `CHUNK_CHARS` characters, each ending after a newline.
 
-Lines are formatted from `_SHAPES`, the parser's one table built from
-`SCHEMA`, which holds each shape's format beside its checks.  `copy`
+Each line is formatted by its shape's function in `_FORMATTERS`, compiled
+at import from that shape's `SCHEMA` row.  It applies the row's checks
+inline and returns the line, or None, and then `_shape_error` reads the
+parser's table of the same checks, `_SHAPES`, to say what broke.  `copy`
 renders the events past the source's cache of lines and gives the copy
 its own list of them, so the forks of one paused run format their common
 prefix once.
@@ -78,12 +80,10 @@ ALL_KINDS = frozenset(shape.kind for shape in SCHEMA)
 _KINDS = {k: k for k in ALL_KINDS}
 
 # (kind, has a txn, has an obj, *sorted detail keys) -> that shape's
-# format (of seq, time, txn, obj, *detail values), its checks (key, the
-# value it must equal or None for an integer) and its one INT_KEYS key or
-# None, whose value `_int_value` checks first (the parser once per token).
+# checks (key, the value it must equal or None for an integer) and its one
+# INT_KEYS key or None, whose value `_int_value` checks first (the parser
+# once per token).
 _SHAPES = {(s.kind, s.txn, s.obj, *s.keys): (
-    "%%s\t%%s\t%s\t%%s\t%%s\t" % s.kind
-    + " ".join(["%s=%%s" % k for k in s.keys]),
     tuple((k, s.fixed.get(k)) for k in s.keys
           if k in s.fixed or k == "parent" and s.kind != "begin"),
     next((k for k in s.keys if k in INT_KEYS), None)) for s in SCHEMA}
@@ -130,6 +130,36 @@ def _int_value(key, value, ints):
     return key == "parent" and value == "-" or _is_int(value, ints)
 
 
+def _formatter(shape):
+    """The function of (event, ints) that gives an event of `shape` its
+    line, or None if a value breaks the shape's checks (`ints` as for
+    `_is_int`).  It is compiled from source made of the shape's row alone,
+    as `collections.namedtuple` builds its methods: each detail value is
+    read into a local and reaches the line only through the f-string."""
+    names = ["v%d" % i for i in range(len(shape.keys))]
+    body = ["d = ev.detail"]
+    for name, key in zip(names, shape.keys):
+        body.append("%s = d[%r]" % (name, key))
+        if key in shape.fixed:
+            body.append("if %s != %r: return None" % (name, shape.fixed[key]))
+        elif key in INT_KEYS:
+            dash = "%s != '-' and " % name if shape.kind == "begin" else ""
+            body.append("if %s%s not in ints and not _is_int(%s, ints): "
+                        "return None" % (dash, name, name))
+    line = "\t".join([
+        "{ev.seq}", "{ev.time}", shape.kind, "{ev.txn}" if shape.txn else "-",
+        "{ev.obj}" if shape.obj else "-",
+        " ".join(["%s={%s}" % kv for kv in zip(shape.keys, names)])])
+    body.append("return f%r" % line)
+    namespace = {"_is_int": _is_int}
+    exec("def format_line(ev, ints):\n    " + "\n    ".join(body), namespace)
+    return namespace["format_line"]
+
+
+# the same keys as _SHAPES -> the formatter of that shape
+_FORMATTERS = {(s.kind, s.txn, s.obj, *s.keys): _formatter(s) for s in SCHEMA}
+
+
 def _shape_error(kind, txn, obj, pairs):
     """Why a `kind` event with `txn`, `obj` and the detail (key, value)
     `pairs`, in line order, has no shape (checking fixed values first)."""
@@ -160,7 +190,7 @@ def _shape_error(kind, txn, obj, pairs):
         if (key in detail) != (key in shape.keys):
             return "%s event %s detail key %r" % (
                 kind, "with unexpected" if key in detail else "lacks", key)
-    _, checks, key = _SHAPES[(kind, *shape[1:3], *shape.keys)]
+    checks, key = _SHAPES[(kind, *shape[1:3], *shape.keys)]
     if key is None or _int_value(key, detail[key], {}):
         key = _odd_key(detail, checks, {})
     return "non-integer %s %r" % (key, detail[key])
@@ -199,25 +229,23 @@ class Trace:
         return tr
 
     def lines(self):
-        """Every event's line, from the cache and then each from its shape's
-        format; MalformedTrace at an event's line where the parser would
-        raise it (keys out of sorted order, no shape, or an odd value)."""
+        """Every event's line, from the cache and then each from its
+        shape's formatter; MalformedTrace at an event's line where the
+        parser would raise it (keys out of sorted order, no shape, or an
+        odd value)."""
         done = self._lines
         new = []
         ints = {}   # integer detail value -> its int, within this call
         for ev in islice(self.events, len(done), None):
-            detail, txn, obj = ev.detail, ev.txn, ev.obj
-            fmt, checks, key = _SHAPES.get(
-                (ev.kind, txn is not None, obj is not None, *detail),
-                (None, (), None))
-            if fmt is None or key and detail[key] not in ints \
-                    and not _int_value(key, detail[key], ints) \
-                    or checks and _odd_key(detail, checks, ints):
+            detail = ev.detail
+            fmt = _FORMATTERS.get(
+                (ev.kind, ev.txn is not None, ev.obj is not None, *detail))
+            line = fmt and fmt(ev, ints)
+            if line is None:
                 raise MalformedTrace(_shape_error(
-                    ev.kind, txn, obj, list(detail.items())),
+                    ev.kind, ev.txn, ev.obj, list(detail.items())),
                     len(done) + len(new) + 1)
-            new.append(fmt % (ev.seq, ev.time, "-" if txn is None else txn,
-                              "-" if obj is None else obj, *detail.values()))
+            new.append(line)
         return done + new if done else new
 
     def render(self, dumps: dict | None = None) -> str:
@@ -339,7 +367,7 @@ def parse(text: str):
             detail[pair[0]] = pair[1]
         shape = _SHAPES.get((kind, txn is not None, obj is not None, *detail))
         if shape is None or len(detail) < len(toks) \
-                or shape[1] and _odd_key(detail, shape[1], ints):
+                or shape[0] and _odd_key(detail, shape[0], ints):
             raise MalformedTrace(_shape_error(
                 kind, txn, obj, [pairs[tok] for tok in toks]), lineno)
         events.append(Event(seq, time, kind, txn, obj, detail))

@@ -64,6 +64,19 @@ action a
 end
 client c n1 0 a r
 """
+# a deadline that would time an instance out before it opened; accepted,
+# it scheduled the entry timeout 3 ticks in the past, and the instance
+# aborted as soon as its first role registered
+NEGATIVE_DEADLINE = """node n1
+action a deadline=-3
+  role r
+    exit
+  role s
+    exit
+end
+client c1 n1 0 a r
+client c2 n1 2 a s
+"""
 BAD_NAME = "node and object names may not be `-` or contain `,`"
 
 

@@ -7,7 +7,7 @@ from casim import audit
 from casim.trace import Trace
 
 from conftest import (BAD_NAME, COMMA_IN_OBJECT, DASH_NODE, DASH_OBJECT,
-                      TRANSFER)
+                      NEGATIVE_DEADLINE, TRANSFER)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -225,9 +225,10 @@ UNDECLARED_FOOTPRINT = TRANSFER.replace("footprint acct_a acct_b",
     (COMMA_IN_OBJECT, "line 2: 'x,y': " + BAD_NAME),
     (DASH_OBJECT, "line 2: '-': " + BAD_NAME),
     (DASH_NODE, "line 2: '-': " + BAD_NAME),
+    (NEGATIVE_DEADLINE, "line 2: negative deadline -3"),
 ], ids=["test_outside_footprint", "role_twice", "slash_in_name",
         "slash_in_key", "seed_without_value", "undeclared_footprint",
-        "comma_in_object", "dash_object", "dash_node"])
+        "comma_in_object", "dash_object", "dash_node", "negative_deadline"])
 def test_rejected_scenario_exits_two(tmp_path, capsys, monkeypatch, text,
                                      message):
     monkeypatch.setenv("CASIM_OUT_DIR", str(tmp_path))

@@ -114,6 +114,35 @@ def test_a_write_of_a_comparison_stores_an_int():
     assert res.dumps()["stable"] == ["n1\tx\t1\t1"]
 
 
+# role r registers at time 3; role s is given at the second client's time
+DEADLINE = """node n1
+action a deadline=%d
+  role r
+    exit
+  role s
+    exit
+end
+client c1 n1 3 a r
+client c2 n1 %d a s
+"""
+
+
+@pytest.mark.parametrize("k", [0, 5, 40])
+def test_a_deadline_aborts_a_gathering_instance_k_ticks_after_it_opened(k):
+    """`deadline=K` aborts an instance still gathering its roles with
+    `entry_timeout` at its first registration's time + K; a late role is
+    then rejected, and one given in time starts the instance instead."""
+    res = run_text(DEADLINE % (k, 3 + k + 1))
+    inst = res.instances["a"]
+    assert (inst.status, inst.abort_cause) == ("aborted", "entry_timeout")
+    assert [(ev.time, ev.detail["outcome"]) for ev in res.trace.events
+            if ev.kind == "outcome"] == [(3 + k, "aborted")]
+    assert res.rejections == [("RoleTaken", "a", "s", 1)]
+    if k > 1:
+        assert run_text(DEADLINE % (k, 3 + k - 1)).outcomes == {
+            "a": "committed"}
+
+
 def test_failed_acceptance_test_aborts_everything():
     text = TRANSFER.replace("acct_a + acct_b == 140",
                             "acct_a + acct_b == 999")

@@ -7,7 +7,7 @@ from casim.errors import CyclicConstraint, ModeViolation, ValidationError
 from casim.scenario import parse_scenario
 
 from conftest import (BAD_NAME, COMMA_IN_OBJECT, DASH_NODE, DASH_OBJECT,
-                      TRANSFER)
+                      NEGATIVE_DEADLINE, TRANSFER)
 
 
 def test_parse_full_scenario():
@@ -108,6 +108,7 @@ client b n1 0 bump#right w
     (COMMA_IN_OBJECT, "line 2: 'x,y': " + BAD_NAME),
     (DASH_OBJECT, "line 2: '-': " + BAD_NAME),
     (DASH_NODE, "line 2: '-': " + BAD_NAME),
+    (NEGATIVE_DEADLINE, "line 2: negative deadline -3"),
 ])
 def test_rejections(text, fragment):
     with pytest.raises(ValidationError) as e:

@@ -96,10 +96,11 @@ def test_sweep_format_guard_rejects_lines_that_do_not_parse_back(
     sweep's full parse of a first run rejects it: the seed sweep's first
     seed, the crash sweep's fault-free run."""
     read = ("read", True, True, "inst", "th", "val")   # val ends the line
-    fmt, *checks = trace._SHAPES[read]
+    fmt = trace._FORMATTERS[read]
     sc = load_scenario(str(SCENARIO_DIR / "flat_transfer.scn"))
     run_sweep(sc)
-    monkeypatch.setitem(trace._SHAPES, read, (fmt + "0", *checks))
+    monkeypatch.setitem(trace._FORMATTERS, read,
+                        lambda ev, ints: fmt(ev, ints) + "0")
     res = Simulator(sc).run()
     text = res.trace_text()
     events, _ = trace.parse(text)

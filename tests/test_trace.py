@@ -310,10 +310,18 @@ def _shaped_events(draw):
           trace.Event(1, 1, "read", 3, "x",
                       {"inst": "k", "th": "1", "val": "%"}),
           trace.Event(2, 2, "crash", None, None, {"node": "%%"})], 2)
+@example([trace.Event(0, 0, "read", 3, "{x}",
+                      {"inst": "{ev.seq}", "th": "0", "val": "}{"}),
+          trace.Event(1, 1, "drop", None, None,
+                      {"from": "\\", "mid": "'", "mtype": '"', "to": "{0}"}),
+          trace.Event(2, 2, "crash", None, None,
+                      {"node": "\\n'''\"\"\"{%s}"})], 1)
 def test_lines_match_the_per_event_formula(events, cut):
-    """Lines from the shape table's formats are those of the old formula,
+    """Lines from the shapes' formatters are those of the old formula,
     also in a copy made after `cut` events, which renders what a fresh
-    trace of all the events does."""
+    trace of all the events does.  Values holding `%`, braces, quotes or a
+    backslash come out as they went in: a formatter's source is made of
+    its shape's row alone, never of a value."""
     t = trace.Trace()
     t.events = events[:cut]
     assert t.lines() == [_reference_line(ev) for ev in t.events]
@@ -323,6 +331,15 @@ def test_lines_match_the_per_event_formula(events, cut):
     fresh.events = list(events)
     assert fork.render() == fresh.render() == ("".join(
         _reference_line(ev) + "\n" for ev in events) or "\n")
+
+
+def test_one_formatter_per_shape():
+    """`_FORMATTERS` holds one function per SCHEMA shape, under the key
+    `Trace.lines` looks it up by, which is also that shape's key in the
+    parser's `_SHAPES`."""
+    keys = [(s.kind, s.txn, s.obj, *s.keys) for s in trace.SCHEMA]
+    assert list(trace._FORMATTERS) == keys and set(trace._SHAPES) == set(keys)
+    assert len(set(trace._FORMATTERS.values())) == len(trace.SCHEMA) == 26
 
 
 # --- the parser before it shared values and streamed its lines, kept as
