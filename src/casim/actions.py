@@ -194,27 +194,35 @@ def validate_defs(defs: dict, known_objects, lines=None):
 
 
 def _check_order_acyclic(action, order, at):
+    """CyclicConstraint at the first node that a depth-first search over
+    the constraints, in declaration order, reaches again while still on
+    its path, and at the line of the constraint that reached it.  The
+    search keeps its path on a list, so a chain of any length is
+    checked without recursion."""
     succ = {}
     for a, b in order:
         succ.setdefault(a, []).append((b, at((action, "order", a, b))))
     seen, done = set(), set()
-    for n in list(succ):
-        _visit(action, succ, n, seen, done, None)
-
-
-def _visit(action, succ, n, seen, done, line):
-    """Depth-first search from n, reached by the constraint at `line` (a
-    module function: a nested recursive closure would be a reference
-    cycle left for the GC on every parse)."""
-    if n in done:
-        return
-    if n in seen:
-        raise CyclicConstraint("action %s: ordering constraints are "
-                               "cyclic at %s" % (action, n), line)
-    seen.add(n)
-    for m, m_line in succ.get(n, []):
-        _visit(action, succ, m, seen, done, m_line)
-    done.add(n)
+    for root in list(succ):
+        if root in done:
+            continue
+        seen.add(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            n, later = path[-1]
+            for m, line in later:
+                if m in done:
+                    continue
+                if m in seen:
+                    raise CyclicConstraint("action %s: ordering constraints "
+                                           "are cyclic at %s" % (action, m),
+                                           line)
+                seen.add(m)
+                path.append((m, iter(succ.get(m, ()))))
+                break
+            else:
+                done.add(n)
+                path.pop()
 
 
 def _validate_step(action, role, idx, step, d, defs, known_objects, line):

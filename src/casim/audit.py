@@ -30,6 +30,24 @@ events and dump records it rendered, in place of a parse of the text:
 the parser checks its line, so the report is the same.  The passes only
 read the events, which a run shares with its forks.
 
+Each audit resumes an `AuditState`: the folds of the events fed so far,
+the facts that no later event changes.  They are the events' count and
+`core` subsequence, the final-up-nodes fold, each view-using pass's own
+`TxnView` (serializability, smuggling, atomicity and the lock rule, so a
+plain audit builds four), bracketing's transaction lifecycles with their
+problems and each instance's last registration and first outcome,
+durability's applies and commit decisions, and atomicity's parse of the
+`[initial]` records.  A plain audit starts from a fresh state and feeds
+it the whole trace; a crash fork starts from a copy of its paused base's
+state and feeds it only the fork's own events.  Every walk that reads
+final facts still runs over the whole trace when the events are all
+fed: serializability, smuggling (a later `begin` can change the top of
+an earlier transaction in a malformed trace), atomicity's replay, the
+lock rule, bracketing's body-event check and durability's decision
+check, so each report is the same however the trace was split.  A
+state feeds its views only when it is copied and when a pass takes its
+view, so a plain audit holds one view at a time.
+
 `audit_trace` pauses the cyclic collector while it parses and runs the
 passes, and restores the caller's setting when it returns or raises.
 Parsed events, detail dicts and every pass's indexes hold no reference
@@ -39,6 +57,7 @@ and the pause defers no garbage.
 
 import heapq
 from collections import defaultdict
+from itertools import islice
 
 from . import trace as trace_mod
 from .errors import MalformedTrace
@@ -48,10 +67,22 @@ from .locks import WRITE, conflicts
 # the event kinds that every pass but bracketing reads
 CORE_KINDS = frozenset(("begin", "abort", "commit2", "outcome", "read",
                         "write", "grant", "crash", "recover"))
+# the passes that read a `TxnView`, each its own
+VIEW_PASSES = ("serializability", "smuggling", "atomicity", "lock_rule")
+
+
+def _copied(fold):
+    """A fold of the same events as `fold`, to feed apart from it: each of
+    its containers copied one level deep, as a fold replaces and never
+    updates what they hold."""
+    copy = object.__new__(type(fold))
+    copy.__dict__ = {k: v.copy() for k, v in fold.__dict__.items()}
+    return copy
 
 
 class TxnView:
-    """Transaction facts reconstructed from a trace."""
+    """Transaction facts reconstructed from a trace, as a fold: `feed`
+    adds events and `copy` gives a view to feed apart from this one."""
 
     def __init__(self, events):
         self.parents: dict[int, int | None] = {}
@@ -60,24 +91,44 @@ class TxnView:
         self.decision_seq: dict[int, int] = {}
         self.apply_objs: dict[int, set] = {}    # top txn -> objs applied
         self.inst_outcome: dict[str, str] = {}
+        self.feed(events)
+
+    def feed(self, events):
+        parents, aborted = self.parents, self.aborted
+        decided, decision_seq = self.decided, self.decision_seq
+        apply_objs, inst_outcome = self.apply_objs, self.inst_outcome
         for ev in events:
             kind = ev.kind
             if kind == "begin":
                 p = ev.detail["parent"]
-                self.parents[ev.txn] = None if p == "-" else int(p)
+                if p == "-":
+                    parents[ev.txn] = None
+                    continue
+                # a link that would close a cycle is refused, so that every
+                # walk up the tree ends
+                a = p = int(p)
+                while a is not None and a != ev.txn:
+                    a = parents.get(a)
+                if a is None:
+                    parents[ev.txn] = p
             elif kind == "abort":
-                self.aborted.add(ev.txn)
+                aborted.add(ev.txn)
             elif kind == "commit2":
                 phase = ev.detail["phase"]
                 if phase == "decision":
-                    self.decided[ev.txn] = ev.detail["outcome"]
-                    self.decision_seq[ev.txn] = ev.seq
+                    decided[ev.txn] = ev.detail["outcome"]
+                    decision_seq[ev.txn] = ev.seq
                 elif phase == "apply":
-                    self.apply_objs.setdefault(ev.txn, set()).update(
-                        o for o in ev.detail["objs"].split(",") if o)
+                    objs = {o for o in ev.detail["objs"].split(",") if o}
+                    old = apply_objs.get(ev.txn)
+                    # a new set, never an update: copies share these sets
+                    apply_objs[ev.txn] = old | objs if old else objs
             elif kind == "outcome":
-                self.inst_outcome.setdefault(ev.detail["inst"],
-                                             ev.detail["outcome"])
+                inst_outcome.setdefault(ev.detail["inst"],
+                                        ev.detail["outcome"])
+
+    def copy(self) -> "TxnView":
+        return _copied(self)
 
     def top(self, txn: int) -> int:
         while self.parents.get(txn) is not None:
@@ -103,7 +154,7 @@ class TxnView:
             and self.inst_outcome.get(ev.detail["inst"]) != "aborted"
 
 
-def audit_serializability(events):
+def audit_serializability(events, view=None):
     """Check committed top-level transactions for conflict
     serializability in one pass over the trace; returns (ok, info).
 
@@ -118,8 +169,11 @@ def audit_serializability(events):
     info["witness"] is the serial order.  On failure info["cycle"] lists
     the transactions of one cycle in edge order, starting at the
     smallest, and info["conflicts"] gives for each cycle edge
-    (t1, t2, obj, seq1, seq2), the operation pair that first created it."""
-    view = TxnView(events)
+    (t1, t2, obj, seq1, seq2), the operation pair that first created it.
+    `view`, if given, is a `TxnView` fed `events` and no other events, as
+    for every pass that takes one."""
+    if view is None:
+        view = TxnView(events)
     committed = view.committed_top()
     edges = {}    # (t1, t2) -> (obj, seq1, seq2) of the first pair
     writer = {}   # obj -> (top, seq) of the last write
@@ -178,10 +232,11 @@ def audit_serializability(events):
                    "edges": sorted(edges)}
 
 
-def scan_smuggling(events):
+def scan_smuggling(events, view=None):
     """Flag reads of data whose writer's top-level transaction had not yet
     committed or aborted: information leaving an atomic action early."""
-    view = TxnView(events)
+    if view is None:
+        view = TxnView(events)
     dirty: dict[str, set] = {}     # obj -> txns with unresolved writes
     dirtied: dict[int, set] = {}   # txn -> objs it has in `dirty`
     problems = []
@@ -221,54 +276,81 @@ TXN_OPS = frozenset(("read", "write", "grant", "queue"))
 TXN_ENDS = (("nested", None), ("decision", "commit"))  # commit2 phase, outcome
 
 
-def scan_bracketing(events):
+class Lifecycles:
+    """Bracketing's fold: each instance's last registration and first
+    outcome, and each transaction's begin and end, with the problems of
+    the transactions' lifecycles in the order of the events fed."""
+
+    def __init__(self):
+        self.last_register: dict[str, int] = {}
+        self.first_outcome: dict[str, int] = {}
+        self.parent: dict = {}             # begun txn -> its parent or "-"
+        self.open_kids: dict = {"-": set()}  # open txn ("-": root) -> kids
+        self.problems: list = []
+
+    def feed(self, events):
+        last_register, first_outcome = self.last_register, self.first_outcome
+        parent, open_kids = self.parent, self.open_kids
+        txn_problems = self.problems
+        for ev in events:
+            kind, t = ev.kind, ev.txn
+            if kind in TXN_OPS:
+                if t not in open_kids:
+                    txn_problems.append("seq %d: %s by txn %s %s" % (
+                        ev.seq, kind, t, "after its end" if t in parent
+                        else "before its begin"))
+            elif kind == "register" and ev.detail["ok"] == "1":
+                last_register[ev.detail["inst"]] = ev.seq
+            elif kind == "outcome":
+                first_outcome.setdefault(ev.detail["inst"], ev.seq)
+            elif kind == "begin":
+                p = ev.detail["parent"]
+                p = p if p == "-" else int(p)
+                if t in parent:
+                    txn_problems.append("seq %d: txn %s begins again"
+                                        % (ev.seq, t))
+                    continue
+                parent[t], open_kids[t] = p, set()
+                if p in open_kids:
+                    open_kids[p].add(t)
+                else:
+                    txn_problems.append("seq %d: txn %s begins under txn "
+                                        "%s, which is not open"
+                                        % (ev.seq, t, p))
+            elif kind == "abort" or kind == "commit2" and (
+                    ev.detail["phase"], ev.detail.get("outcome")) in TXN_ENDS:
+                kids = open_kids.pop(t, None)
+                if kids is None:
+                    txn_problems.append("seq %d: txn %s ends %s" % (
+                        ev.seq, t,
+                        "again" if t in parent else "before its begin"))
+                    continue
+                siblings = open_kids.get(parent[t])
+                if siblings is not None:
+                    siblings.discard(t)
+                if kids:
+                    txn_problems.append("seq %d: txn %s ends before its "
+                                        "child txn %s" % (ev.seq, t, min(kids)))
+
+    def copy(self) -> "Lifecycles":
+        fold = _copied(self)
+        # the one container a fold updates in place
+        fold.open_kids = {t: set(kids) for t, kids in self.open_kids.items()}
+        return fold
+
+
+def scan_bracketing(events, lifecycles=None):
     """Every action-body event must fall after that instance's final
     registration and before its outcome delivery.  Each transaction begins
     once under an open parent, reads, writes, is granted and queues only
     while open, and ends once (abort, nested commit or commit decision),
-    after every child it began; these problems follow the instance ones."""
-    last_register: dict[str, int] = {}
-    first_outcome: dict[str, int] = {}
-    parent: dict = {}                # begun txn -> its parent txn or "-"
-    open_kids: dict = {"-": set()}   # open txn ("-": the root) -> open kids
-    txn_problems = []
-    for ev in events:
-        kind, t = ev.kind, ev.txn
-        if kind in TXN_OPS:
-            if t not in open_kids:
-                txn_problems.append("seq %d: %s by txn %s %s" % (
-                    ev.seq, kind, t, "after its end" if t in parent
-                    else "before its begin"))
-        elif kind == "register" and ev.detail["ok"] == "1":
-            last_register[ev.detail["inst"]] = ev.seq
-        elif kind == "outcome":
-            first_outcome.setdefault(ev.detail["inst"], ev.seq)
-        elif kind == "begin":
-            p = ev.detail["parent"]
-            p = p if p == "-" else int(p)
-            if t in parent:
-                txn_problems.append("seq %d: txn %s begins again"
-                                    % (ev.seq, t))
-                continue
-            parent[t], open_kids[t] = p, set()
-            if p in open_kids:
-                open_kids[p].add(t)
-            else:
-                txn_problems.append("seq %d: txn %s begins under txn %s, "
-                                    "which is not open" % (ev.seq, t, p))
-        elif kind == "abort" or kind == "commit2" and (
-                ev.detail["phase"], ev.detail.get("outcome")) in TXN_ENDS:
-            kids = open_kids.pop(t, None)
-            if kids is None:
-                txn_problems.append("seq %d: txn %s ends %s" % (
-                    ev.seq, t, "again" if t in parent else "before its begin"))
-                continue
-            siblings = open_kids.get(parent[t])
-            if siblings is not None:
-                siblings.discard(t)
-            if kids:
-                txn_problems.append("seq %d: txn %s ends before its child "
-                                    "txn %s" % (ev.seq, t, min(kids)))
+    after every child it began; these problems follow the instance ones.
+    `lifecycles`, if given, is the `Lifecycles` fed `events`."""
+    if lifecycles is None:
+        lifecycles = Lifecycles()
+        lifecycles.feed(events)
+    last_register = lifecycles.last_register
+    first_outcome = lifecycles.first_outcome
     problems = []
     for ev in events:
         if ev.kind not in BODY_KINDS:
@@ -283,7 +365,7 @@ def scan_bracketing(events):
         elif inst in first_outcome and ev.seq > first_outcome[inst]:
             problems.append("seq %d: %s body event after %s outcome"
                             % (ev.seq, ev.kind, inst))
-    problems += txn_problems
+    problems += lifecycles.problems
     return not problems, problems
 
 
@@ -295,12 +377,21 @@ def _parse_dump_lines(lines):
     return out
 
 
-def scan_atomicity(events, dumps, up_nodes):
+def initial_records(lines):
+    """The records of an `[initial]` dump, (node, name) -> (version,
+    value), and each object's home node."""
+    records = _parse_dump_lines(lines)
+    return records, {name: node for (node, name) in records}
+
+
+def scan_atomicity(events, dumps, up_nodes, view=None, initial=None):
     """Replay the trace's committed effects over the initial dump and
     compare with the final stable dump; also require the final volatile
     image of each node in `up_nodes` to hold exactly its stable records,
-    and that of every other node to hold none."""
-    view = TxnView(events)
+    and that of every other node to hold none.  `initial`, if given, is
+    `initial_records(dumps["initial"])`."""
+    if view is None:
+        view = TxnView(events)
     problems = []
     # last surviving write value per (top txn, obj), before its decision
     final_write: dict[tuple, str] = {}
@@ -310,8 +401,8 @@ def scan_atomicity(events, dumps, up_nodes):
         top = view.top(ev.txn)
         if ev.seq < view.decision_seq.get(top, float("inf")):
             final_write[(top, ev.obj)] = ev.detail["val"]
-    state = _parse_dump_lines(dumps["initial"])
-    homes = {name: node for (node, name) in state}
+    records, homes = initial or initial_records(dumps["initial"])
+    state = dict(records)
     for ev in events:
         if ev.kind == "commit2" and ev.detail["phase"] == "apply":
             for obj in ev.detail["objs"].split(","):
@@ -355,39 +446,75 @@ def scan_atomicity(events, dumps, up_nodes):
     return not problems, problems
 
 
-def check_durability(events, up_nodes):
+class Decisions:
+    """Durability's fold: every apply and every commit decision, in trace
+    order."""
+
+    def __init__(self):
+        self.applies: list = []
+        self.commits: list = []
+
+    def feed(self, events):
+        for ev in events:
+            if ev.kind == "commit2":
+                if ev.detail["phase"] == "apply":
+                    self.applies.append(ev)
+                if ev.detail.get("outcome") == "commit":
+                    self.commits.append(ev)
+
+    def copy(self) -> "Decisions":
+        return _copied(self)
+
+
+def check_durability(events, up_nodes, decisions=None):
     """Every commit decision must be followed by an apply at each
-    participant that is up at the end of the run."""
-    applied: dict[int, set] = {}
-    for ev in events:
-        if ev.kind == "commit2" and ev.detail["phase"] == "apply":
-            applied.setdefault(ev.txn, set()).add(ev.detail["node"])
+    participant that is up at the end of the run.  `decisions`, if
+    given, is the `Decisions` fed `events`."""
+    if decisions is None:
+        decisions = Decisions()
+        decisions.feed(events)
+    applied = {(ev.txn, ev.detail["node"]) for ev in decisions.applies}
     problems = []
-    for ev in events:
-        if ev.kind != "commit2" or ev.detail.get("outcome") != "commit":
-            continue
+    for ev in decisions.commits:
         parts = [p for p in ev.detail["parts"].split(",") if p and p != "-"]
         for p in parts:
-            if p in up_nodes and p not in applied.get(ev.txn, set()):
+            if p in up_nodes and (ev.txn, p) not in applied:
                 problems.append("seq %d: txn %d committed but never applied "
                                 "at up node %s" % (ev.seq, ev.txn, p))
     return not problems, problems
 
 
-def final_up_nodes(events, all_nodes):
-    up = set(all_nodes)
+def _fold_up_down(up_down, events):
+    """`up_down`, node -> whether it is up, updated by each crash and
+    recover of `events`."""
     for ev in events:
         if ev.kind == "crash":
-            up.discard(ev.detail["node"])
+            up_down[ev.detail["node"]] = False
         elif ev.kind == "recover":
-            up.add(ev.detail["node"])
+            up_down[ev.detail["node"]] = True
+    return up_down
+
+
+def final_up_nodes(events, all_nodes, up_down=None):
+    """The nodes up after `events`: those of `all_nodes` that no crash
+    left down, and those a recover brought up.  `up_down`, if given, is
+    `_fold_up_down({}, events)`."""
+    if up_down is None:
+        up_down = _fold_up_down({}, events)
+    up = set(all_nodes)
+    for node, is_up in up_down.items():
+        if is_up:
+            up.add(node)
+        else:
+            up.discard(node)
     return up
 
 
-def verify_lock_rule(events):
+def verify_lock_rule(events, view=None):
     """Independent re-evaluation of every grant: all conflicting holders
     at grant time must be proper ancestors of the grantee."""
-    view = TxnView(events)
+    if view is None:
+        view = TxnView(events)
     # objects released only at apply time, known in advance per txn
     apply_objs = view.apply_objs
     holders: dict[str, dict[int, str]] = {}   # obj -> {txn: mode}
@@ -435,28 +562,109 @@ def verify_lock_rule(events):
     return not problems, problems
 
 
+class AuditState:
+    """The folds of one audit over the events fed so far: the facts that
+    depend on no later event.  `audit_trace` feeds a state the events it
+    has not seen and then runs every pass over the whole trace, using the
+    state up; a copy is fed apart from the state it was copied from."""
+
+    def __init__(self):
+        self.seen = 0               # events fed
+        self.last = None            # the last of them
+        self.core: list = []        # their CORE_KINDS subsequence
+        self.up_down: dict = {}     # `_fold_up_down` of them
+        # the passes' own views, fed the first `viewed` events of `core`
+        # and the rest only when copied or taken, so that an audit holds
+        # one view at a time
+        self.views = {name: TxnView(()) for name in VIEW_PASSES}
+        self.viewed = 0
+        self.lifecycles = Lifecycles()
+        self.decisions = Decisions()
+        # (lines, records, homes) of the last [initial] dump read; one
+        # list shared by every copy, as a dump's parse depends on no event
+        self.initial = [None]
+
+    def feed(self, events):
+        """Fold in `events`, the ones after those already fed."""
+        if not events:
+            return
+        self.seen += len(events)
+        self.last = events[-1]
+        core = [ev for ev in events if ev.kind in CORE_KINDS]
+        if self.core:
+            self.core += core
+        else:
+            self.core = core
+        _fold_up_down(self.up_down, core)
+        self.lifecycles.feed(events)
+        self.decisions.feed(core)
+
+    def copy(self) -> "AuditState":
+        unviewed = self.core[self.viewed:]
+        for view in self.views.values():
+            view.feed(unviewed)
+        self.viewed = len(self.core)
+        state = object.__new__(AuditState)
+        state.seen, state.last = self.seen, self.last
+        state.core = list(self.core)
+        state.up_down = dict(self.up_down)
+        state.views = {name: view.copy() for name, view in self.views.items()}
+        state.viewed = self.viewed
+        state.lifecycles = self.lifecycles.copy()
+        state.decisions = self.decisions.copy()
+        state.initial = self.initial
+        return state
+
+    def take_view(self, name) -> TxnView:
+        """Pass `name`'s view, fed every event of `core`; the state keeps
+        it no longer."""
+        view = self.views.pop(name)
+        view.feed(islice(self.core, self.viewed, None))
+        return view
+
+    def initial_records(self, lines):
+        """`initial_records(lines)`, parsed once per `[initial]` list."""
+        memo = self.initial[0]
+        if memo is None or memo[0] is not lines:
+            memo = self.initial[0] = (lines, *initial_records(lines))
+        return memo[1:]
+
+
 @pause_cyclic_gc
-def audit_trace(text: str, all_nodes=None, emitted=None):
+def audit_trace(text: str, all_nodes=None, emitted=None, state=None):
     """Run every audit over a rendered trace file.  Returns a dict of
     check name -> (ok, info); key "ok" aggregates.  Raises MalformedTrace
     on schema violations and when a dump section is missing.  `emitted`,
     if given, is the (events, dumps) that `text` was rendered from, which
-    the passes read in place of `trace.parse(text)`; they change none."""
+    the passes read in place of `trace.parse(text)`; they change none.
+    `state`, if given, is an `AuditState` fed the first events of the
+    trace, which the audit feeds the rest and then reads; ValueError if
+    the state was fed other events."""
     events, dumps = emitted or trace_mod.parse(text)
     for section in trace_mod.DUMP_SECTIONS:
         if section not in dumps:
             raise MalformedTrace("trace has no [%s] dump section" % section)
     if all_nodes is None:
         all_nodes = {ln.split("\t")[0] for ln in dumps["initial"]}
-    core = [ev for ev in events if ev.kind in CORE_KINDS]
-    up_nodes = final_up_nodes(core, all_nodes)
+    if state is None:
+        state = AuditState()
+    n = state.seen
+    if n and (len(events) < n or events[n - 1] is not state.last):
+        raise ValueError("the audit state was fed events other than the "
+                         "first %d of this trace" % n)
+    state.feed(events[n:] if n else events)
+    core = state.core
+    up_nodes = final_up_nodes(core, all_nodes, state.up_down)
     report = {
-        "serializability": audit_serializability(core),
-        "smuggling": scan_smuggling(core),
-        "bracketing": scan_bracketing(events),
-        "atomicity": scan_atomicity(core, dumps, up_nodes),
-        "durability": check_durability(core, up_nodes),
-        "lock_rule": verify_lock_rule(core),
+        "serializability": audit_serializability(
+            core, state.take_view("serializability")),
+        "smuggling": scan_smuggling(core, state.take_view("smuggling")),
+        "bracketing": scan_bracketing(events, state.lifecycles),
+        "atomicity": scan_atomicity(
+            core, dumps, up_nodes, state.take_view("atomicity"),
+            state.initial_records(dumps["initial"])),
+        "durability": check_durability(core, up_nodes, state.decisions),
+        "lock_rule": verify_lock_rule(core, state.take_view("lock_rule")),
     }
     report["ok"] = all(ok for ok, _ in report.values())
     return report

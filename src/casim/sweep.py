@@ -18,6 +18,13 @@ in full as well, and the crash sweep its fault-free run's, and raises
 MalformedTrace if that parse fails or does not give back the emitted
 events and the dump records.
 
+A crash fork's audit resumes its base: the crash sweep keeps one
+`audit.AuditState` per node's base, feeds it the base's new events after
+each `run_to`, and hands each fork a copy, so a fork's audit folds only
+the events after the pause.  The passes that read final facts still walk
+the fork's whole trace (see `audit`), so each report is the one a fresh
+audit of the fork's text gives.
+
 Both sweeps pause the cyclic collector throughout.  Every run is freed
 by reference counting before the next one starts, so a collection
 during a sweep would walk live objects and free nothing.
@@ -32,16 +39,17 @@ from .gcpause import pause_cyclic_gc
 from .scenario import Fault, Scenario
 
 
-def audit_run(res, all_nodes, round_trip=False):
+def audit_run(res, all_nodes, round_trip=False, state=None):
     """Render finished run `res` with its dumps and audit it from what the
-    text was rendered from; with `round_trip`, first check that a full
-    parse of the text gives that back.  Returns (text, dumps, report)."""
+    text was rendered from, resuming `state` (see `audit.audit_trace`) if
+    given; with `round_trip`, first check that a full parse of the text
+    gives that back.  Returns (text, dumps, report)."""
     dumps = res.dumps()
     text = res.trace.render(dumps)
     if round_trip:
         _check_round_trip(text, res.trace.events, dumps)
-    return text, dumps, audit.audit_trace(text, all_nodes,
-                                          (res.trace.events, dumps))
+    return text, dumps, audit.audit_trace(
+        text, all_nodes, (res.trace.events, dumps), state)
 
 
 def _failures(report) -> list:
@@ -87,13 +95,16 @@ def crash_sweep(scenario: Scenario, recover_after=100, stride=1) -> list:
     for node in scenario.nodes:
         base = Simulator(fault_free, horizon=horizon,
                          auto_recover_after=recover_after)
+        folds = audit.AuditState()      # of the base's events so far
         for index in range(0, n_events, stride):
             base.run_to(index)
+            folds.feed(base.trace.events[folds.seen:])
             res = base.fork()
             # fired before any other work if the base reached `index`
             res.indexed_faults = [Fault("index", index, "crash", node)]
             res.run()
-            report = audit_run(res, scenario.nodes, not rows)[2]
+            report = audit_run(res, scenario.nodes, not rows,
+                               folds.copy())[2]
             stable_ok = all(c[2] for c in res.crash_checks)
             vol_ok = all(c[3] for c in res.crash_checks)
             rows.append({

@@ -80,6 +80,24 @@ client c2 n1 2 a s
 BAD_NAME = "node and object names may not be `-` or contain `,`"
 
 
+def order_chain(n, closed=False):
+    """Scenario text: one action that runs `n` nested actions in turn,
+    each ordered after the one before (`order c0 < c1` and on); `closed`
+    adds `order c<n-1> < c0` last, which makes the order a cycle."""
+    lines = ["node n1", "object x n1 0"]
+    for i in range(n):
+        lines += ["action c%d" % i, "  footprint x", "  role r",
+                  "    write x 1", "    exit", "end"]
+    lines += ["action top", "  footprint x", "  role boss"]
+    lines += ["    enter c%d r" % i for i in range(n)]
+    lines += ["    exit", "  nested " + " ".join("c%d" % i for i in range(n))]
+    lines += ["  order c%d < c%d" % (i, i + 1) for i in range(n - 1)]
+    if closed:
+        lines.append("  order c%d < c0" % (n - 1))
+    lines += ["end", "client cl n1 0 top boss", "horizon %d" % (100 * n)]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def transfer_scenario():
     return parse_scenario(TRANSFER)

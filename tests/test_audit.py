@@ -1,3 +1,7 @@
+import copy
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -520,14 +524,15 @@ _OTHER_KINDS = sorted(ALL_KINDS - audit.CORE_KINDS)
 @st.composite
 def histories_with_other_kinds(draw):
     """A `random_histories` history with events of the kinds outside
-    CORE_KINDS between its events, each carrying a txn, an object and
-    every detail key that a pass reads from a core kind."""
+    CORE_KINDS between its events, each carrying a txn, an object, every
+    detail key that a pass reads from a core kind, and the `ok` that
+    bracketing reads from a `register`."""
     t = Trace()
     for ev in draw(random_histories()):
         for _ in range(draw(st.integers(0, 2))):
             t.emit(draw(st.sampled_from(_OTHER_KINDS)), ev.txn, ev.obj, {
                 "inst": "a", "mode": "w", "node": "n1", "objs": "x",
-                "outcome": "commit", "parent": str(ev.txn), "parts": "n1",
+                "ok": draw(st.sampled_from(["0", "1"])), "outcome": "commit", "parent": str(ev.txn), "parts": "n1",
                 "phase": draw(st.sampled_from(["decision", "apply",
                                                "nested"])),
                 "val": "9"})
@@ -573,7 +578,7 @@ def test_core_passes_skip_every_other_kind_on_reference_runs(monkeypatch):
                                     unsafe_early_release=unsafe).run()
                     runs.append((res.trace.events, res.dumps(), sc.nodes))
 
-    def keep(text, all_nodes, emitted):
+    def keep(text, all_nodes, emitted, state):
         runs.append((list(emitted[0]), emitted[1], all_nodes))
         return {"ok": True}
 
@@ -582,6 +587,96 @@ def test_core_passes_skip_every_other_kind_on_reference_runs(monkeypatch):
         sweep.crash_sweep(load_scenario(str(path)), stride=3)
     assert len(runs) > 150
     assert all([_assert_core_passes_agree(*run) for run in runs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_copied_state_fed_the_rest_gives_the_fresh_report(data):
+    """Split a history anywhere, with crashes, recoveries and applies
+    between its events: a copy of the state fed its prefix, fed the rest
+    by an audit, gives the report of a fresh audit.  So does a copy that
+    resumes with only some of the rest, audited after the first, and
+    neither audit changes the state's folds."""
+    t = Trace()
+    for ev in data.draw(histories_with_other_kinds()):
+        node = data.draw(st.sampled_from(["n1", "n2"]))
+        extra = data.draw(st.sampled_from(["crash", "recover", "apply"]
+                                          + [None] * 6))
+        if extra == "apply":
+            t.emit("commit2", ev.txn or 0, None, {
+                "node": node, "objs": data.draw(st.sampled_from(
+                    ["x", "y", "x,z"])), "phase": "apply"})
+        elif extra:
+            t.emit(extra, None, None, {"node": node})
+        t.emit(ev.kind, ev.txn, ev.obj, ev.detail)
+    events = t.events
+    split = data.draw(st.integers(0, len(events)))
+    kept = [ev for ev in events[split:] if data.draw(st.booleans())]
+    records = ["n1\tx\t0\t0", "n1\ty\t0\t0", "n2\tz\t0\t0"]
+    dumps = {"initial": records, "stable": records, "volatile": records[:1]}
+    state = audit.AuditState()
+    state.feed(events[:split])
+    state.copy()    # which feeds the state's views all it was fed
+    folds = copy.deepcopy(_folds(state))
+    for rest in (events[split:], kept):
+        history = events[:split] + [replace(ev, seq=split + i)
+                                    for i, ev in enumerate(rest)]
+        assert audit.audit_trace("", {"n1", "n2"}, (history, dumps),
+                                 state.copy()) == \
+            audit.audit_trace("", {"n1", "n2"}, (history, dumps))
+    assert _folds(state) == folds
+
+
+def _folds(state):
+    return (state.seen, state.last, state.core, state.up_down, state.viewed,
+            [vars(view) for view in state.views.values()],
+            vars(state.lifecycles), vars(state.decisions))
+
+
+def test_a_state_fed_other_events_is_refused():
+    runs = [run_text(TRANSFER, seed=seed) for seed in (1, 2)]
+    state = audit.AuditState()
+    state.feed(runs[0].trace.events[:5])
+    with pytest.raises(ValueError, match="first 5 of this trace"):
+        audit.audit_trace("", None, (runs[1].trace.events, runs[1].dumps()),
+                          state.copy())
+    res = run_text(TRANSFER, seed=1)    # equal events, not the ones fed
+    assert res.trace.events == runs[0].trace.events
+    with pytest.raises(ValueError):
+        audit.audit_trace("", None, (res.trace.events, res.dumps()),
+                          state.copy())
+    assert audit.audit_trace("", None, (runs[0].trace.events,
+                                        runs[0].dumps()), state)["ok"]
+
+
+def test_audit_of_a_parent_cycle_ends(tmp_path):
+    """Two begins that name each other as parent: the view used to walk
+    the cycle for ever in `top` and `is_proper_ancestor`; it now refuses
+    the link that closes it, and bracketing reports the first begin."""
+    path = tmp_path / "cycle.trace"
+    path.write_text("0\t0\tbegin\t1\t-\tparent=2\n"
+                    "1\t0\tbegin\t2\t-\tparent=1\n"
+                    "2\t1\twrite\t1\tx\tinst=a th=0 val=5\n"
+                    "dump\n[initial]\nn1\tx\t0\t5\n[stable]\nn1\tx\t0\t5\n"
+                    "[volatile]\nn1\tx\t0\t5\n")
+    src = str(Path(audit.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "casim.cli", "audit", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1
+    assert "\tseq 0: txn 1 begins under txn 2, which is not open\n" \
+        in done.stdout
+
+
+def test_a_view_refuses_a_parent_link_that_closes_a_cycle():
+    t = Trace()
+    for txn, parent in ((1, "-"), (2, "1"), (3, "2"), (1, "3"), (4, "4")):
+        t.emit("begin", txn, None, {"parent": parent})
+    view = audit.TxnView(t.events)
+    assert view.parents == {1: None, 2: 1, 3: 2}
+    assert view.top(3) == 1 and view.top(4) == 4
+    assert view.is_proper_ancestor(1, 3) and not view.is_proper_ancestor(3, 1)
 
 
 def test_atomicity_flags_apply_of_an_object_with_no_home():
@@ -616,9 +711,9 @@ def test_audits_change_no_event(monkeypatch):
     read = []     # the events each audit reads
     real_bracketing = audit.scan_bracketing
 
-    def recording(events):
+    def recording(events, lifecycles):
         read.append(events)
-        return real_bracketing(events)
+        return real_bracketing(events, lifecycles)
 
     monkeypatch.setattr(audit, "scan_bracketing", recording)
     for res in runs:

@@ -7,7 +7,7 @@ from casim import audit
 from casim.trace import Trace
 
 from conftest import (BAD_NAME, COMMA_IN_OBJECT, DASH_NODE, DASH_OBJECT,
-                      NEGATIVE_DEADLINE, TRANSFER)
+                      NEGATIVE_DEADLINE, TRANSFER, order_chain)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -235,6 +235,19 @@ def test_rejected_scenario_exits_two(tmp_path, capsys, monkeypatch, text,
     rc = cli.main(["run", write_scn(tmp_path, text)])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_a_long_order_chain_runs_and_its_cycle_exits_two(tmp_path, capsys,
+                                                          monkeypatch):
+    """A 1,200-constraint chain used to exit 1, the code of a failed audit,
+    with a RecursionError traceback."""
+    monkeypatch.setenv("CASIM_OUT_DIR", str(tmp_path))
+    assert cli.main(["run", write_scn(tmp_path, order_chain(1200))]) == 0
+    out = capsys.readouterr().out
+    assert "top\tcommitted\n" in out and "FAIL" not in out
+    assert cli.main(["run", write_scn(tmp_path,
+                                      order_chain(1200, closed=True))]) == 2
+    assert "ordering constraints are cyclic at c0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("faults, message", [

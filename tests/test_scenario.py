@@ -7,6 +7,7 @@ from casim.errors import CyclicConstraint, ModeViolation, ValidationError
 from casim.scenario import parse_scenario
 
 from conftest import (BAD_NAME, COMMA_IN_OBJECT, DASH_NODE, DASH_OBJECT,
+                      order_chain,
                       NEGATIVE_DEADLINE, TRANSFER)
 
 
@@ -290,3 +291,25 @@ action a
 end
 """)
     assert "unknown object" in str(e.value)
+
+
+def test_a_long_order_chain_is_accepted_and_its_closing_cycle_named():
+    """A chain of 1,200 ordering constraints raised RecursionError in the
+    depth-first check; closing it is rejected at the closing line."""
+    sc = parse_scenario(order_chain(1200))
+    assert len(sc.defs["top"].order) == 1199
+    text = order_chain(1200, closed=True)
+    with pytest.raises(CyclicConstraint) as e:
+        parse_scenario(text)
+    assert str(e.value) == ("line %d: action top: ordering constraints are "
+                            "cyclic at c0" % len(text.split("\n")[:-4]))
+    assert text.split("\n")[e.value.line - 1] == "  order c1199 < c0"
+
+
+def test_a_four_cycle_is_named_where_the_search_comes_back():
+    text = order_chain(4).replace("  order c2 < c3\n",
+                                  "  order c2 < c3\n  order c3 < c1\n")
+    with pytest.raises(CyclicConstraint) as e:
+        parse_scenario(text)
+    assert "action top: ordering constraints are cyclic at c1" in str(e.value)
+    assert text.split("\n")[e.value.line - 1] == "  order c3 < c1"

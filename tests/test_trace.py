@@ -728,7 +728,7 @@ def _assert_sweep_audits_parse_to_emitted(monkeypatch, scenario, **kw):
     audit is handed in its place; returns the number of runs."""
     runs = []
 
-    def check(text, all_nodes, emitted):
+    def check(text, all_nodes, emitted, state):
         _assert_as_parsed(emitted[0])
         _assert_parses_to_emitted(text, *emitted)
         runs.append(len(emitted[0]))
